@@ -7,7 +7,7 @@
 //! diverges between worker counts **or** throughput falls below a floor
 //! (`TEAPOT_SMOKE_MIN_EPS`, default 150 execs/sec). The floor locks in
 //! the hot-path overhaul (flat region-backed memory + software TLB +
-//! block-slice dispatch): before it, the slowest row — `pht,rsb,stl` —
+//! fused dispatch): before it, the slowest row — `pht,rsb,stl` —
 //! ran at ~75 execs/sec, and the seed's per-run decode-and-reload
 //! pipeline managed ~29, so the floor trips on any regression back
 //! toward either without flaking on slow runners. The smoke run does

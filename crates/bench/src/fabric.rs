@@ -85,7 +85,8 @@ pub fn run_scaled(
     let mut rows = Vec::new();
     let start = Instant::now();
     let mut baseline_campaign = Campaign::new(cfg.clone()).expect("valid config");
-    let baseline: CampaignReport = baseline_campaign.run(&bin, &w.seeds);
+    let baseline: CampaignReport =
+        baseline_campaign.run_shared(&teapot_vm::Program::shared(&bin), &w.seeds);
     let secs = start.elapsed().as_secs_f64();
     // What a naive protocol would ship per barrier: every shard's full
     // state, twice (each phase re-synchronizes), measured on the final

@@ -13,8 +13,7 @@
 //!
 //! Absolute numbers differ from the paper (the substrate is a simulator
 //! with a documented cost model, not an EPYC testbed); the *shape* —
-//! orderings, ratios, crossovers — is the reproduction target. See
-//! EXPERIMENTS.md for paper-vs-measured values.
+//! orderings, ratios, crossovers — is the reproduction target.
 
 use teapot_cc::Options;
 use teapot_obj::Binary;

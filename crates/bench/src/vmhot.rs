@@ -87,8 +87,6 @@ pub struct VmhotResult {
     /// (compiled) tier and equals `minsts_per_sec_compiled`.
     pub minsts_per_sec_interp: f64,
     pub minsts_per_sec_interp_min: f64,
-    pub minsts_per_sec_slice: f64,
-    pub minsts_per_sec_slice_min: f64,
     pub minsts_per_sec_compiled: f64,
     pub minsts_per_sec_compiled_min: f64,
 }
@@ -122,8 +120,8 @@ pub fn run(passes: u32, runs: u32) -> VmhotResult {
 /// [`run`] timed `reps` times; headline numbers are the median over the
 /// default (compiled) dispatch tier. Every tier is additionally timed
 /// with the same runs/reps for the per-tier rows; each tier gets a
-/// fresh heuristics state so the three measurements execute identical
-/// run sequences (asserted via the architectural instruction total).
+/// fresh heuristics state so both measurements execute identical run
+/// sequences (asserted via the architectural instruction total).
 pub fn run_reps(passes: u32, runs: u32, reps: u32) -> VmhotResult {
     assert!(reps >= 1, "at least one repetition");
     let src = kernel_source(passes);
@@ -168,14 +166,9 @@ pub fn run_reps(passes: u32, runs: u32, reps: u32) -> VmhotResult {
     };
 
     let (step_insts, step_secs) = measure(DispatchTier::Step);
-    let (slice_insts, slice_secs) = measure(DispatchTier::Slice);
     let (insts, rep_secs) = measure(DispatchTier::Compiled);
     assert_eq!(
         insts, step_insts,
-        "dispatch tiers must retire identical instruction totals"
-    );
-    assert_eq!(
-        insts, slice_insts,
         "dispatch tiers must retire identical instruction totals"
     );
 
@@ -191,7 +184,6 @@ pub fn run_reps(passes: u32, runs: u32, reps: u32) -> VmhotResult {
         .collect();
     let minsts = rate(&rep_secs);
     let minsts_step = rate(&step_secs);
-    let minsts_slice = rate(&slice_secs);
     let min = |xs: &[f64]| xs.iter().copied().fold(f64::INFINITY, f64::min);
     VmhotResult {
         passes,
@@ -209,8 +201,6 @@ pub fn run_reps(passes: u32, runs: u32, reps: u32) -> VmhotResult {
         compile_ms,
         minsts_per_sec_interp: median(&minsts_step),
         minsts_per_sec_interp_min: min(&minsts_step),
-        minsts_per_sec_slice: median(&minsts_slice),
-        minsts_per_sec_slice_min: min(&minsts_slice),
         minsts_per_sec_compiled: median(&minsts),
         minsts_per_sec_compiled_min: min(&minsts),
     }
@@ -249,9 +239,9 @@ pub fn render(r: &VmhotResult) -> String {
         ));
     }
     out.push_str(&format!(
-        "tiers (Minsts/sec, median): step {:.1}, slice {:.1}, compiled {:.1}; \
+        "tiers (Minsts/sec, median): step {:.1}, compiled {:.1}; \
          program build {:.1} ms\n",
-        r.minsts_per_sec_interp, r.minsts_per_sec_slice, r.minsts_per_sec_compiled, r.compile_ms
+        r.minsts_per_sec_interp, r.minsts_per_sec_compiled, r.compile_ms
     ));
     out
 }
@@ -271,7 +261,6 @@ pub fn render_json(r: &VmhotResult) -> String {
          \"minsts_per_sec\": {:.2},\n  \"minsts_per_sec_min\": {:.2},\n  \
          \"minsts_per_sec_median\": {:.2},\n  \
          \"minsts_per_sec_interp\": {:.2},\n  \"minsts_per_sec_interp_min\": {:.2},\n  \
-         \"minsts_per_sec_slice\": {:.2},\n  \"minsts_per_sec_slice_min\": {:.2},\n  \
          \"minsts_per_sec_compiled\": {:.2},\n  \"minsts_per_sec_compiled_min\": {:.2}\n}}\n",
         r.passes,
         r.runs,
@@ -291,8 +280,6 @@ pub fn render_json(r: &VmhotResult) -> String {
         r.minsts_per_sec,
         r.minsts_per_sec_interp,
         r.minsts_per_sec_interp_min,
-        r.minsts_per_sec_slice,
-        r.minsts_per_sec_slice_min,
         r.minsts_per_sec_compiled,
         r.minsts_per_sec_compiled_min
     )

@@ -8,25 +8,7 @@
 
 use crate::{CampaignReport, ShardSummary};
 use teapot_rt::{GadgetReport, SpecModel};
-
-/// Escapes a string for a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+use teapot_telemetry::escape;
 
 fn render_gadget(g: &GadgetReport, out: &mut String) {
     // The model field is emitted only for non-PHT gadgets: default
@@ -192,12 +174,6 @@ mod tests {
         assert!(json.contains("load of \\\"secret\\\"\\n"));
         assert!(json.contains("\"User-MDS\":1"));
         assert!(json.contains("\"pc\":\"0x400100\""));
-    }
-
-    #[test]
-    fn control_chars_are_u_escaped() {
-        assert_eq!(escape("a\u{1}b"), "a\\u0001b");
-        assert_eq!(escape("t\ta"), "t\\ta");
     }
 
     #[test]

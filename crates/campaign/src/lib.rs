@@ -464,15 +464,9 @@ impl Campaign {
     /// fresh inputs between shards. `seeds` initializes shard corpora on
     /// the first epoch and is ignored afterwards.
     ///
-    /// Decodes `bin` privately; epoch loops should decode once with
-    /// [`Program::shared`] and call [`Campaign::run_epoch_shared`].
-    pub fn run_epoch(&mut self, bin: &Binary, seeds: &[Vec<u8>]) {
-        self.run_epoch_shared(&Program::shared(bin), seeds);
-    }
-
-    /// [`Campaign::run_epoch`] over a shared predecoded program: one
-    /// decode pass and one pristine memory image serve every shard on
-    /// every worker thread.
+    /// Runs over a shared predecoded program (decode once with
+    /// [`Program::shared`]): one decode pass and one pristine memory
+    /// image serve every shard on every worker thread.
     pub fn run_epoch_shared(&mut self, prog: &Arc<Program>, seeds: &[Vec<u8>]) {
         self.decode_stats = *prog.stats();
         let watch = Stopwatch::new();
@@ -638,12 +632,8 @@ impl Campaign {
         }
     }
 
-    /// Runs all remaining epochs and returns the merged report.
-    pub fn run(&mut self, bin: &Binary, seeds: &[Vec<u8>]) -> CampaignReport {
-        self.run_shared(&Program::shared(bin), seeds)
-    }
-
-    /// [`Campaign::run`] over a shared predecoded program.
+    /// Runs all remaining epochs over a shared predecoded program and
+    /// returns the merged report.
     pub fn run_shared(&mut self, prog: &Arc<Program>, seeds: &[Vec<u8>]) -> CampaignReport {
         while !self.finished() {
             self.run_epoch_shared(prog, seeds);
@@ -890,7 +880,7 @@ pub fn run_campaign(
     seeds: &[Vec<u8>],
     cfg: &CampaignConfig,
 ) -> Result<CampaignReport, CampaignError> {
-    Ok(Campaign::new(cfg.clone())?.run(bin, seeds))
+    Ok(Campaign::new(cfg.clone())?.run_shared(&Program::shared(bin), seeds))
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@ use crate::{Campaign, CampaignConfig, CampaignError, CampaignReport};
 use std::path::{Path, PathBuf};
 use teapot_core::{rewrite, RewriteOptions};
 use teapot_obj::Binary;
-use teapot_vm::ExecContext;
+use teapot_vm::{ExecContext, Program};
 
 /// Outcome of one queued binary.
 #[derive(Debug, Clone)]
@@ -86,7 +86,7 @@ pub fn run_queue(
         let (bin, instrumented_here) = prepare_binary(&path)?;
         let mut campaign = Campaign::new(cfg.clone())?;
         campaign.donate_contexts(std::mem::take(&mut ctx_pool));
-        let report = campaign.run(&bin, seeds);
+        let report = campaign.run_shared(&Program::shared(&bin), seeds);
         ctx_pool = campaign.harvest_contexts();
         outcomes.push(QueueOutcome {
             path,
@@ -114,7 +114,7 @@ pub fn render_queue_json(outcomes: &[QueueOutcome]) -> String {
             out.push(',');
         }
         out.push_str("\n    {\"path\": \"");
-        out.push_str(&crate::json::escape(&o.path.display().to_string()));
+        out.push_str(&teapot_telemetry::escape(&o.path.display().to_string()));
         out.push_str("\", \"instrumented_here\": ");
         out.push_str(if o.instrumented_here { "true" } else { "false" });
         out.push_str(", \"report\": ");

@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! magic   "TCS1"
-//! u32     format version (4)
+//! u32     format version (6)
 //! u64     FNV-1a fingerprint of the target binary's TOF bytes
 //! u32     epochs completed
 //! decode  blocks u64 · insts u64 · bytes u64 · undecoded_bytes u64
@@ -21,34 +21,36 @@
 //! config  seed u64 · shards u32 · epochs u32 · iters_per_epoch u64
 //!         · max_input_len u64 · fuel_per_run u64
 //!         · detector (6 fields) · emu u8 · heur_style u8
-//!         · capture_witnesses u8 · spec_models u8 (v3)
-//!         · adaptive_budgets u8 · corpus_minimize u8 (v5)
+//!         · capture_witnesses u8 · spec_models u8
+//!         · adaptive_budgets u8 · corpus_minimize u8
 //!         · dictionary (len-prefixed token list)
 //! u32     shard count, then per shard:
 //!         corpus    u32 count · { bytes input · u64 score }
 //!         heur      u32 count · { u64 site-key · u32 count }
 //!         cov       bytes normal · bytes spec
 //!         gadgets   u32 count · { u64 pc · u8 channel · u8 ctrl
-//!                   · u8 model (v3)
-//!                   · u64 branch_pc · u64 access_pc · u32 depth
-//!                   · bytes description }
+//!                   · u8 model · u64 branch_pc · u64 access_pc
+//!                   · u32 depth · bytes description }
 //!         witnesses u32 count · { u64 pc · u8 channel · u8 ctrl
-//!                   · u8 model (v3) · bytes input
+//!                   · u8 model · bytes input
 //!                   · u32 count { u64 site-key · u32 count }
 //!                   · u32 count { u8 kind ·
-//!                       0: u64 pc · u32 depth · u8 model(v3) (spec branch)
+//!                       0: u64 pc · u32 depth · u8 model (spec branch)
 //!                       1: u64 pc · u64 addr · u8 w · u8 tag
-//!                          · u8 origin lo · u8 origin hi (v4) (tainted)
-//!                       2: u64 pc · u32 depth · u8 model(v3) (rollback)
+//!                          · u8 origin lo · u8 origin hi (tainted)
+//!                       2: u64 pc · u32 depth · u8 model (rollback)
 //!                       3: u64 pc · u32 depth · u8 model · u8 tag
-//!                          · u8 origin lo · u8 origin hi (v4, leak site) } }
+//!                          · u8 origin lo · u8 origin hi (leak site) } }
 //!         u64 iters · u64 total_cost · u64 crashes · u32 epoch
-//! budget  u32 count · { u64 features } (v5: per-shard coverage-feature
+//! budget  u32 count · { u64 features } (per-shard coverage-feature
 //!         counts at the start of the last epoch, the adaptive-budget
 //!         reference point)
+//! crc     u32 CRC32 of every byte before it
 //! ```
 //!
 //! where `bytes` is a `u32` length followed by that many raw bytes.
+//! Only this layout loads: a file of any other version fails with
+//! [`SnapshotError::BadVersion`].
 //!
 //! The [`Writer`]/[`Reader`] primitives and the per-record codecs
 //! ([`write_shard_state`], [`read_shard_state`], [`write_config`],
@@ -69,24 +71,7 @@ use teapot_vm::{DecodeStats, EmuStyle, HeurStyle};
 /// Magic bytes opening every `.tcs` file.
 pub const MAGIC: &[u8; 4] = b"TCS1";
 
-/// Format version written by this crate. Version 2 added the decode
-/// statistics header, the `capture_witnesses` flag and per-shard gadget
-/// witnesses. Version 3 added the speculation-model set to the config
-/// and a model byte to every gadget key, witness key and speculative
-/// trace checkpoint/rollback event; v1/v2 files load with PHT defaults
-/// everywhere, so old campaigns resume unchanged. Version 4 added taint
-/// provenance: two origin-interval bytes on every tainted-access event
-/// and the leak-site event (kind 3); v≤3 files load with empty origins
-/// and no leak sites — exactly what campaign-captured traces contain
-/// anyway, since the origin shadow only runs on triage replays.
-/// Version 5 added the `adaptive_budgets`/`corpus_minimize` config
-/// flags and the trailing per-shard budget-feature counts; v≤4 files
-/// load with both flags off and empty counts (those campaigns never
-/// rebalanced, so resuming them unchanged is exact). Version 6 appends
-/// a whole-file CRC32 trailer (last 4 bytes, little-endian, covering
-/// everything before it) so a torn or bit-flipped checkpoint is
-/// rejected on load instead of resuming a silently wrong campaign;
-/// v≤5 files have no trailer and load unchecked, as before.
+/// Format version written, and the only one read, by this crate.
 pub const VERSION: u32 = 6;
 
 /// A deserialized campaign snapshot.
@@ -107,10 +92,10 @@ pub struct CampaignSnapshot {
     /// One state per shard, in shard-index order.
     pub shard_states: Vec<StateSnapshot>,
     /// Per-shard coverage-feature counts at the start of the last epoch
-    /// (empty before the first epoch, or in v≤4 files) — what
-    /// [`adaptive_budgets`](crate::adaptive_budgets) diffs against, so a
-    /// resumed campaign hands out the same budgets as an uninterrupted
-    /// one.
+    /// (empty before the first epoch) — what
+    /// [`adaptive_budgets`](crate::adaptive_budgets) diffs against, so
+    /// a resumed campaign hands out the same budgets as an
+    /// uninterrupted one.
     pub prev_features: Vec<u64>,
 }
 
@@ -119,7 +104,7 @@ pub struct CampaignSnapshot {
 pub enum SnapshotError {
     /// The file does not start with [`MAGIC`].
     BadMagic,
-    /// The format version is newer than this build understands.
+    /// The format version is not [`VERSION`].
     BadVersion(u32),
     /// The file ended mid-record or a field was out of range.
     Corrupt(&'static str),
@@ -138,9 +123,8 @@ pub enum SnapshotError {
         /// Fingerprint of the binary supplied on resume.
         actual: u64,
     },
-    /// The file's CRC32 trailer (format v6+) did not match its
-    /// contents — a bit flip or torn write somewhere in the covered
-    /// bytes.
+    /// The file's CRC32 trailer did not match its contents — a bit
+    /// flip or torn write somewhere in the covered bytes.
     Checksum {
         /// Number of bytes the trailer covers (the trailer itself sits
         /// at this offset).
@@ -272,78 +256,60 @@ impl CampaignSnapshot {
         bytes
     }
 
-    /// Parses `.tcs` bytes. Version 1 files (pre-witness) still load:
-    /// every v2 addition is strictly appended and defaults cleanly
-    /// (zero decode stats, witness capture on, no witnesses), so an old
-    /// long-running campaign is never stranded by the format bump.
+    /// Parses `.tcs` bytes of the current [`VERSION`].
     pub fn from_bytes(bytes: &[u8]) -> Result<CampaignSnapshot, SnapshotError> {
-        // Whole-file integrity first for v6+ files: the last 4 bytes are
-        // the CRC32 of everything before them. Checking up front means
-        // no corrupted length field is ever trusted during parsing, and
-        // the body reader below never sees the trailer.
-        let mut bytes = bytes;
-        if bytes.len() >= 8 && &bytes[..4] == MAGIC {
-            let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-            if (6..=VERSION).contains(&version) {
-                if bytes.len() < 12 {
-                    return Err(SnapshotError::Truncated {
-                        section: "checksum trailer",
-                        offset: bytes.len(),
-                    });
-                }
-                let covered = bytes.len() - 4;
-                let t = &bytes[covered..];
-                let stored = u32::from_le_bytes([t[0], t[1], t[2], t[3]]);
-                let actual = teapot_rt::crc32(&bytes[..covered]);
-                if stored != actual {
-                    return Err(SnapshotError::Checksum {
-                        covered,
-                        stored,
-                        actual,
-                    });
-                }
-                bytes = &bytes[..covered];
-            }
-        }
         let mut r = Reader::new(bytes);
         r.section("header");
         if r.take(4)? != MAGIC {
             return Err(SnapshotError::BadMagic);
         }
         let version = r.u32()?;
-        if version == 0 || version > VERSION {
+        if version != VERSION {
             return Err(SnapshotError::BadVersion(version));
         }
+        // Whole-file integrity next: the last 4 bytes are the CRC32 of
+        // everything before them. Checking before the body means no
+        // corrupted length field is ever trusted during parsing, and
+        // the body reader below never sees the trailer.
+        if bytes.len() < 12 {
+            return Err(SnapshotError::Truncated {
+                section: "checksum trailer",
+                offset: bytes.len(),
+            });
+        }
+        let covered = bytes.len() - 4;
+        let t = &bytes[covered..];
+        let stored = u32::from_le_bytes([t[0], t[1], t[2], t[3]]);
+        let actual = teapot_rt::crc32(&bytes[..covered]);
+        if stored != actual {
+            return Err(SnapshotError::Checksum {
+                covered,
+                stored,
+                actual,
+            });
+        }
+        r.bytes = &bytes[..covered];
         let bin_fingerprint = r.u64()?;
         let epochs_done = r.u32()?;
-        let decode_stats = if version >= 2 {
-            DecodeStats {
-                blocks: r.u64()? as usize,
-                insts: r.u64()? as usize,
-                bytes: r.u64()? as usize,
-                undecoded_bytes: r.u64()? as usize,
-            }
-        } else {
-            DecodeStats::default()
+        let decode_stats = DecodeStats {
+            blocks: r.u64()? as usize,
+            insts: r.u64()? as usize,
+            bytes: r.u64()? as usize,
+            undecoded_bytes: r.u64()? as usize,
         };
-        let config = read_config(&mut r, version)?;
+        let config = read_config(&mut r)?;
         r.section("shard table");
         let shard_count = r.u32()? as usize;
         let mut shard_states = Vec::with_capacity(shard_count.min(4096));
         for _ in 0..shard_count {
-            shard_states.push(read_shard_state(&mut r, version)?);
+            shard_states.push(read_shard_state(&mut r)?);
         }
-        let prev_features = if version >= 5 {
-            r.section("budget stats");
-            let n = r.u32()? as usize;
-            let mut v = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                v.push(r.u64()?);
-            }
-            v
-        } else {
-            Vec::new()
-        };
+        r.section("budget stats");
+        let n = r.u32()? as usize;
+        let mut prev_features = Vec::with_capacity(n.min(4096));
+        for _ in 0..n {
+            prev_features.push(r.u64()?);
+        }
         Ok(CampaignSnapshot {
             config,
             bin_fingerprint,
@@ -463,9 +429,9 @@ pub fn write_config(w: &mut Writer, c: &CampaignConfig) {
     }
 }
 
-/// Reads a campaign configuration body written at `version` (`workers`
-/// is reset to auto — thread count is an execution detail).
-pub fn read_config(r: &mut Reader, version: u32) -> Result<CampaignConfig, SnapshotError> {
+/// Reads a campaign configuration body (`workers` is reset to auto —
+/// thread count is an execution detail).
+pub fn read_config(r: &mut Reader) -> Result<CampaignConfig, SnapshotError> {
     r.section("config");
     let seed = r.u64()?;
     let shards = r.u32()?;
@@ -492,18 +458,11 @@ pub fn read_config(r: &mut Reader, version: u32) -> Result<CampaignConfig, Snaps
         2 => HeurStyle::SpecTaintFive,
         _ => return Err(SnapshotError::Corrupt("heuristic style")),
     };
-    let capture_witnesses = if version >= 2 { r.bool()? } else { true };
-    let models = if version >= 3 {
-        SpecModelSet::from_bits(r.u8()?).ok_or(SnapshotError::Corrupt("spec model set"))?
-    } else {
-        // Pre-specmodel snapshots simulated conditional branches only.
-        SpecModelSet::PHT_ONLY
-    };
-    let (adaptive_budgets, corpus_minimize) = if version >= 5 {
-        (r.bool()?, r.bool()?)
-    } else {
-        (false, false)
-    };
+    let capture_witnesses = r.bool()?;
+    let models =
+        SpecModelSet::from_bits(r.u8()?).ok_or(SnapshotError::Corrupt("spec model set"))?;
+    let adaptive_budgets = r.bool()?;
+    let corpus_minimize = r.bool()?;
     r.section("dictionary");
     let dict_len = r.u32()? as usize;
     let mut dictionary = Vec::with_capacity(dict_len.min(1024));
@@ -547,7 +506,7 @@ fn write_gadget(w: &mut Writer, g: &GadgetReport) {
     w.bytes(g.description.as_bytes());
 }
 
-fn read_gadget(r: &mut Reader, version: u32) -> Result<GadgetReport, SnapshotError> {
+fn read_gadget(r: &mut Reader) -> Result<GadgetReport, SnapshotError> {
     let pc = r.u64()?;
     let channel = match r.u8()? {
         0 => Channel::Mds,
@@ -560,7 +519,7 @@ fn read_gadget(r: &mut Reader, version: u32) -> Result<GadgetReport, SnapshotErr
         1 => Controllability::Massage,
         _ => return Err(SnapshotError::Corrupt("controllability")),
     };
-    let model = r.model(version)?;
+    let model = r.model()?;
     let branch_pc = r.u64()?;
     let access_pc = r.u64()?;
     let depth = r.u32()?;
@@ -649,7 +608,7 @@ fn write_witness(w: &mut Writer, wit: &GadgetWitness) {
     }
 }
 
-fn read_witness(r: &mut Reader, version: u32) -> Result<GadgetWitness, SnapshotError> {
+fn read_witness(r: &mut Reader) -> Result<GadgetWitness, SnapshotError> {
     let pc = r.u64()?;
     let channel = match r.u8()? {
         0 => Channel::Mds,
@@ -662,7 +621,7 @@ fn read_witness(r: &mut Reader, version: u32) -> Result<GadgetWitness, SnapshotE
         1 => Controllability::Massage,
         _ => return Err(SnapshotError::Corrupt("witness controllability")),
     };
-    let model = r.model(version)?;
+    let model = r.model()?;
     let input = r.bytes()?.to_vec();
     let hc_len = r.u32()? as usize;
     let mut heur_counts = Vec::with_capacity(hc_len.min(65536));
@@ -681,26 +640,26 @@ fn read_witness(r: &mut Reader, version: u32) -> Result<GadgetWitness, SnapshotE
             0 => TraceEvent::SpecBranch {
                 pc: r.u64()?,
                 depth: r.u32()?,
-                model: r.model(version)?,
+                model: r.model()?,
             },
             1 => TraceEvent::TaintedAccess {
                 pc: r.u64()?,
                 addr: r.u64()?,
                 width: r.u8()?,
                 tag: r.u8()?,
-                origin: r.origin(version)?,
+                origin: r.origin()?,
             },
             2 => TraceEvent::Rollback {
                 pc: r.u64()?,
                 depth: r.u32()?,
-                model: r.model(version)?,
+                model: r.model()?,
             },
-            3 if version >= 4 => TraceEvent::LeakSite {
+            3 => TraceEvent::LeakSite {
                 pc: r.u64()?,
                 depth: r.u32()?,
-                model: r.model(version)?,
+                model: r.model()?,
                 tag: r.u8()?,
-                origin: r.origin(version)?,
+                origin: r.origin()?,
             },
             _ => return Err(SnapshotError::Corrupt("trace event kind")),
         });
@@ -747,8 +706,8 @@ pub fn write_shard_state(w: &mut Writer, s: &StateSnapshot) {
     w.u32(s.epoch);
 }
 
-/// Reads one shard's [`StateSnapshot`] written at `version`.
-pub fn read_shard_state(r: &mut Reader, version: u32) -> Result<StateSnapshot, SnapshotError> {
+/// Reads one shard's [`StateSnapshot`].
+pub fn read_shard_state(r: &mut Reader) -> Result<StateSnapshot, SnapshotError> {
     r.section("corpus");
     let corpus_len = r.u32()? as usize;
     let mut corpus = Vec::with_capacity(corpus_len.min(65536));
@@ -779,13 +738,13 @@ pub fn read_shard_state(r: &mut Reader, version: u32) -> Result<StateSnapshot, S
     let gadget_len = r.u32()? as usize;
     let mut gadgets = Vec::with_capacity(gadget_len.min(65536));
     for _ in 0..gadget_len {
-        gadgets.push(read_gadget(r, version)?);
+        gadgets.push(read_gadget(r)?);
     }
     r.section("witnesses");
-    let witness_len = if version >= 2 { r.u32()? as usize } else { 0 };
+    let witness_len = r.u32()? as usize;
     let mut witnesses = Vec::with_capacity(witness_len.min(65536));
     for _ in 0..witness_len {
-        witnesses.push(read_witness(r, version)?);
+        witnesses.push(read_witness(r)?);
     }
     r.section("shard counters");
     let iters = r.u64()?;
@@ -915,13 +874,13 @@ pub fn decode_delta(bytes: &[u8]) -> Result<ShardDelta, SnapshotError> {
     let n = r.u32()? as usize;
     let mut gadgets_append = Vec::with_capacity(n.min(65536));
     for _ in 0..n {
-        gadgets_append.push(read_gadget(&mut r, VERSION)?);
+        gadgets_append.push(read_gadget(&mut r)?);
     }
     r.section("delta witnesses");
     let n = r.u32()? as usize;
     let mut witnesses_append = Vec::with_capacity(n.min(65536));
     for _ in 0..n {
-        witnesses_append.push(read_witness(&mut r, VERSION)?);
+        witnesses_append.push(read_witness(&mut r)?);
     }
     Ok(ShardDelta {
         shard,
@@ -1001,20 +960,12 @@ impl<'a> Reader<'a> {
         let n = self.u32()? as usize;
         self.take(n)
     }
-    /// Speculation-model byte, present from format v3 on; earlier
-    /// versions only ever simulated PHT.
-    fn model(&mut self, version: u32) -> Result<SpecModel, SnapshotError> {
-        if version < 3 {
-            return Ok(SpecModel::Pht);
-        }
+    /// Speculation-model byte.
+    fn model(&mut self) -> Result<SpecModel, SnapshotError> {
         SpecModel::from_id(self.u8()?).ok_or(SnapshotError::Corrupt("spec model"))
     }
-    /// Input-origin interval (two raw bytes), present from format v4
-    /// on; earlier versions never resolved origins.
-    fn origin(&mut self, version: u32) -> Result<OriginSpan, SnapshotError> {
-        if version < 4 {
-            return Ok(OriginSpan::NONE);
-        }
+    /// Input-origin interval (two raw bytes).
+    fn origin(&mut self) -> Result<OriginSpan, SnapshotError> {
         let lo = self.u8()?;
         let hi = self.u8()?;
         Ok(OriginSpan::from_raw(lo, hi))
@@ -1128,7 +1079,7 @@ mod tests {
         assert_eq!(back.config.dictionary, snap.config.dictionary);
         assert_eq!(back.decode_stats, snap.decode_stats);
         assert_eq!(back.config.capture_witnesses, snap.config.capture_witnesses);
-        // Non-default model set (and per-record model tags) survive v3.
+        // Non-default model set (and per-record model tags) survive.
         assert_eq!(back.config.models, SpecModelSet::parse("pht,rsb").unwrap());
         assert_eq!(back.shard_states.len(), snap.shard_states.len());
         for (a, b) in back.shard_states.iter().zip(&snap.shard_states) {
@@ -1160,490 +1111,6 @@ mod tests {
         );
     }
 
-    /// Serializes `snap` in the v1 layout (no decode-stats header, no
-    /// `capture_witnesses` flag, no witness sections) — what a pre-PR 3
-    /// build wrote.
-    fn v1_bytes(snap: &CampaignSnapshot) -> Vec<u8> {
-        let mut w = Writer { buf: Vec::new() };
-        w.buf.extend_from_slice(MAGIC);
-        w.u32(1);
-        w.u64(snap.bin_fingerprint);
-        w.u32(snap.epochs_done);
-        let c = &snap.config;
-        w.u64(c.seed);
-        w.u32(c.shards);
-        w.u32(c.epochs);
-        w.u64(c.iters_per_epoch);
-        w.u64(c.max_input_len as u64);
-        w.u64(c.fuel_per_run);
-        w.bool(c.detector.taint_input_sources);
-        w.bool(c.detector.massage_policy);
-        w.u32(c.detector.rob_budget);
-        w.u32(c.detector.max_nesting);
-        w.u32(c.detector.full_depth_runs);
-        w.bool(c.detector.artificial_gadget_mode);
-        w.u8(0); // emu: Native
-        w.u8(0); // heur: TeapotHybrid
-        w.u32(c.dictionary.len() as u32);
-        for tok in &c.dictionary {
-            w.bytes(tok);
-        }
-        w.u32(snap.shard_states.len() as u32);
-        for s in &snap.shard_states {
-            w.u32(s.corpus.len() as u32);
-            for (input, score) in &s.corpus {
-                w.bytes(input);
-                w.u64(*score);
-            }
-            w.u32(s.heur_counts.len() as u32);
-            for (branch, count) in &s.heur_counts {
-                w.u64(*branch);
-                w.u32(*count);
-            }
-            w.bytes(&s.cov_normal);
-            w.bytes(&s.cov_spec);
-            w.u32(s.gadgets.len() as u32);
-            for g in &s.gadgets {
-                w.u64(g.key.pc);
-                w.u8(1); // Cache
-                w.u8(0); // User
-                w.u64(g.branch_pc);
-                w.u64(g.access_pc);
-                w.u32(g.depth);
-                w.bytes(g.description.as_bytes());
-            }
-            w.u64(s.iters);
-            w.u64(s.total_cost);
-            w.u64(s.crashes);
-            w.u32(s.epoch);
-        }
-        w.buf
-    }
-
-    #[test]
-    fn v1_snapshots_still_load_with_defaults() {
-        let snap = sample_snapshot();
-        let back = CampaignSnapshot::from_bytes(&v1_bytes(&snap)).unwrap();
-        assert_eq!(back.bin_fingerprint, snap.bin_fingerprint);
-        assert_eq!(back.epochs_done, snap.epochs_done);
-        assert_eq!(back.config.seed, snap.config.seed);
-        assert_eq!(back.config.dictionary, snap.config.dictionary);
-        // v2/v3 additions default cleanly.
-        assert_eq!(back.decode_stats, DecodeStats::default());
-        assert!(back.config.capture_witnesses);
-        assert_eq!(back.config.models, SpecModelSet::PHT_ONLY);
-        for (a, b) in back.shard_states.iter().zip(&snap.shard_states) {
-            assert_eq!(a.corpus, b.corpus);
-            assert_eq!(a.gadgets.len(), b.gadgets.len());
-            // Pre-specmodel records fold to the PHT model; everything
-            // else survives.
-            for (ga, gb) in a.gadgets.iter().zip(&b.gadgets) {
-                assert_eq!(ga.key.model, SpecModel::Pht);
-                assert_eq!(ga.key.pc, gb.key.pc);
-                assert_eq!(ga.branch_pc, gb.branch_pc);
-                assert_eq!(ga.description, gb.description);
-            }
-            assert!(a.witnesses.is_empty());
-            assert_eq!(a.iters, b.iters);
-        }
-    }
-
-    /// Serializes `snap` in the v2 layout (decode stats +
-    /// capture_witnesses + witnesses, but no speculation-model bytes) —
-    /// what a PR 3 build wrote for a long-running campaign.
-    fn v2_bytes(snap: &CampaignSnapshot) -> Vec<u8> {
-        let mut w = Writer { buf: Vec::new() };
-        w.buf.extend_from_slice(MAGIC);
-        w.u32(2);
-        w.u64(snap.bin_fingerprint);
-        w.u32(snap.epochs_done);
-        w.u64(snap.decode_stats.blocks as u64);
-        w.u64(snap.decode_stats.insts as u64);
-        w.u64(snap.decode_stats.bytes as u64);
-        w.u64(snap.decode_stats.undecoded_bytes as u64);
-        let c = &snap.config;
-        w.u64(c.seed);
-        w.u32(c.shards);
-        w.u32(c.epochs);
-        w.u64(c.iters_per_epoch);
-        w.u64(c.max_input_len as u64);
-        w.u64(c.fuel_per_run);
-        w.bool(c.detector.taint_input_sources);
-        w.bool(c.detector.massage_policy);
-        w.u32(c.detector.rob_budget);
-        w.u32(c.detector.max_nesting);
-        w.u32(c.detector.full_depth_runs);
-        w.bool(c.detector.artificial_gadget_mode);
-        w.u8(0); // emu: Native
-        w.u8(0); // heur: TeapotHybrid
-        w.bool(c.capture_witnesses);
-        w.u32(c.dictionary.len() as u32);
-        for tok in &c.dictionary {
-            w.bytes(tok);
-        }
-        w.u32(snap.shard_states.len() as u32);
-        for s in &snap.shard_states {
-            w.u32(s.corpus.len() as u32);
-            for (input, score) in &s.corpus {
-                w.bytes(input);
-                w.u64(*score);
-            }
-            w.u32(s.heur_counts.len() as u32);
-            for (branch, count) in &s.heur_counts {
-                w.u64(*branch);
-                w.u32(*count);
-            }
-            w.bytes(&s.cov_normal);
-            w.bytes(&s.cov_spec);
-            w.u32(s.gadgets.len() as u32);
-            for g in &s.gadgets {
-                w.u64(g.key.pc);
-                w.u8(match g.key.channel {
-                    Channel::Mds => 0,
-                    Channel::Cache => 1,
-                    Channel::Port => 2,
-                });
-                w.u8(match g.key.controllability {
-                    Controllability::User => 0,
-                    Controllability::Massage => 1,
-                });
-                w.u64(g.branch_pc);
-                w.u64(g.access_pc);
-                w.u32(g.depth);
-                w.bytes(g.description.as_bytes());
-            }
-            w.u32(s.witnesses.len() as u32);
-            for wit in &s.witnesses {
-                w.u64(wit.key.pc);
-                w.u8(match wit.key.channel {
-                    Channel::Mds => 0,
-                    Channel::Cache => 1,
-                    Channel::Port => 2,
-                });
-                w.u8(match wit.key.controllability {
-                    Controllability::User => 0,
-                    Controllability::Massage => 1,
-                });
-                w.bytes(&wit.input);
-                w.u32(wit.heur_counts.len() as u32);
-                for (branch, count) in &wit.heur_counts {
-                    w.u64(*branch);
-                    w.u32(*count);
-                }
-                // Leak sites are a v4 addition: a v2 writer never saw
-                // them, so drop them from the emitted trace.
-                let evs: Vec<_> = wit
-                    .trace
-                    .iter()
-                    .filter(|e| !matches!(e, TraceEvent::LeakSite { .. }))
-                    .collect();
-                w.u32(evs.len() as u32);
-                for ev in evs {
-                    match ev {
-                        TraceEvent::SpecBranch { pc, depth, .. } => {
-                            w.u8(0);
-                            w.u64(*pc);
-                            w.u32(*depth);
-                        }
-                        TraceEvent::TaintedAccess {
-                            pc,
-                            addr,
-                            width,
-                            tag,
-                            ..
-                        } => {
-                            w.u8(1);
-                            w.u64(*pc);
-                            w.u64(*addr);
-                            w.u8(*width);
-                            w.u8(*tag);
-                        }
-                        TraceEvent::Rollback { pc, depth, .. } => {
-                            w.u8(2);
-                            w.u64(*pc);
-                            w.u32(*depth);
-                        }
-                        TraceEvent::LeakSite { .. } => unreachable!(),
-                    }
-                }
-            }
-            w.u64(s.iters);
-            w.u64(s.total_cost);
-            w.u64(s.crashes);
-            w.u32(s.epoch);
-        }
-        w.buf
-    }
-
-    #[test]
-    fn v2_snapshots_load_with_pht_defaults() {
-        let snap = sample_snapshot();
-        let back = CampaignSnapshot::from_bytes(&v2_bytes(&snap)).unwrap();
-        // v2 payload survives in full…
-        assert_eq!(back.bin_fingerprint, snap.bin_fingerprint);
-        assert_eq!(back.decode_stats, snap.decode_stats);
-        assert_eq!(back.config.seed, snap.config.seed);
-        assert_eq!(back.config.capture_witnesses, snap.config.capture_witnesses);
-        // …and every v3 addition defaults to PHT.
-        assert_eq!(back.config.models, SpecModelSet::PHT_ONLY);
-        for (a, b) in back.shard_states.iter().zip(&snap.shard_states) {
-            assert_eq!(a.corpus, b.corpus);
-            assert_eq!(a.heur_counts, b.heur_counts);
-            assert_eq!(a.witnesses.len(), b.witnesses.len());
-            for (wa, wb) in a.witnesses.iter().zip(&b.witnesses) {
-                assert_eq!(wa.key.model, SpecModel::Pht);
-                assert_eq!(wa.key.pc, wb.key.pc);
-                assert_eq!(wa.input, wb.input);
-                assert_eq!(wa.heur_counts, wb.heur_counts);
-                // The v2 layout carries neither leak sites nor origins.
-                let v2_repr = wb
-                    .trace
-                    .iter()
-                    .filter(|e| !matches!(e, TraceEvent::LeakSite { .. }))
-                    .count();
-                assert_eq!(wa.trace.len(), v2_repr);
-                for ev in &wa.trace {
-                    match ev {
-                        TraceEvent::SpecBranch { model, .. }
-                        | TraceEvent::Rollback { model, .. } => {
-                            assert_eq!(*model, SpecModel::Pht);
-                        }
-                        TraceEvent::TaintedAccess { origin, .. } => {
-                            assert!(origin.is_none());
-                        }
-                        TraceEvent::LeakSite { .. } => {
-                            panic!("v2 snapshots cannot carry leak sites")
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// End-to-end format compatibility: a campaign interrupted under the
-    /// old (v2, pre-specmodel) snapshot format resumes bit-identically
-    /// to an uninterrupted run — the satellite guarantee that bumping
-    /// `.tcs` to v3 strands no long-running campaign.
-    #[test]
-    fn v2_snapshot_resumes_equal_to_uninterrupted() {
-        use crate::Campaign;
-        use teapot_cc::{compile_to_binary, Options};
-        use teapot_core::{rewrite, RewriteOptions};
-        let src = "
-            char bar[256]; int baz; char inbuf[16];
-            int main() {
-                char *foo = malloc(16);
-                read_input(inbuf, 16);
-                if (inbuf[1] < 10) { baz = bar[foo[inbuf[1]]]; }
-                return 0;
-            }";
-        let mut cots = compile_to_binary(src, &Options::gcc_like()).unwrap();
-        cots.strip();
-        let bin = rewrite(&cots, &RewriteOptions::default()).unwrap();
-        let cfg = CampaignConfig {
-            shards: 2,
-            workers: 1,
-            epochs: 2,
-            iters_per_epoch: 30,
-            max_input_len: 16,
-            ..CampaignConfig::default()
-        };
-
-        let mut a = Campaign::new(cfg.clone()).unwrap();
-        let ra = a.run(&bin, &[]);
-
-        let mut b = Campaign::new(cfg).unwrap();
-        b.run_epoch(&bin, &[]);
-        // Round-trip the mid-campaign state through the v2 byte layout
-        // (drops the model fields — all PHT under the default set, so
-        // nothing is lost) and resume from the result.
-        let v2 = v2_bytes(&b.snapshot(&bin));
-        let back = CampaignSnapshot::from_bytes(&v2).unwrap();
-        let mut resumed = Campaign::resume(&back, &bin).unwrap();
-        let rb = resumed.run(&bin, &[]);
-
-        assert_eq!(ra.to_json(), rb.to_json());
-        assert_eq!(ra.gadgets, rb.gadgets);
-        assert_eq!(ra.witnesses, rb.witnesses);
-    }
-
-    /// Serializes `snap` in the v3 layout (speculation-model bytes, but
-    /// no origin bytes and no leak-site events) — what a PR 4–7 build
-    /// wrote. With `write_leak_sites`, leak sites are emitted with the
-    /// v4 kind byte anyway, producing a corrupt v3 stream (used to pin
-    /// that kind 3 is version-gated).
-    fn v3_bytes(snap: &CampaignSnapshot, write_leak_sites: bool) -> Vec<u8> {
-        let mut w = Writer { buf: Vec::new() };
-        w.buf.extend_from_slice(MAGIC);
-        w.u32(3);
-        w.u64(snap.bin_fingerprint);
-        w.u32(snap.epochs_done);
-        w.u64(snap.decode_stats.blocks as u64);
-        w.u64(snap.decode_stats.insts as u64);
-        w.u64(snap.decode_stats.bytes as u64);
-        w.u64(snap.decode_stats.undecoded_bytes as u64);
-        let c = &snap.config;
-        w.u64(c.seed);
-        w.u32(c.shards);
-        w.u32(c.epochs);
-        w.u64(c.iters_per_epoch);
-        w.u64(c.max_input_len as u64);
-        w.u64(c.fuel_per_run);
-        w.bool(c.detector.taint_input_sources);
-        w.bool(c.detector.massage_policy);
-        w.u32(c.detector.rob_budget);
-        w.u32(c.detector.max_nesting);
-        w.u32(c.detector.full_depth_runs);
-        w.bool(c.detector.artificial_gadget_mode);
-        w.u8(0); // emu: Native
-        w.u8(0); // heur: TeapotHybrid
-        w.bool(c.capture_witnesses);
-        w.u8(c.models.bits());
-        w.u32(c.dictionary.len() as u32);
-        for tok in &c.dictionary {
-            w.bytes(tok);
-        }
-        w.u32(snap.shard_states.len() as u32);
-        for s in &snap.shard_states {
-            w.u32(s.corpus.len() as u32);
-            for (input, score) in &s.corpus {
-                w.bytes(input);
-                w.u64(*score);
-            }
-            w.u32(s.heur_counts.len() as u32);
-            for (branch, count) in &s.heur_counts {
-                w.u64(*branch);
-                w.u32(*count);
-            }
-            w.bytes(&s.cov_normal);
-            w.bytes(&s.cov_spec);
-            w.u32(s.gadgets.len() as u32);
-            for g in &s.gadgets {
-                w.u64(g.key.pc);
-                w.u8(match g.key.channel {
-                    Channel::Mds => 0,
-                    Channel::Cache => 1,
-                    Channel::Port => 2,
-                });
-                w.u8(match g.key.controllability {
-                    Controllability::User => 0,
-                    Controllability::Massage => 1,
-                });
-                w.u8(g.key.model.id());
-                w.u64(g.branch_pc);
-                w.u64(g.access_pc);
-                w.u32(g.depth);
-                w.bytes(g.description.as_bytes());
-            }
-            w.u32(s.witnesses.len() as u32);
-            for wit in &s.witnesses {
-                w.u64(wit.key.pc);
-                w.u8(match wit.key.channel {
-                    Channel::Mds => 0,
-                    Channel::Cache => 1,
-                    Channel::Port => 2,
-                });
-                w.u8(match wit.key.controllability {
-                    Controllability::User => 0,
-                    Controllability::Massage => 1,
-                });
-                w.u8(wit.key.model.id());
-                w.bytes(&wit.input);
-                w.u32(wit.heur_counts.len() as u32);
-                for (branch, count) in &wit.heur_counts {
-                    w.u64(*branch);
-                    w.u32(*count);
-                }
-                let evs: Vec<_> = wit
-                    .trace
-                    .iter()
-                    .filter(|e| write_leak_sites || !matches!(e, TraceEvent::LeakSite { .. }))
-                    .collect();
-                w.u32(evs.len() as u32);
-                for ev in evs {
-                    match ev {
-                        TraceEvent::SpecBranch { pc, depth, model } => {
-                            w.u8(0);
-                            w.u64(*pc);
-                            w.u32(*depth);
-                            w.u8(model.id());
-                        }
-                        TraceEvent::TaintedAccess {
-                            pc,
-                            addr,
-                            width,
-                            tag,
-                            ..
-                        } => {
-                            w.u8(1);
-                            w.u64(*pc);
-                            w.u64(*addr);
-                            w.u8(*width);
-                            w.u8(*tag);
-                        }
-                        TraceEvent::Rollback { pc, depth, model } => {
-                            w.u8(2);
-                            w.u64(*pc);
-                            w.u32(*depth);
-                            w.u8(model.id());
-                        }
-                        TraceEvent::LeakSite {
-                            pc, depth, model, ..
-                        } => {
-                            w.u8(3);
-                            w.u64(*pc);
-                            w.u32(*depth);
-                            w.u8(model.id());
-                        }
-                    }
-                }
-            }
-            w.u64(s.iters);
-            w.u64(s.total_cost);
-            w.u64(s.crashes);
-            w.u32(s.epoch);
-        }
-        w.buf
-    }
-
-    #[test]
-    fn v3_snapshots_load_with_empty_origins() {
-        let snap = sample_snapshot();
-        let back = CampaignSnapshot::from_bytes(&v3_bytes(&snap, false)).unwrap();
-        // The v3 payload survives in full, model bytes included…
-        assert_eq!(back.bin_fingerprint, snap.bin_fingerprint);
-        assert_eq!(back.config.models, snap.config.models);
-        for (a, b) in back.shard_states.iter().zip(&snap.shard_states) {
-            assert_eq!(a.gadgets, b.gadgets);
-            for (wa, wb) in a.witnesses.iter().zip(&b.witnesses) {
-                assert_eq!(wa.key, wb.key);
-                assert_eq!(wa.input, wb.input);
-                // …and the v4 additions default to nothing: no origins,
-                // no leak sites.
-                let v3_repr = wb
-                    .trace
-                    .iter()
-                    .filter(|e| !matches!(e, TraceEvent::LeakSite { .. }))
-                    .count();
-                assert_eq!(wa.trace.len(), v3_repr);
-                for ev in &wa.trace {
-                    assert!(ev.origin().is_none());
-                    assert!(!matches!(ev, TraceEvent::LeakSite { .. }));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn leak_site_kind_is_version_gated() {
-        // A kind-3 event in a v3 stream is corruption, not a leak site.
-        let bytes = v3_bytes(&sample_snapshot(), true);
-        assert_eq!(
-            CampaignSnapshot::from_bytes(&bytes).unwrap_err(),
-            SnapshotError::Corrupt("trace event kind")
-        );
-    }
-
     #[test]
     fn parser_rejects_wrong_coverage_map_size() {
         let mut snap = sample_snapshot();
@@ -1654,68 +1121,8 @@ mod tests {
         );
     }
 
-    /// Serializes `snap` in the v4 layout: identical to v5 except the
-    /// two budget/minimize config flags and the trailing budget section
-    /// are absent — what a PR 8 build wrote.
-    fn v4_bytes(snap: &CampaignSnapshot) -> Vec<u8> {
-        let w = Writer::new();
-        let mut full = Writer::new();
-        write_config(&mut full, &snap.config);
-        let cfg_bytes = full.into_bytes();
-        // The v5 config layout inserts the two flag bytes right before
-        // the dictionary; splice them out to recover the v4 config.
-        let dict_at = cfg_bytes.len()
-            - 4
-            - snap
-                .config
-                .dictionary
-                .iter()
-                .map(|t| 4 + t.len())
-                .sum::<usize>();
-        let mut buf = w.into_bytes();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&4u32.to_le_bytes());
-        buf.extend_from_slice(&snap.bin_fingerprint.to_le_bytes());
-        buf.extend_from_slice(&snap.epochs_done.to_le_bytes());
-        for v in [
-            snap.decode_stats.blocks as u64,
-            snap.decode_stats.insts as u64,
-            snap.decode_stats.bytes as u64,
-            snap.decode_stats.undecoded_bytes as u64,
-        ] {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        buf.extend_from_slice(&cfg_bytes[..dict_at - 2]);
-        buf.extend_from_slice(&cfg_bytes[dict_at..]);
-        let mut shards = Writer::new();
-        shards.u32(snap.shard_states.len() as u32);
-        for s in &snap.shard_states {
-            write_shard_state(&mut shards, s);
-        }
-        buf.extend_from_slice(&shards.into_bytes());
-        buf
-    }
-
     #[test]
-    fn v4_snapshots_load_with_budget_features_off() {
-        let mut snap = sample_snapshot();
-        snap.config.adaptive_budgets = false;
-        snap.config.corpus_minimize = false;
-        let back = CampaignSnapshot::from_bytes(&v4_bytes(&snap)).unwrap();
-        assert_eq!(back.config.models, snap.config.models);
-        assert_eq!(back.config.dictionary, snap.config.dictionary);
-        assert!(!back.config.adaptive_budgets);
-        assert!(!back.config.corpus_minimize);
-        assert!(back.prev_features.is_empty());
-        for (a, b) in back.shard_states.iter().zip(&snap.shard_states) {
-            assert_eq!(a.corpus, b.corpus);
-            assert_eq!(a.gadgets, b.gadgets);
-            assert_eq!(a.witnesses, b.witnesses);
-        }
-    }
-
-    #[test]
-    fn v5_round_trip_keeps_budget_state() {
+    fn round_trip_keeps_budget_state() {
         let mut snap = sample_snapshot();
         snap.config.adaptive_budgets = true;
         snap.config.corpus_minimize = true;
@@ -1761,7 +1168,7 @@ mod tests {
         let hdr = 4 + 4 + 8 + 4 + 32; // magic..decode stats
         let mut r = Reader::new(&bytes);
         r.take(hdr).unwrap();
-        read_config(&mut r, VERSION).unwrap();
+        read_config(&mut r).unwrap();
         let cut = r.pos + 6; // shard count u32 + 2 bytes into shard 0
         let err = CampaignSnapshot::from_bytes(&reseal(&bytes, cut)).unwrap_err();
         match err {
@@ -1774,6 +1181,33 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("corpus"), "{msg}");
         assert!(msg.contains("byte offset"), "{msg}");
+    }
+
+    #[test]
+    fn older_versions_are_rejected_by_name() {
+        // Pre-v6 layouts are not read: a header saying version 5 (no
+        // CRC trailer) or version 1 fails with the typed version error
+        // before any body field is parsed, and `load` names the file.
+        let dir = std::env::temp_dir().join(format!("tcs-old-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let current = sample_snapshot().to_bytes();
+        for old in [5u32, 1] {
+            let mut bytes = current[..current.len() - 4].to_vec();
+            bytes[4..8].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(
+                CampaignSnapshot::from_bytes(&bytes).unwrap_err(),
+                SnapshotError::BadVersion(old)
+            );
+            let path = dir.join(format!("v{old}.tcs"));
+            std::fs::write(&path, &bytes).unwrap();
+            let msg = CampaignSnapshot::load(&path).unwrap_err().to_string();
+            assert!(msg.contains(&format!("v{old}.tcs")), "{msg}");
+            assert!(
+                msg.contains(&format!("unsupported snapshot version {old} (expected 6)")),
+                "{msg}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

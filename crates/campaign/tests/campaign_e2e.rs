@@ -14,6 +14,7 @@ use teapot_campaign::{
 use teapot_cc::{compile_to_binary, Options};
 use teapot_core::{rewrite, RewriteOptions};
 use teapot_obj::Binary;
+use teapot_vm::Program;
 
 /// A gadget behind a magic-byte gate plus a second, always-reachable
 /// gadget — enough structure that shards genuinely trade inputs.
@@ -55,11 +56,12 @@ fn small_config(workers: usize) -> CampaignConfig {
 #[test]
 fn worker_count_never_changes_the_report() {
     let bin = instrumented(TARGET);
+    let prog = Program::shared(&bin);
     let runs: Vec<_> = [1usize, 2, 8]
         .iter()
         .map(|&w| {
             let mut c = Campaign::new(small_config(w)).unwrap();
-            c.run(&bin, &[])
+            c.run_shared(&prog, &[])
         })
         .collect();
 
@@ -81,12 +83,13 @@ fn worker_count_never_changes_the_report() {
 #[test]
 fn shards_exchange_interesting_inputs_at_barriers() {
     let bin = instrumented(TARGET);
+    let prog = Program::shared(&bin);
     let mut c = Campaign::new(small_config(1)).unwrap();
     let before_corpus: usize = {
-        c.run_epoch(&bin, &[]);
+        c.run_epoch_shared(&prog, &[]);
         c.report().corpus_total
     };
-    c.run_epoch(&bin, &[]);
+    c.run_epoch_shared(&prog, &[]);
     let after = c.report();
     // Imports can only grow corpora; iters include imported executions
     // beyond the per-epoch fuzzing budget once anything was exchanged.
@@ -98,7 +101,6 @@ fn shards_exchange_interesting_inputs_at_barriers() {
 fn barrier_dedup_drops_clones_without_changing_the_merged_report() {
     use std::collections::BTreeSet;
     use teapot_fuzz::CampaignState;
-    use teapot_vm::Program;
 
     let bin = instrumented(TARGET);
     let prog = Program::shared(&bin);
@@ -183,15 +185,16 @@ fn barrier_dedup_drops_clones_without_changing_the_merged_report() {
 #[test]
 fn snapshot_resume_matches_uninterrupted_run() {
     let bin = instrumented(TARGET);
+    let prog = Program::shared(&bin);
 
     // Uninterrupted: all 3 epochs in one process.
     let mut full = Campaign::new(small_config(2)).unwrap();
-    let full_report = full.run(&bin, &[]);
+    let full_report = full.run_shared(&prog, &[]);
 
     // Interrupted: 2 epochs, snapshot to disk, "kill", reload, resume.
     let mut first = Campaign::new(small_config(2)).unwrap();
-    first.run_epoch(&bin, &[]);
-    first.run_epoch(&bin, &[]);
+    first.run_epoch_shared(&prog, &[]);
+    first.run_epoch_shared(&prog, &[]);
     let snap_path = std::env::temp_dir().join("teapot-campaign-test.tcs");
     first.snapshot(&bin).save(&snap_path).unwrap();
     drop(first);
@@ -199,7 +202,7 @@ fn snapshot_resume_matches_uninterrupted_run() {
     let snap = CampaignSnapshot::load(&snap_path).unwrap();
     assert_eq!(snap.epochs_done, 2);
     let mut resumed = Campaign::resume(&snap, &bin).unwrap();
-    let resumed_report = resumed.run(&bin, &[]);
+    let resumed_report = resumed.run_shared(&prog, &[]);
 
     assert_eq!(full_report, resumed_report);
     assert_eq!(full_report.to_json(), resumed_report.to_json());
@@ -209,12 +212,13 @@ fn snapshot_resume_matches_uninterrupted_run() {
 #[test]
 fn resume_rejects_a_different_binary() {
     let bin = instrumented(TARGET);
+    let prog = Program::shared(&bin);
     let other = instrumented(
         "char inbuf[8];
          int main() { read_input(inbuf, 8); return inbuf[0]; }",
     );
     let mut c = Campaign::new(small_config(1)).unwrap();
-    c.run_epoch(&bin, &[]);
+    c.run_epoch_shared(&prog, &[]);
     let snap = c.snapshot(&bin);
     match Campaign::resume(&snap, &other) {
         Err(CampaignError::Snapshot(SnapshotError::BinaryMismatch { .. })) => {}

@@ -8,6 +8,7 @@ use teapot_campaign::{Campaign, CampaignConfig, CampaignSnapshot, SnapshotError}
 use teapot_cc::{compile_to_binary, Options};
 use teapot_core::{rewrite, RewriteOptions};
 use teapot_obj::Binary;
+use teapot_vm::Program;
 
 const TARGET: &str = "
     char bar[256];
@@ -30,6 +31,7 @@ fn instrumented() -> Binary {
 /// populated and corruption can land anywhere.
 fn sample() -> CampaignSnapshot {
     let bin = instrumented();
+    let prog = Program::shared(&bin);
     let cfg = CampaignConfig {
         seed: 0x5AFE,
         shards: 2,
@@ -40,7 +42,7 @@ fn sample() -> CampaignSnapshot {
         ..CampaignConfig::default()
     };
     let mut c = Campaign::new(cfg).unwrap();
-    c.run(&bin, &[]);
+    c.run_shared(&prog, &[]);
     c.snapshot(&bin)
 }
 

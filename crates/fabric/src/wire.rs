@@ -62,7 +62,7 @@
 use std::io::{Read, Write};
 use teapot_campaign::snapshot::{
     decode_delta, encode_delta, read_config, read_shard_state, write_config, write_shard_state,
-    Reader, SnapshotError, Writer, VERSION,
+    Reader, SnapshotError, Writer,
 };
 use teapot_campaign::CampaignConfig;
 use teapot_fuzz::StateSnapshot;
@@ -70,7 +70,8 @@ use teapot_rt::{crc32, ShardDelta};
 use teapot_vm::DecodeStats;
 
 /// Version byte carried by every frame. Bumped when the frame grammar
-/// changes; the snapshot-format version [`VERSION`] covers body layout.
+/// changes; the snapshot-format version
+/// [`VERSION`](teapot_campaign::snapshot::VERSION) covers body layout.
 /// v2 added the per-frame CRC32 trailer.
 pub const WIRE_VERSION: u8 = 2;
 
@@ -385,7 +386,7 @@ fn decode_body(tag: u8, r: &mut Reader) -> Result<Frame, WireError> {
             let start_epoch = r.u32()?;
             let phase = r.u8()?;
             let seed_first = r.bool()?;
-            let config = read_config(r, VERSION)?;
+            let config = read_config(r)?;
             r.section("lease binary");
             let binary = r.bytes()?.to_vec();
             r.section("lease seeds");
@@ -400,7 +401,7 @@ fn decode_body(tag: u8, r: &mut Reader) -> Result<Frame, WireError> {
             for _ in 0..n {
                 let shard = r.u32()?;
                 let budget = r.u64()?;
-                let state = read_shard_state(r, VERSION)?;
+                let state = read_shard_state(r)?;
                 shards.push(LeasedShard {
                     shard,
                     budget,

@@ -14,6 +14,7 @@ use teapot_core::{rewrite, RewriteOptions};
 use teapot_fabric::{run_fleet_threads, FleetOptions};
 use teapot_obj::Binary;
 use teapot_specmodel::SpecModelSet;
+use teapot_vm::Program;
 
 /// Same target as the fabric e2e suite: a gated gadget plus an
 /// always-reachable one, so shards genuinely trade inputs at barriers.
@@ -77,8 +78,9 @@ fn run_chaos(
 #[test]
 fn corrupted_frames_quarantine_the_sender_not_the_campaign() {
     let bin = instrumented();
+    let prog = Program::shared(&bin);
     let cfg = small_config();
-    let single = Campaign::new(cfg.clone()).unwrap().run(&bin, &[]);
+    let single = Campaign::new(cfg.clone()).unwrap().run_shared(&prog, &[]);
     let opts = FleetOptions {
         workers: 2,
         chaos: Some(one_fault(2, 1, 1, EpochFault::Stream(StreamFault::Corrupt))),
@@ -97,8 +99,9 @@ fn corrupted_frames_quarantine_the_sender_not_the_campaign() {
 #[test]
 fn mid_frame_disconnects_and_duplicates_keep_reports_identical() {
     let bin = instrumented();
+    let prog = Program::shared(&bin);
     let cfg = small_config();
-    let single = Campaign::new(cfg.clone()).unwrap().run(&bin, &[]);
+    let single = Campaign::new(cfg.clone()).unwrap().run_shared(&prog, &[]);
     for (fault, label) in [
         (StreamFault::Truncate, "truncate"),
         (StreamFault::Reset, "reset"),
@@ -123,8 +126,9 @@ fn mid_frame_disconnects_and_duplicates_keep_reports_identical() {
 #[test]
 fn a_straggler_below_the_lease_timeout_just_slows_the_epoch() {
     let bin = instrumented();
+    let prog = Program::shared(&bin);
     let cfg = small_config();
-    let single = Campaign::new(cfg.clone()).unwrap().run(&bin, &[]);
+    let single = Campaign::new(cfg.clone()).unwrap().run_shared(&prog, &[]);
     let opts = FleetOptions {
         workers: 2,
         chaos: Some(one_fault(2, 1, 1, EpochFault::Stall(150))),
@@ -140,8 +144,9 @@ fn a_straggler_below_the_lease_timeout_just_slows_the_epoch() {
 #[test]
 fn a_hang_past_the_lease_timeout_is_a_death_then_a_rejoin() {
     let bin = instrumented();
+    let prog = Program::shared(&bin);
     let cfg = small_config();
-    let single = Campaign::new(cfg.clone()).unwrap().run(&bin, &[]);
+    let single = Campaign::new(cfg.clone()).unwrap().run_shared(&prog, &[]);
     // Worker 1 sleeps 800ms against a 150ms lease timeout: it is
     // declared dead mid-sleep and its shards re-leased; the socket
     // shutdown unblocks it into the rejoin path when it wakes.
@@ -162,8 +167,9 @@ fn a_hang_past_the_lease_timeout_is_a_death_then_a_rejoin() {
 #[test]
 fn crashed_workers_rejoin_and_are_folded_back_into_the_lease_pool() {
     let bin = instrumented();
+    let prog = Program::shared(&bin);
     let cfg = small_config();
-    let single = Campaign::new(cfg.clone()).unwrap().run(&bin, &[]);
+    let single = Campaign::new(cfg.clone()).unwrap().run_shared(&prog, &[]);
     // Worker 1 crashes at epoch 0, rejoins (bounded-backoff reconnect +
     // fresh Hello), then worker 0's crash at epoch 2 forces the
     // coordinator to lease shards to the *rejoined* worker 1 — the
@@ -187,10 +193,11 @@ fn crashed_workers_rejoin_and_are_folded_back_into_the_lease_pool() {
 #[test]
 fn torn_checkpoint_writes_lag_an_epoch_but_never_corrupt() {
     let bin = instrumented();
+    let prog = Program::shared(&bin);
     let cfg = small_config();
     let single = {
         let mut c = Campaign::new(cfg.clone()).unwrap();
-        let report = c.run(&bin, &[]);
+        let report = c.run_shared(&prog, &[]);
         (report, c.snapshot(&bin).to_bytes())
     };
     let dir = std::env::temp_dir().join(format!("teapot-chaos-ckpt-{}", std::process::id()));
@@ -236,8 +243,9 @@ fn torn_checkpoint_writes_lag_an_epoch_but_never_corrupt() {
 #[test]
 fn seeded_schedules_reproduce_and_match_single_host() {
     let bin = instrumented();
+    let prog = Program::shared(&bin);
     let cfg = small_config();
-    let single = Campaign::new(cfg.clone()).unwrap().run(&bin, &[]);
+    let single = Campaign::new(cfg.clone()).unwrap().run_shared(&prog, &[]);
     for seed in [11u64, 29] {
         let plan = FaultPlan::seeded(seed, 3, cfg.epochs);
         // Same seed, same schedule — the CLI prints this string so a

@@ -14,6 +14,7 @@ use teapot_fabric::{
 };
 use teapot_obj::Binary;
 use teapot_specmodel::SpecModelSet;
+use teapot_vm::Program;
 
 /// Same shape as the campaign e2e target: a gated gadget plus an
 /// always-reachable one, so shards genuinely trade inputs at barriers.
@@ -65,9 +66,10 @@ fn fleet(workers: usize) -> FleetOptions {
 #[test]
 fn fleet_matches_single_host_for_every_model_set() {
     let bin = instrumented(TARGET);
+    let prog = Program::shared(&bin);
     for models in ["pht", "pht,rsb", "pht,rsb,stl"] {
         let cfg = small_config(models);
-        let single = Campaign::new(cfg.clone()).unwrap().run(&bin, &[]);
+        let single = Campaign::new(cfg.clone()).unwrap().run_shared(&prog, &[]);
         let outcome = run_fleet_threads(&bin, &[], &cfg, fleet(2)).unwrap();
         let fleet_report = outcome.campaign.report();
         assert_eq!(single, fleet_report, "model set {models}");
@@ -87,8 +89,9 @@ fn fleet_matches_single_host_for_every_model_set() {
 #[test]
 fn killed_worker_mid_epoch_keeps_the_report_identical() {
     let bin = instrumented(TARGET);
+    let prog = Program::shared(&bin);
     let cfg = small_config("pht,rsb,stl");
-    let single = Campaign::new(cfg.clone()).unwrap().run(&bin, &[]);
+    let single = Campaign::new(cfg.clone()).unwrap().run_shared(&prog, &[]);
     // Worker 0 drops its connection right after its first phase-0
     // delta of epoch 1, with shards still owed.
     let opts = FleetOptions {
@@ -107,10 +110,11 @@ fn killed_worker_mid_epoch_keeps_the_report_identical() {
 #[test]
 fn checkpoint_resume_still_matches_single_host() {
     let bin = instrumented(TARGET);
+    let prog = Program::shared(&bin);
     let cfg = small_config("pht,rsb");
     let single = {
         let mut c = Campaign::new(cfg.clone()).unwrap();
-        let report = c.run(&bin, &[]);
+        let report = c.run_shared(&prog, &[]);
         (report, c.snapshot(&bin).to_bytes())
     };
 
@@ -153,11 +157,12 @@ fn queue_fleet_drains_a_directory_and_resumes_checkpoints() {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     let bin = instrumented(TARGET);
+    let prog = Program::shared(&bin);
     std::fs::write(dir.join("a.tof"), bin.to_bytes()).unwrap();
     std::fs::write(dir.join("b.tof"), bin.to_bytes()).unwrap();
 
     let cfg = small_config("pht");
-    let single = Campaign::new(cfg.clone()).unwrap().run(&bin, &[]);
+    let single = Campaign::new(cfg.clone()).unwrap().run_shared(&prog, &[]);
 
     // A 2-worker fleet drains the queue once.
     let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();

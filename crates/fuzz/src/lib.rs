@@ -24,11 +24,11 @@
 //!
 //! The run-to-completion [`fuzz`] entry point is a thin wrapper around
 //! [`CampaignState`], a re-entrant campaign: seed it once, then drive it
-//! in bounded batches with [`CampaignState::run_iters`]. This is the
+//! in bounded batches with [`CampaignState::run_iters_shared`]. This is the
 //! building block of the `teapot-campaign` orchestrator, which runs many
 //! shard states in parallel, exchanges interesting inputs between them at
 //! epoch barriers ([`CampaignState::fresh_inputs`] /
-//! [`CampaignState::import_input`]), and snapshots them to disk
+//! [`CampaignState::import_input_shared`]), and snapshots them to disk
 //! ([`CampaignState::export_snapshot`] /
 //! [`CampaignState::from_snapshot`]). Epoch boundaries re-seed the RNG
 //! deterministically ([`CampaignState::begin_epoch`]), so a campaign
@@ -450,12 +450,8 @@ impl CampaignState {
     }
 
     /// Executes the initial seed corpus (an empty slice starts from a
-    /// small default input). Each seed counts as one iteration.
-    pub fn seed_corpus(&mut self, bin: &Binary, seeds: &[Vec<u8>]) {
-        self.seed_corpus_shared(&Program::shared(bin), seeds);
-    }
-
-    /// [`CampaignState::seed_corpus`] over a shared predecoded program.
+    /// small default input) over a shared predecoded program. Each seed
+    /// counts as one iteration.
     pub fn seed_corpus_shared(&mut self, prog: &Arc<Program>, seeds: &[Vec<u8>]) {
         let seed_inputs: Vec<Vec<u8>> = if seeds.is_empty() {
             vec![vec![0u8; 8]]
@@ -483,13 +479,9 @@ impl CampaignState {
         self.fresh_start = self.corpus.len();
     }
 
-    /// Runs up to `budget` mutate-and-execute iterations, returning the
-    /// number performed (always `budget` once the corpus is seeded).
-    pub fn run_iters(&mut self, bin: &Binary, budget: u64) -> u64 {
-        self.run_iters_shared(&Program::shared(bin), budget)
-    }
-
-    /// [`CampaignState::run_iters`] over a shared predecoded program.
+    /// Runs up to `budget` mutate-and-execute iterations over a shared
+    /// predecoded program, returning the number performed (always
+    /// `budget` once the corpus is seeded).
     pub fn run_iters_shared(&mut self, prog: &Arc<Program>, budget: u64) -> u64 {
         if self.corpus.is_empty() {
             self.seed_corpus_shared(prog, &[]);
@@ -529,11 +521,6 @@ impl CampaignState {
     /// corpus if it covers anything new *for this shard*. Returns whether
     /// it was kept. Counts as one iteration; consumes no RNG, so import
     /// order does not perturb mutation determinism.
-    pub fn import_input(&mut self, bin: &Binary, input: &[u8]) -> bool {
-        self.import_input_shared(&Program::shared(bin), input)
-    }
-
-    /// [`CampaignState::import_input`] over a shared predecoded program.
     pub fn import_input_shared(&mut self, prog: &Arc<Program>, input: &[u8]) -> bool {
         let new = self.execute_one(prog, input);
         self.iters += 1;
@@ -1166,6 +1153,7 @@ mod tests {
     #[test]
     fn state_driven_campaign_matches_one_shot_fuzz() {
         let bin = instrumented(GATED);
+        let prog = Program::shared(&bin);
         let cfg = FuzzConfig {
             max_iters: 150,
             ..FuzzConfig::default()
@@ -1173,9 +1161,9 @@ mod tests {
         let one_shot = fuzz(&bin, &[], &cfg);
 
         let mut st = CampaignState::new(cfg.clone()).unwrap();
-        st.seed_corpus(&bin, &[]);
+        st.seed_corpus_shared(&prog, &[]);
         let remaining = cfg.max_iters - st.iters();
-        st.run_iters(&bin, remaining);
+        st.run_iters_shared(&prog, remaining);
         let stepped = st.result();
 
         assert_eq!(one_shot.iters, stepped.iters);
@@ -1189,6 +1177,7 @@ mod tests {
     #[test]
     fn snapshot_roundtrip_resumes_identically() {
         let bin = instrumented(GATED);
+        let prog = Program::shared(&bin);
         let cfg = FuzzConfig {
             max_iters: 400,
             ..FuzzConfig::default()
@@ -1196,24 +1185,24 @@ mod tests {
 
         // Uninterrupted: two epochs of 60 iterations.
         let mut a = CampaignState::new(cfg.clone()).unwrap();
-        a.seed_corpus(&bin, &[]);
+        a.seed_corpus_shared(&prog, &[]);
         a.begin_epoch(0);
-        a.run_iters(&bin, 60);
+        a.run_iters_shared(&prog, 60);
         a.begin_epoch(1);
-        a.run_iters(&bin, 60);
+        a.run_iters_shared(&prog, 60);
 
         // Interrupted: snapshot after epoch 0, resume, run epoch 1.
         let mut b0 = CampaignState::new(cfg.clone()).unwrap();
-        b0.seed_corpus(&bin, &[]);
+        b0.seed_corpus_shared(&prog, &[]);
         b0.begin_epoch(0);
-        b0.run_iters(&bin, 60);
+        b0.run_iters_shared(&prog, 60);
         let snap = b0.export_snapshot();
         // snap.epoch records the last epoch *begun* (0 here); the
         // resuming caller chooses the next epoch number itself.
         assert_eq!(snap.epoch, 0);
         let mut b = CampaignState::from_snapshot(cfg, &snap).unwrap();
         b.begin_epoch(1);
-        b.run_iters(&bin, 60);
+        b.run_iters_shared(&prog, 60);
 
         let (ra, rb) = (a.result(), b.result());
         assert_eq!(ra.iters, rb.iters);
@@ -1228,12 +1217,13 @@ mod tests {
     #[test]
     fn snapshot_with_wrong_coverage_length_is_rejected() {
         let bin = instrumented(GATED);
+        let prog = Program::shared(&bin);
         let cfg = FuzzConfig {
             max_iters: 50,
             ..FuzzConfig::default()
         };
         let mut st = CampaignState::new(cfg.clone()).unwrap();
-        st.seed_corpus(&bin, &[]);
+        st.seed_corpus_shared(&prog, &[]);
         let mut snap = st.export_snapshot();
         snap.cov_normal.truncate(16);
         assert_eq!(
@@ -1342,15 +1332,16 @@ mod tests {
     #[test]
     fn gadget_timeline_orders_first_discoveries() {
         let bin = instrumented(GATED);
+        let prog = Program::shared(&bin);
         let cfg = FuzzConfig {
             max_iters: 900,
             max_input_len: 16,
             ..FuzzConfig::default()
         };
         let mut st = CampaignState::new(cfg.clone()).unwrap();
-        st.seed_corpus(&bin, &[]);
+        st.seed_corpus_shared(&prog, &[]);
         let remaining = cfg.max_iters - st.iters();
-        st.run_iters(&bin, remaining);
+        st.run_iters_shared(&prog, remaining);
         assert!(!st.gadgets().is_empty());
         let tl = st.gadget_timeline();
         assert_eq!(tl.len(), st.gadgets().len());
@@ -1453,19 +1444,20 @@ mod tests {
     #[test]
     fn imports_enrich_the_corpus_without_consuming_rng() {
         let bin = instrumented(GATED);
+        let prog = Program::shared(&bin);
         let cfg = FuzzConfig {
             max_iters: 500,
             ..FuzzConfig::default()
         };
         let mut st = CampaignState::new(cfg).unwrap();
-        st.seed_corpus(&bin, &[]);
+        st.seed_corpus_shared(&prog, &[]);
         // An input that opens the gate is interesting to import.
         let mut good = vec![0u8; 16];
         good[0] = 0x7f;
         good[1] = 200;
-        assert!(st.import_input(&bin, &good));
+        assert!(st.import_input_shared(&prog, &good));
         // Importing the exact same input again covers nothing new.
-        assert!(!st.import_input(&bin, &good));
+        assert!(!st.import_input_shared(&prog, &good));
         assert!(st.corpus_len() >= 2);
     }
 }

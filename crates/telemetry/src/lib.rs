@@ -82,8 +82,9 @@ pub struct VmCounters {
     /// Compiled windows exited early (divergence or fault fallback to
     /// the per-step interpreter).
     pub compiled_exits: u64,
-    /// Instructions retired through block-slice superinstruction
-    /// dispatch.
+    /// Always 0: the block-slice dispatch tier it counted was removed.
+    /// Kept so the metrics schema and the consumers that sum the
+    /// per-tier instruction counters stay unchanged.
     pub slice_insts: u64,
     /// Instructions retired one `step()` at a time.
     pub step_insts: u64,
@@ -533,8 +534,10 @@ impl Event {
     }
 }
 
-/// Minimal JSON string escaping (mirrors the campaign renderer's rules;
-/// kept local so this crate stays dependency-free).
+/// JSON string escaping shared by every JSON writer in the workspace
+/// (campaign JSON, metrics JSONL, triage JSONL and SARIF): quotes,
+/// backslashes and control characters are escaped, everything else is
+/// copied verbatim.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -627,6 +630,12 @@ pub fn format_decode_cache(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn control_chars_are_u_escaped() {
+        assert_eq!(escape("a\u{1}b"), "a\\u0001b");
+        assert_eq!(escape("t\ta"), "t\\ta");
+    }
 
     #[test]
     fn registry_snapshot_is_deterministic_across_interleavings() {

@@ -413,10 +413,10 @@ pub fn hex(bytes: &[u8]) -> String {
     out
 }
 
-/// JSON string escaping — the campaign renderer's, re-exported so the
-/// campaign JSON and the triage JSONL/SARIF can never diverge on how
-/// they encode identical strings.
-pub use teapot_campaign::json::escape;
+/// JSON string escaping — the one workspace escaper, re-exported so the
+/// campaign JSON, the metrics stream and the triage JSONL/SARIF can
+/// never diverge on how they encode identical strings.
+pub use teapot_telemetry::escape;
 
 fn json_opt_str(v: &Option<String>) -> String {
     match v {

@@ -73,12 +73,13 @@ fn config(workers: usize) -> CampaignConfig {
 #[test]
 fn triage_is_byte_identical_across_worker_counts() {
     let bin = instrumented(TARGET);
+    let prog = Program::shared(&bin);
     let outputs: Vec<(String, String, String)> = [1usize, 8]
         .iter()
         .map(|&w| {
             let cfg = config(w);
             let mut c = Campaign::new(cfg.clone()).unwrap();
-            let report = c.run(&bin, &[]);
+            let report = c.run_shared(&prog, &[]);
             let (db, stats) =
                 triage_report("target.tof", &bin, &cfg, &report, &TriageOptions::default());
             assert_eq!(stats.replay_failures, 0, "all witnesses replay");
@@ -94,9 +95,10 @@ fn triage_is_byte_identical_across_worker_counts() {
 #[test]
 fn every_gadget_carries_a_minimized_replaying_witness() {
     let bin = instrumented(TARGET);
+    let prog = Program::shared(&bin);
     let cfg = config(2);
     let mut c = Campaign::new(cfg.clone()).unwrap();
-    let report = c.run(&bin, &[]);
+    let report = c.run_shared(&prog, &[]);
     assert!(!report.gadgets.is_empty(), "campaign found gadgets");
     assert_eq!(report.gadgets.len(), report.witnesses.len());
 
@@ -105,7 +107,6 @@ fn every_gadget_carries_a_minimized_replaying_witness() {
     assert!(stats.replays > 0);
     assert!(!db.entries().is_empty());
 
-    let prog = Program::shared(&bin);
     let rcfg = ReplayConfig::from_campaign(&cfg);
     for e in db.entries() {
         assert!(e.replayed, "{}: witness replayed", e.root_cause);
@@ -137,9 +138,10 @@ fn every_gadget_carries_a_minimized_replaying_witness() {
 #[test]
 fn severity_ranking_is_monotone_and_entries_deduplicate_shards() {
     let bin = instrumented(TARGET);
+    let prog = Program::shared(&bin);
     let cfg = config(2);
     let mut c = Campaign::new(cfg.clone()).unwrap();
-    let report = c.run(&bin, &[]);
+    let report = c.run_shared(&prog, &[]);
     let (db, _) = triage_report("target.tof", &bin, &cfg, &report, &TriageOptions::default());
 
     let severities: Vec<u32> = db.entries().iter().map(|e| e.severity).collect();

@@ -29,8 +29,7 @@ use crate::cpu::{alu, cmp_flags, test_flags, Cpu, Flags};
 use crate::heuristics::SpecHeuristics;
 use crate::mem::{MemFault, PagedMem};
 use crate::program::{
-    OpKind, Program, Region, F_ALWAYS_CHARGE, F_INSTR, F_IN_REAL, F_LIVE, F_NOP, NO_SITE,
-    STL_NO_CONT,
+    OpKind, Program, Region, F_ALWAYS_CHARGE, F_INSTR, F_IN_REAL, F_LIVE, NO_SITE, STL_NO_CONT,
 };
 use crate::taint::{OriginEngine, TaintEngine};
 use std::sync::Arc;
@@ -60,22 +59,21 @@ pub enum EmuStyle {
     SpecTaint,
 }
 
-/// Execution tier of the dispatch loop. All three tiers share the
-/// single-source exec helpers and are observably identical — the
-/// differential suite runs every workload through each of them. The
-/// default is the fastest tier; `TEAPOT_DISPATCH_TIER`
-/// (`compiled` / `slice` / `step`) forces one process-wide (the CI
-/// dispatch-matrix job), [`Machine::set_dispatch_tier`] per machine.
+/// Execution tier of the dispatch loop: one fast tier plus the
+/// reference interpreter. Both share the single-source exec helpers and
+/// are observably identical — the differential suite runs every
+/// workload through each of them, provenance replays included. The
+/// default is the fast tier; `TEAPOT_DISPATCH_TIER` (`compiled` /
+/// `step`) forces one process-wide (the CI dispatch-matrix job),
+/// [`Machine::set_dispatch_tier`] per machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchTier {
     /// Template-compiled records with pre-resolved operands, streamed
-    /// per precomputed fall-through window (the fastest tier).
+    /// per precomputed fall-through window (the fast tier).
     #[default]
     Compiled,
-    /// Block-slice superinstruction dispatch over the decoded
-    /// instruction table (hoisted checks, per-instruction decode).
-    Slice,
-    /// Per-instruction dispatch with full per-step checks.
+    /// Per-instruction dispatch with full per-step checks (the
+    /// reference interpreter).
     Step,
 }
 
@@ -87,7 +85,6 @@ fn forced_tier() -> Option<DispatchTier> {
     *TIER.get_or_init(
         || match std::env::var("TEAPOT_DISPATCH_TIER").ok().as_deref() {
             Some("compiled") => Some(DispatchTier::Compiled),
-            Some("slice") => Some(DispatchTier::Slice),
             Some("step") => Some(DispatchTier::Step),
             _ => None,
         },
@@ -95,7 +92,7 @@ fn forced_tier() -> Option<DispatchTier> {
 }
 
 /// How a load's STL-bypass prerequisites reach [`Machine::try_stl_bypass`]:
-/// resolved at runtime (interpreter tiers) or pre-resolved at compile
+/// resolved at runtime (step tier) or pre-resolved at compile
 /// time into the load's [`CompiledOp`] record (compiled tier). Both
 /// carry the same information, so the bypass body stays single-source.
 ///
@@ -513,9 +510,9 @@ impl ExecContext {
     /// events resolve their origin spans, and each first-seen gadget
     /// report appends a [`TraceEvent::LeakSite`] to the witness trace.
     /// Intended for triage provenance replays only: a machine assembled
-    /// with provenance on avoids the slim compiled templates (which
-    /// deliberately skip origin propagation) by degrading to the
-    /// observably-identical block-slice tier. Origins are
+    /// with provenance on stays on its dispatch tier, but the compiled
+    /// tier then runs the full memory-access templates (the slim
+    /// normal-mode ones skip origin propagation). Origins are
     /// observation-only metadata — the architectural outcome of a run
     /// is unchanged.
     pub fn set_provenance(&mut self, on: bool) {
@@ -624,7 +621,8 @@ pub struct Machine<'c> {
     /// the context's `record_provenance` flag, resolved once at
     /// assembly and requiring DIFT (origins without tags are
     /// meaningless). Off on the campaign hot path — every `prov_on`
-    /// branch below is dead there.
+    /// branch below is dead there, and compiled windows outside
+    /// simulation use the slim memory-access templates.
     prov_on: bool,
 
     opts: RunOptions,
@@ -668,7 +666,6 @@ pub struct Machine<'c> {
     /// [`Machine::run_stats`]. Counting is unconditional and the values
     /// are never read during the run, so telemetry cannot perturb
     /// execution.
-    t_slice_insts: u64,
     t_compiled_insts: u64,
     t_compiled_exits: u64,
     t_icache_ro_hits: u64,
@@ -797,16 +794,6 @@ impl<'c> Machine<'c> {
         let dift_on = flags.dift || matches!(opts.emu, EmuStyle::SpecTaint);
         let prov_on = ctx.record_provenance && dift_on;
         let models = opts.models;
-        // The slim compiled templates deliberately carry no origin
-        // propagation (the campaign hot path must stay untouched), so a
-        // provenance run degrades to the observably-identical
-        // block-slice tier — overriding even a forced compiled tier, so
-        // provenance replays resolve identical origins under every
-        // `TEAPOT_DISPATCH_TIER`.
-        let mut tier = forced_tier().unwrap_or_default();
-        if prov_on && tier == DispatchTier::Compiled {
-            tier = DispatchTier::Slice;
-        }
 
         let mut cpu = Cpu {
             pc: prog.entry,
@@ -838,7 +825,6 @@ impl<'c> Machine<'c> {
             skip_stl_once: false,
             model_run_entries: [0; 3],
             model_site_entries: teapot_rt::FxHashMap::default(),
-            t_slice_insts: 0,
             t_compiled_insts: 0,
             t_compiled_exits: 0,
             t_icache_ro_hits: 0,
@@ -860,7 +846,7 @@ impl<'c> Machine<'c> {
             input_pos: 0,
             trace: std::env::var_os("TEAPOT_TRACE").is_some(),
             uncached_decode: false,
-            tier,
+            tier: forced_tier().unwrap_or_default(),
         }
     }
 
@@ -879,18 +865,6 @@ impl<'c> Machine<'c> {
     #[doc(hidden)]
     pub fn set_dispatch_tier(&mut self, tier: DispatchTier) {
         self.tier = tier;
-    }
-
-    /// Disables every fused fast path, forcing per-instruction dispatch
-    /// (kept as the historical spelling of
-    /// `set_dispatch_tier(DispatchTier::Step)`).
-    #[doc(hidden)]
-    pub fn set_no_block_dispatch(&mut self, no_block: bool) {
-        self.tier = if no_block {
-            DispatchTier::Step
-        } else {
-            forced_tier().unwrap_or_default()
-        };
     }
 
     /// The guest address space (borrowed from the execution context).
@@ -970,14 +944,12 @@ impl<'c> Machine<'c> {
         // during execution, so enabling telemetry cannot perturb results.
         {
             let run_insts = self.insts;
-            let slice_insts = self.t_slice_insts;
             let compiled_insts = self.t_compiled_insts;
             let ctx = &mut *self.ctx;
             let t = &mut ctx.telemetry;
             t.compiled_insts += compiled_insts;
             t.compiled_exits += self.t_compiled_exits;
-            t.slice_insts += slice_insts;
-            t.step_insts += run_insts - slice_insts - compiled_insts;
+            t.step_insts += run_insts - compiled_insts;
             t.icache_ro_hits += self.t_icache_ro_hits;
             t.icache_run_hits += self.t_icache_run_hits;
             t.live_decodes += self.t_live_decodes;
@@ -1882,219 +1854,31 @@ impl<'c> Machine<'c> {
         self.cost += c;
     }
 
-    /// Block-slice superinstruction dispatch: when the PC lands on a
-    /// precomputed fall-through run (see `Program`'s `run_len`), execute
-    /// the whole slice with the fuel check, the §5.3 Real-Copy safety
-    /// net and the ROB-budget check hoisted to slice entry — all three
-    /// verified *conservatively over the whole run*, so per-instruction
-    /// checking could not have fired mid-slice. Falls back to [`step`]
-    /// whenever per-instruction precision is (or may be) required:
-    /// SpecTaint emulation (per-instruction misprediction hooks and
-    /// costs), forced live decoding, a disabled fast path, slices of
-    /// one, or hoisted checks that cannot cover the run.
-    ///
-    /// [`step`]: Machine::step
-    /// Routes one dispatch iteration to the selected tier. The compiled
-    /// tier degrades to block-slice dispatch (and that to single-step)
-    /// whenever its preconditions do not hold, so forcing a lower tier
-    /// only removes fast paths — it can never change results.
-    #[inline]
-    /// Routes one dispatch to the active tier. `chain` lets the fast
-    /// tiers keep streaming windows while the PC stays inside the same
-    /// region (skipping the outer loop and the region binary search);
+    /// Routes one dispatch to the active tier. `chain` lets the
+    /// compiled tier keep streaming windows while the PC stays inside
+    /// the same region (skipping the outer loop and the region search);
     /// the profiled run loop passes `false` so per-block attribution
-    /// stays exact.
+    /// stays exact. The compiled tier degrades to single-step whenever
+    /// its preconditions do not hold, so forcing `step` only removes
+    /// fast paths — it can never change results.
+    #[inline]
     fn dispatch(&mut self, regions: &[Region], heur: &mut SpecHeuristics, chain: bool) -> Step {
         match self.tier {
             DispatchTier::Compiled => self.step_compiled(regions, heur, chain),
-            DispatchTier::Slice => self.step_block(regions, heur, chain),
             DispatchTier::Step => self.step(heur),
         }
     }
 
-    fn step_block(&mut self, regions: &[Region], heur: &mut SpecHeuristics, chain: bool) -> Step {
-        if self.opts.emu != EmuStyle::Native || self.uncached_decode {
-            return self.step(heur);
-        }
-        let pc = self.cpu.pc;
-        let Some((region, mut off)) = Program::region_of(regions, pc) else {
-            return self.step(heur);
-        };
-        loop {
-            let r0 = region.runs[off];
-            if r0.run_len < 2 || self.cost + r0.run_cost as u64 >= self.opts.fuel {
-                return self.step(heur);
-            }
-            if self.in_sim() {
-                // Slices are F_IN_REAL-homogeneous, so one escape check
-                // covers the run; the ROB window must fit it whole.
-                if !self.single_copy && region.hot[off].flags & F_IN_REAL != 0 {
-                    return self.step(heur);
-                }
-                let frame = self.ctx.checkpoints.last().expect("in_sim");
-                let executed = self.prog_insts - frame.insts_at_entry;
-                let budget = self.opts.config.rob_budget as u64;
-                let limit = budget * frame.model.native_window_margin() as u64;
-                let run_prog = if self.single_copy {
-                    r0.run_len
-                } else {
-                    r0.run_prog
-                };
-                // Strict: the per-step check before the slice's last
-                // instruction can see every preceding program instruction
-                // retired, so the whole run must fit *below* the limit.
-                if executed + run_prog as u64 >= limit {
-                    return self.step(heur);
-                }
-            }
-            let insts0 = self.insts;
-            let r = self.exec_slice(region, off, r0.run_len, heur);
-            self.t_slice_insts += self.insts - insts0;
-            match r {
-                Step::Continue => {}
-                stop => return stop,
-            }
-            if !chain {
-                return Step::Continue;
-            }
-            // Hot loops land the next slice in the same region: re-enter
-            // the window guard directly, skipping the region search.
-            let Some(o) = self.cpu.pc.checked_sub(region.start) else {
-                return Step::Continue;
-            };
-            if o as usize >= region.runs.len() {
-                return Step::Continue;
-            }
-            off = o as usize;
-        }
-    }
-
-    /// Executes the `k`-instruction slice at `offset` of `region`
-    /// without per-instruction fuel/safety-net/ROB checks (hoisted by
-    /// [`Machine::step_block`]). Stops early the moment execution
-    /// leaves the fall-through straight line or the simulation state
-    /// the hoisted checks were computed against: a fault (rolled back
-    /// or fatal), any change of PC (taken branch, `ret`, speculative
-    /// redirect) or of checkpoint depth (`sim.start`/`sim.end`/model
-    /// entry, rollback) — after which the outer loop re-enters with
-    /// full per-step checks.
-    fn exec_slice(
-        &mut self,
-        region: &Region,
-        mut offset: usize,
-        k: u8,
-        heur: &mut SpecHeuristics,
-    ) -> Step {
-        let rstart = region.start;
-        let hot = &region.hot[..];
-        let depth = self.sim_depth;
-        for _ in 0..k {
-            let e = hot[offset];
-            let pc = rstart + offset as u64;
-            let next_pc = pc + e.len as u64;
-            self.insts += 1;
-            let is_instr = e.flags & F_INSTR != 0;
-            if self.single_copy || !is_instr {
-                self.prog_insts += 1;
-            }
-            let mut c = e.cost as u64;
-            if self.single_copy && is_instr && e.flags & F_ALWAYS_CHARGE == 0 && !self.in_sim() {
-                c = 0;
-            }
-            self.cost += c;
-            self.cpu.pc = next_pc;
-            if e.flags & F_NOP != 0 {
-                // Pure cost marker: nothing to execute, nothing that
-                // could divert control or simulation state; the
-                // instruction payload is never even read.
-                offset += e.len as usize;
-                continue;
-            }
-            // Pre-dispatch the hottest opcodes through the same shared
-            // helpers `exec`'s arms call — one early match instead of a
-            // call into the interpreter's full opcode match. Semantics
-            // are single-sourced; only the dispatch route differs.
-            let r: Result<Step, Fault> = match region.insts[offset] {
-                Inst::MovRR { dst, src } => {
-                    self.exec_mov_rr(dst, src);
-                    Ok(Step::Continue)
-                }
-                Inst::MovRI { dst, imm } => {
-                    self.exec_mov_ri(dst, imm);
-                    Ok(Step::Continue)
-                }
-                Inst::Load {
-                    dst,
-                    mem,
-                    size,
-                    sext,
-                } => self
-                    .exec_load(dst, &mem, size, sext, pc, heur)
-                    .map(|_| Step::Continue),
-                Inst::Store { src, mem, size } => self
-                    .exec_store(src, &mem, size, pc)
-                    .map(|()| Step::Continue),
-                Inst::Push { src } => self.exec_push(src, pc).map(|()| Step::Continue),
-                Inst::Pop { dst } => self.exec_pop(dst).map(|()| Step::Continue),
-                Inst::Alu { op, dst, src } => {
-                    self.exec_alu(op, dst, src, pc).map(|()| Step::Continue)
-                }
-                Inst::Cmp { lhs, rhs } => {
-                    self.exec_cmp(lhs, rhs);
-                    Ok(Step::Continue)
-                }
-                Inst::Jcc { cc, target } => {
-                    self.exec_jcc(cc, target, pc);
-                    Ok(Step::Continue)
-                }
-                Inst::StoreI { imm, mem, size } => self
-                    .exec_storei(imm, &mem, size, pc)
-                    .map(|()| Step::Continue),
-                Inst::Lea { dst, mem } => {
-                    self.exec_lea(dst, &mem);
-                    Ok(Step::Continue)
-                }
-                Inst::Test { lhs, rhs } => {
-                    self.exec_test(lhs, rhs);
-                    Ok(Step::Continue)
-                }
-                Inst::Set { cc, dst } => {
-                    self.exec_set(cc, dst);
-                    Ok(Step::Continue)
-                }
-                Inst::SimCheck => {
-                    self.exec_sim_check();
-                    Ok(Step::Continue)
-                }
-                Inst::CovTrace { guard } => {
-                    self.exec_cov_trace(guard);
-                    Ok(Step::Continue)
-                }
-                Inst::CovNote { guard } => {
-                    self.exec_cov_note(guard);
-                    Ok(Step::Continue)
-                }
-                inst => self.exec(inst, pc, next_pc, heur),
-            };
-            match r {
-                Ok(Step::Continue) => {}
-                Ok(stop) => return stop,
-                Err(f) => return self.fault(f),
-            }
-            if self.cpu.pc != next_pc || self.sim_depth != depth {
-                return Step::Continue;
-            }
-            offset += e.len as usize;
-        }
-        Step::Continue
-    }
-
-    /// The compiled dispatch tier's window entry: the same hoisted
-    /// fuel/safety-net/ROB reasoning as [`Machine::step_block`], but
-    /// over the precomputed [`CRun`] window sums (records are
-    /// F_IN_REAL-homogeneous and their conservative cost/prog totals
-    /// are baked at compile time). Falls back to [`step`] whenever the
-    /// hoisted checks cannot cover the window.
+    /// The compiled dispatch tier's window entry: the fuel check, the
+    /// §5.3 Real-Copy safety net and the ROB-budget check are hoisted
+    /// to window entry and verified *conservatively over the whole
+    /// window* from the precomputed [`CRun`] sums (records are
+    /// F_IN_REAL-homogeneous and their cost/prog totals are baked at
+    /// compile time), so per-instruction checking could not have fired
+    /// mid-window. Falls back to [`step`] whenever per-instruction
+    /// precision is (or may be) required: SpecTaint emulation, forced
+    /// live decoding, windows of one, or hoisted checks that cannot
+    /// cover the window.
     ///
     /// [`CRun`]: crate::program::CRun
     /// [`step`]: Machine::step
@@ -2178,6 +1962,11 @@ impl<'c> Machine<'c> {
         // Divergence exits the window before the next record, so the
         // entry depth decides sim-vs-normal cost for every record here.
         let sim = depth > 0;
+        // The slim normal-mode memory templates skip origin propagation,
+        // so a provenance run takes the full templates everywhere (they
+        // are observably identical out of simulation). Cost still
+        // follows `sim`.
+        let full = sim || self.prov_on;
         for _ in 0..recs {
             // By reference: a record is a whole cache line; the match
             // below only reads the payload of the variant it hits.
@@ -2210,7 +1999,7 @@ impl<'c> Machine<'c> {
                         cont: stl_cont,
                         sid,
                     };
-                    if sim {
+                    if full {
                         self.exec_load_at(dst, &mem, size, sext, pc, pre, heur)
                             .map(|_| Step::Continue)
                     } else {
@@ -2234,7 +2023,7 @@ impl<'c> Machine<'c> {
                         sid,
                     };
                     let apc = pc + acc_off as u64;
-                    if sim {
+                    if full {
                         // Fused superinstruction: probe with the check's
                         // pc, access with its own — the same fault,
                         // report and STL ordering as the two-record slow
@@ -2248,7 +2037,7 @@ impl<'c> Machine<'c> {
                             .map(|()| Step::Continue)
                     }
                 }
-                OpKind::Store { src, mem, size } => if sim {
+                OpKind::Store { src, mem, size } => if full {
                     self.exec_store(src, &mem, size, pc)
                 } else {
                     self.exec_store_norm(src, &mem, size, pc)
@@ -2263,7 +2052,7 @@ impl<'c> Machine<'c> {
                     size,
                 } => {
                     let apc = pc + acc_off as u64;
-                    if sim {
+                    if full {
                         self.asan_probe(&chk, chk_size, pc);
                         self.exec_store(src, &mem, size, apc)
                     } else {
@@ -2271,7 +2060,7 @@ impl<'c> Machine<'c> {
                     }
                     .map(|()| Step::Continue)
                 }
-                OpKind::StoreI { imm, mem, size } => if sim {
+                OpKind::StoreI { imm, mem, size } => if full {
                     self.exec_storei(imm, &mem, size, pc)
                 } else {
                     self.exec_storei_norm(imm, &mem, size, pc)
@@ -2281,7 +2070,7 @@ impl<'c> Machine<'c> {
                     self.exec_lea(dst, &mem);
                     Ok(Step::Continue)
                 }
-                OpKind::Push { src } => if sim {
+                OpKind::Push { src } => if full {
                     self.exec_push(src, pc)
                 } else {
                     self.exec_push_norm(src)
@@ -2535,7 +2324,7 @@ impl<'c> Machine<'c> {
 
     // --- Hot-arm helpers -------------------------------------------------
     // Shared, single-source bodies for the most frequent opcodes: the
-    // slice dispatcher pre-dispatches these directly (skipping the call
+    // compiled tier's records call these directly (skipping the call
     // into the full `exec` match), and `exec`'s arms call the very same
     // functions, so the two dispatch tiers cannot diverge.
 
@@ -2609,12 +2398,13 @@ impl<'c> Machine<'c> {
     }
 
     /// Slim load template for compiled windows entered *outside*
-    /// simulation: every `do_load` branch that is conditional on
-    /// `in_sim()` is statically dead there (a window exits before the
-    /// record after any depth change), so this inlines the remaining
-    /// straight line — STL probe, EA, slab read, sign-extend, tag fold,
-    /// register writeback — with no policy or witness tests. Observably
-    /// identical to [`Machine::exec_load_at`] out of simulation.
+    /// simulation with provenance off: every `do_load` branch that is
+    /// conditional on `in_sim()` is statically dead there (a window
+    /// exits before the record after any depth change), so this inlines
+    /// the remaining straight line — STL probe, EA, slab read,
+    /// sign-extend, tag fold, register writeback — with no policy,
+    /// witness or origin work. Observably identical to
+    /// [`Machine::exec_load_at`] out of simulation without provenance.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn exec_load_norm(
@@ -2644,9 +2434,10 @@ impl<'c> Machine<'c> {
     }
 
     /// Slim store template for compiled windows entered outside
-    /// simulation — the memory-log capture and address-tag policy of
-    /// [`Machine::store_at`] are statically dead there. Observably
-    /// identical to [`Machine::exec_store`] out of simulation.
+    /// simulation with provenance off — the memory-log capture,
+    /// address-tag policy and origin writes of [`Machine::store_at`]
+    /// are dead there. Observably identical to [`Machine::exec_store`]
+    /// out of simulation without provenance.
     #[inline(always)]
     fn exec_store_norm(
         &mut self,
@@ -2746,9 +2537,10 @@ impl<'c> Machine<'c> {
     }
 
     /// Slim push template for compiled windows entered outside
-    /// simulation (the memory-log branch of [`Machine::store_at`] is
-    /// statically dead there). Observably identical to
-    /// [`Machine::exec_push`] out of simulation.
+    /// simulation with provenance off (the memory-log and origin
+    /// branches of [`Machine::store_at`] are dead there). Observably
+    /// identical to [`Machine::exec_push`] out of simulation without
+    /// provenance.
     #[inline(always)]
     fn exec_push_norm(&mut self, src: Reg) -> Result<(), Fault> {
         let sp = self.cpu.get(Reg::SP).wrapping_sub(8);

@@ -48,11 +48,11 @@ pub(crate) const F_ALWAYS_CHARGE: u8 = 4;
 /// here; only the address-derived flags of the entry are valid.
 pub(crate) const F_LIVE: u8 = 8;
 /// Entry flag: executing the instruction is a pure no-op beyond the
-/// standard counters (cost markers and NOPs). The slice dispatcher
-/// retires these without entering the interpreter's opcode match at
-/// all — in a rewritten binary they are a large share of the stream
-/// (`tag.prop`/`memlog` ride along with most architectural
-/// instructions).
+/// standard counters (cost markers and NOPs). The compiled tier fuses
+/// runs of them into `Skip` records that never enter the interpreter's
+/// opcode match at all — in a rewritten binary they are a large share
+/// of the stream (`tag.prop`/`memlog` ride along with most
+/// architectural instructions).
 pub(crate) const F_NOP: u8 = 16;
 
 /// One predecoded table slot: the instruction starting at an address.
@@ -70,25 +70,11 @@ pub(crate) struct Entry {
     pub flags: u8,
     /// Native-execution cost class (`teapot-rt::cost`).
     pub cost: u32,
-    /// Block-slice superinstruction metadata: number of instructions in
-    /// the maximal fall-through run starting here. Interior positions
-    /// are sliceable instructions (architectural straight-line code and
-    /// passive instrumentation); the run may end with one terminator
-    /// (branch / ret / active instrumentation / syscall). `0` marks an
-    /// entry the fast path must not dispatch (undecodable or `F_LIVE`).
-    pub run_len: u8,
-    /// Program (non-instrumentation) instructions in the run — what the
-    /// reorder-buffer budget counts for a two-copy binary.
-    pub run_prog: u8,
-    /// Summed native cost of the whole run (instrumentation at its full
-    /// charge; the dispatcher still charges per instruction, this sum
-    /// only bounds the hoisted fuel check conservatively).
-    pub run_cost: u32,
 }
 
 /// The per-slot fields every dispatched instruction touches, packed to
-/// 8 bytes so fall-through execution streams a few slots per cache
-/// line (the instruction payload and slice metadata live in parallel
+/// 8 bytes so per-instruction fetch streams a few slots per cache
+/// line (the instruction payload and compiled records live in parallel
 /// arrays, read only when actually needed).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct HotEntry {
@@ -97,14 +83,6 @@ pub(crate) struct HotEntry {
     pub flags: u8,
     /// Native-execution cost class (`teapot-rt::cost`).
     pub cost: u32,
-}
-
-/// Per-slot block-slice metadata, read once per slice entry.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct RunInfo {
-    pub run_len: u8,
-    pub run_prog: u8,
-    pub run_cost: u32,
 }
 
 /// Sentinel for a compiled load whose STL wrong path has no Shadow-Copy
@@ -258,7 +236,7 @@ pub(crate) enum OpKind {
 pub(crate) struct CRun {
     /// Records in the window (`0`: the compiled tier must not dispatch).
     pub recs: u8,
-    /// Instructions the window retires (≤ [`SLICE_CAP`]).
+    /// Instructions the window retires (≤ [`WINDOW_CAP`]).
     pub insts: u8,
     /// Program-instruction increments in the window (single-copy baked
     /// in), for the hoisted ROB check.
@@ -293,8 +271,6 @@ pub(crate) struct Region {
     pub(crate) hot: Vec<HotEntry>,
     /// Decoded instruction per slot (read only when executed).
     pub(crate) insts: Vec<Inst<u64>>,
-    /// Block-slice metadata per slot (read once per slice entry).
-    pub(crate) runs: Vec<RunInfo>,
     /// Template-compiled record per slot (the compiled dispatch tier).
     pub(crate) ops: Vec<CompiledOp>,
     /// Compiled-window metadata per slot (read once per window entry).
@@ -451,9 +427,6 @@ impl Program {
                 len: 0,
                 flags: addr_flags(meta.as_ref(), va),
                 cost: 0,
-                run_len: 0,
-                run_prog: 0,
-                run_cost: 0,
             };
             let mut entries: Vec<Entry> = (0..span).map(|off| bad(start + off as u64)).collect();
             let mut decoded = vec![false; span];
@@ -464,9 +437,6 @@ impl Program {
                     cost: inst_cost(&wi.inst) as u32,
                     inst: wi.inst,
                     len: wi.len,
-                    run_len: 0,
-                    run_prog: 0,
-                    run_cost: 0,
                 };
                 decoded[off] = true;
             }
@@ -483,9 +453,6 @@ impl Program {
                             cost: inst_cost(&inst) as u32,
                             inst,
                             len: len as u8,
-                            run_len: 0,
-                            run_prog: 0,
-                            run_cost: 0,
                         };
                     }
                     Ok(_) => entries[off].flags |= F_LIVE,
@@ -493,7 +460,6 @@ impl Program {
                     Err(_) => {}
                 }
             }
-            compute_slices(&mut entries);
             let site_id = assign_sites(&entries, &mut n_sites);
             let (ops, cruns) = compile_region(
                 &entries,
@@ -525,14 +491,6 @@ impl Program {
                     })
                     .collect(),
                 insts: entries.iter().map(|e| e.inst).collect(),
-                runs: entries
-                    .iter()
-                    .map(|e| RunInfo {
-                        run_len: e.run_len,
-                        run_prog: e.run_prog,
-                        run_cost: e.run_cost,
-                    })
-                    .collect(),
                 ops,
                 cruns,
                 site_id,
@@ -672,45 +630,10 @@ impl Program {
     }
 }
 
-/// Longest slice the dispatcher fuses; bounds the hoisted fuel/ROB
-/// checks (they must cover the whole run conservatively) and keeps
-/// `run_len`/`run_prog` in a byte.
-const SLICE_CAP: u8 = 64;
-
-/// Reverse-DP pass precomputing the block slices ("superinstructions"):
-/// for every decodable, non-`F_LIVE` offset, the fall-through window of
-/// up to [`SLICE_CAP`] decodable instructions starting there, with its
-/// summed cost and program-instruction count. Any instruction may sit
-/// in a slice — the dispatcher executes through the same `exec` as the
-/// per-step path and stops the moment control or simulation depth
-/// diverges from fall-through (taken branch, checkpoint push/pop,
-/// fault) — so a window simply ends at region/`F_LIVE`/decode-failure
-/// boundaries. A window only extends across entries with the same
-/// `F_IN_REAL` flag, so the hoisted §5.3 safety-net check at slice
-/// entry covers every instruction in it.
-fn compute_slices(entries: &mut [Entry]) {
-    let n = entries.len();
-    for off in (0..n).rev() {
-        let e = entries[off];
-        if e.len == 0 || e.flags & F_LIVE != 0 {
-            continue; // run_len stays 0: fast path must not dispatch
-        }
-        let own_prog = u8::from(e.flags & F_INSTR == 0);
-        let (rl, rp, rc) = match entries.get(off + e.len as usize) {
-            Some(ne)
-                if ne.run_len >= 1
-                    && ne.run_len < SLICE_CAP
-                    && (ne.flags ^ e.flags) & F_IN_REAL == 0 =>
-            {
-                (1 + ne.run_len, own_prog + ne.run_prog, e.cost + ne.run_cost)
-            }
-            _ => (1, own_prog, e.cost),
-        };
-        entries[off].run_len = rl;
-        entries[off].run_prog = rp;
-        entries[off].run_cost = rc;
-    }
-}
+/// Most instructions one compiled window retires; bounds the hoisted
+/// fuel/ROB checks (they must cover the whole window conservatively)
+/// and keeps [`CRun::insts`]/[`CRun::prog`] in a byte.
+const WINDOW_CAP: u8 = 64;
 
 /// Cap on the pure cost markers one `Skip` record fuses: keeps the
 /// record's byte length well inside a `u8` (16 × `INST_MAX_LEN` = 192)
@@ -908,13 +831,13 @@ fn compile_region(
             }
         }
         // Window DP over records: extend while the next slot's window
-        // exists, the combined instruction count stays within the slice
+        // exists, the combined instruction count stays within the window
         // cap and Real-Copy membership is homogeneous.
         let rec_end = off + op.len as usize;
         let cr = match (entries.get(rec_end), cruns.get(rec_end)) {
             (Some(ne), Some(nc))
                 if nc.recs >= 1
-                    && op.insts as u32 + nc.insts as u32 <= SLICE_CAP as u32
+                    && op.insts as u32 + nc.insts as u32 <= WINDOW_CAP as u32
                     && (ne.flags ^ e.flags) & F_IN_REAL == 0 =>
             {
                 CRun {

@@ -71,9 +71,9 @@ pub(crate) struct PageSlab {
     /// (insertions shift slots).
     tlb: [AtomicU64; TLB_ENTRIES],
     /// Single-entry L0 front cache holding the last translation (same
-    /// packing as `tlb`): a compiled slice streaming accesses against
+    /// packing as `tlb`): a compiled window streaming accesses against
     /// one data page resolves it with a single load + compare, pinning
-    /// the entry for the slice regardless of direct-mapped conflicts.
+    /// the entry for the window regardless of direct-mapped conflicts.
     /// An L0 hit counts as a TLB hit, so hit + miss totals are
     /// unchanged by the cache's existence.
     l0: AtomicU64,

@@ -15,7 +15,7 @@
 use teapot_campaign::{Campaign, CampaignConfig};
 use teapot_core::{rewrite, RewriteOptions};
 use teapot_fuzz::{fuzz, FuzzConfig};
-use teapot_vm::{EmuStyle, HeurStyle};
+use teapot_vm::{EmuStyle, HeurStyle, Program};
 
 fn main() {
     let w = teapot_workloads::brotli_like();
@@ -37,7 +37,7 @@ fn main() {
         ..CampaignConfig::default()
     };
     let mut campaign = Campaign::new(cfg).expect("valid campaign config");
-    let teapot = campaign.run(&instrumented, &w.seeds);
+    let teapot = campaign.run_shared(&Program::shared(&instrumented), &w.seeds);
 
     // SpecTaint: emulation of the original binary, five tries per
     // branch, single sequential worker (emulation is ~100x more

@@ -10,15 +10,17 @@
 //! `RunOutcome`s: status, cost accounting, instruction counts, gadget
 //! reports, both coverage maps, program output and simulation counters.
 //!
-//! The dispatch half of the suite is a three-way matrix: the compiled
-//! execution tier and the block-slice dispatcher are each differenced
-//! against single-step interpretation (via `Machine::set_dispatch_tier`)
-//! over the same workloads, model sets and adversarial inputs, plus a
-//! deterministic random-fuel sweep that cuts runs off mid-window.
+//! The dispatch half of the suite differences the compiled execution
+//! tier against single-step interpretation (via
+//! `Machine::set_dispatch_tier`) over the same workloads, model sets and
+//! adversarial inputs, plus a deterministic random-fuel sweep that cuts
+//! runs off mid-window and a provenance sweep that compares the origin
+//! shadow's witness traces (tainted-access origins and leak sites).
 
 use teapot::cc::Options;
 use teapot::core::{rewrite, RewriteOptions};
 use teapot::obj::Binary;
+use teapot::rt::TraceEvent;
 use teapot::vm::{DispatchTier, EmuStyle, Machine, RunOptions, SpecHeuristics, SpecModelSet};
 
 fn outcome(
@@ -43,7 +45,7 @@ fn outcome(
 }
 
 /// Like [`outcome`] but forcing an explicit dispatch tier (compiled
-/// windows / block slices / single-step) instead of the decode path,
+/// windows / single-step) instead of the decode path,
 /// under an explicit model set and fuel budget.
 fn outcome_tier(
     bin: &Binary,
@@ -66,13 +68,11 @@ fn outcome_tier(
     m.run(&mut heur)
 }
 
-/// Runs the same input on all three dispatch tiers and asserts the
+/// Runs the same input on both dispatch tiers and asserts the
 /// `RunOutcome`s are bit-identical, with single-step as the reference.
 fn assert_tiers_agree(bin: &Binary, input: &[u8], models: SpecModelSet, fuel: u64, what: &str) {
     let step = outcome_tier(bin, input, models, DispatchTier::Step, fuel);
-    let slice = outcome_tier(bin, input, models, DispatchTier::Slice, fuel);
     let compiled = outcome_tier(bin, input, models, DispatchTier::Compiled, fuel);
-    assert_outcomes_equal(&slice, &step, &format!("{what}: slice vs step"));
     assert_outcomes_equal(&compiled, &step, &format!("{what}: compiled vs step"));
 }
 
@@ -254,13 +254,13 @@ fn pooled_context_reuse_matches_fresh_machines() {
 }
 
 #[test]
-fn dispatch_matrix_is_identical_across_all_three_tiers() {
-    // The compiled-window and block-slice fast paths must both be
-    // observably identical to per-instruction dispatch — across the
-    // full workload suite (Teapot-instrumented), the planted RSB/STL
-    // ground-truth programs, and the full speculation-model set
-    // (checkpoint pushes, store-buffer bypasses and RSB mispredictions
-    // all cut slices and compiled windows short mid-run).
+fn dispatch_matrix_is_identical_on_compiled_and_step() {
+    // The compiled-window fast path must be observably identical to
+    // per-instruction dispatch — across the full workload suite
+    // (Teapot-instrumented), the planted RSB/STL ground-truth programs,
+    // and the full speculation-model set (checkpoint pushes,
+    // store-buffer bypasses and RSB mispredictions all cut compiled
+    // windows short mid-run).
     let all_models = SpecModelSet::parse("pht,rsb,stl").unwrap();
     let fuel = RunOptions::default().fuel;
     let mut suite = teapot::workloads::all();
@@ -294,7 +294,7 @@ fn dispatch_matrix_is_identical_across_all_three_tiers() {
 #[test]
 fn dispatch_matrix_matches_on_single_copy_baseline() {
     // Single-copy (SpecFuzz-style) layouts exercise the cost-zeroing
-    // rule and in-place simulation; both fast tiers must reproduce them.
+    // rule and in-place simulation; the compiled tier must reproduce them.
     let w = teapot::workloads::jsmn_like();
     let mut cots = w.build(&Options::gcc_like()).unwrap();
     cots.strip();
@@ -322,12 +322,12 @@ fn dispatch_matrix_matches_on_single_copy_baseline() {
 }
 
 #[test]
-fn random_fuel_limits_land_identically_on_all_three_tiers() {
+fn random_fuel_limits_land_identically_on_both_tiers() {
     // A deterministic xorshift sweep of fuel budgets cuts runs off at
-    // arbitrary points — including mid-slice and mid-compiled-window,
-    // where the compiled tier must decline the window rather than
-    // overshoot the budget — and every tier must land the same fault
-    // or exit at the same cost.
+    // arbitrary points — including mid-compiled-window, where the
+    // compiled tier must decline the window rather than overshoot the
+    // budget — and both tiers must land the same fault or exit at the
+    // same cost.
     let w = teapot::workloads::jsmn_like();
     let mut cots = w.build(&Options::gcc_like()).unwrap();
     cots.strip();
@@ -366,4 +366,78 @@ fn random_fuel_limits_land_identically_on_all_three_tiers() {
             &format!("jsmn fuel sweep round {round} (fuel {fuel})"),
         );
     }
+}
+
+/// One provenance replay on a forced tier: witness recording and the
+/// origin shadow on, everything read back out of the pooled context.
+fn provenance_run(
+    prog: &std::sync::Arc<teapot::vm::Program>,
+    input: &[u8],
+    models: SpecModelSet,
+    tier: DispatchTier,
+) -> (teapot::vm::RunOutcome, Vec<TraceEvent>) {
+    let mut ctx = teapot::vm::ExecContext::new(prog);
+    ctx.set_witness_recording(true);
+    ctx.set_provenance(true);
+    let mut heur = SpecHeuristics::default();
+    let opts = RunOptions {
+        input: input.to_vec(),
+        models,
+        ..RunOptions::default()
+    };
+    let mut m = Machine::with_context(prog, &mut ctx, opts);
+    m.set_dispatch_tier(tier);
+    let stats = m.run_stats(&mut heur);
+    let trace = ctx.trace().to_vec();
+    let outcome = teapot::vm::RunOutcome {
+        status: stats.status,
+        cost: stats.cost,
+        insts: stats.insts,
+        gadgets: ctx.take_gadgets(),
+        cov_normal: ctx.cov_normal().clone(),
+        cov_spec: ctx.cov_spec().clone(),
+        output: ctx.output().to_vec(),
+        sim_entries: stats.sim_entries,
+        rollbacks: stats.rollbacks,
+        escapes: stats.escapes,
+    };
+    (outcome, trace)
+}
+
+#[test]
+fn provenance_replays_are_identical_on_compiled_and_step() {
+    // Provenance replays run on the compiled tier with the full
+    // memory-access templates; they must resolve exactly the origins
+    // and leak sites the reference interpreter resolves.
+    let all_models = SpecModelSet::parse("pht,rsb,stl").unwrap();
+    // The planted spectre-* trigger (OOB index 20) makes the spec
+    // suite leak, so the origin comparison is never vacuous.
+    let trigger: &[u8] = &[0x14, 0x00];
+    let mut origin_events = 0usize;
+    let mut suite = teapot::workloads::all();
+    suite.extend(teapot::workloads::spec_suite());
+    for w in suite {
+        let mut cots = w.build(&Options::gcc_like()).unwrap();
+        cots.strip();
+        let inst = rewrite(&cots, &RewriteOptions::default()).unwrap();
+        let prog = teapot::vm::Program::shared(&inst);
+        let mut inputs: Vec<Vec<u8>> = w.seeds.iter().take(2).cloned().collect();
+        inputs.push(mangled(&w.seeds[0]));
+        inputs.push(trigger.to_vec());
+        for models in [SpecModelSet::PHT_ONLY, all_models] {
+            for (i, input) in inputs.iter().enumerate() {
+                let what = format!("{} (models {models}, input {i}, provenance)", w.name);
+                let (step, step_trace) = provenance_run(&prog, input, models, DispatchTier::Step);
+                let (compiled, compiled_trace) =
+                    provenance_run(&prog, input, models, DispatchTier::Compiled);
+                assert_outcomes_equal(&compiled, &step, &format!("{what}: compiled vs step"));
+                assert_eq!(compiled_trace, step_trace, "{what}: witness trace");
+                origin_events += step_trace
+                    .iter()
+                    .filter(|e| e.origin().offsets().is_some())
+                    .count();
+            }
+        }
+    }
+    assert!(origin_events > 0, "no run resolved any input origin");
 }

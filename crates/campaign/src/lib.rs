@@ -32,6 +32,7 @@
 //!
 //! [`SpecHeuristics`]: teapot_vm::SpecHeuristics
 
+pub mod epoch;
 pub mod json;
 pub mod queue;
 pub mod snapshot;
@@ -46,6 +47,7 @@ use teapot_rt::{
 use teapot_telemetry::{Event, MetricsSink, Stopwatch, VmCounters, MODEL_NAMES};
 use teapot_vm::{BlockProfile, DecodeStats, EmuStyle, ExecContext, HeurStyle, Program};
 
+pub use epoch::{adaptive_budgets, EpochClock, EpochPlan};
 pub use snapshot::{CampaignSnapshot, SnapshotError};
 
 /// Orchestrator configuration.
@@ -78,7 +80,7 @@ pub struct CampaignConfig {
     pub heur_style: HeurStyle,
     /// Active speculation models for every run of every shard
     /// (`--spec-models pht,rsb,stl`). Part of *what* the campaign
-    /// computes, so it is snapshotted into the `.tcs` v3 header.
+    /// computes, so it is snapshotted into the `.tcs` header.
     pub models: SpecModelSet,
     /// Dictionary tokens spliced into inputs.
     pub dictionary: Vec<Vec<u8>>,
@@ -91,7 +93,7 @@ pub struct CampaignConfig {
     /// feature last epoch) and redistribute it evenly across the shards
     /// still discovering. Decided purely from merged coverage counts at
     /// the barrier, so it is part of *what* the campaign computes
-    /// (snapshotted in `.tcs` v5) and identical across worker counts and
+    /// (snapshotted in `.tcs`) and identical across worker counts and
     /// fleet layouts. Off by default.
     pub adaptive_budgets: bool,
     /// Coverage-subsumption corpus minimization at each epoch barrier
@@ -350,8 +352,7 @@ impl CampaignReport {
 pub struct Campaign {
     cfg: CampaignConfig,
     shards: Vec<CampaignState>,
-    epochs_done: u32,
-    seeded: bool,
+    clock: EpochClock,
     /// Decode-pass coverage of the shared [`Program`], cached from the
     /// last epoch run (or restored from a snapshot) so reports and
     /// `.tcs` files can carry it without re-decoding the binary.
@@ -364,12 +365,6 @@ pub struct Campaign {
     /// Per-shard `(execs, timeline entries)` watermarks from the last
     /// emitted epoch, for delta events.
     emitted: Vec<(u64, usize)>,
-    /// Per-shard coverage-feature counts observed at the start of the
-    /// last epoch, the reference point [`adaptive_budgets`] diffs
-    /// against. Part of campaign state (snapshotted in `.tcs` v5): a
-    /// resumed campaign must hand out the same budgets as an
-    /// uninterrupted one. Empty until the first epoch runs.
-    prev_features: Vec<u64>,
 }
 
 impl Campaign {
@@ -382,52 +377,32 @@ impl Campaign {
         Ok(Campaign {
             cfg,
             shards,
-            epochs_done: 0,
-            seeded: false,
+            clock: EpochClock::default(),
             decode_stats: DecodeStats::default(),
             metrics: None,
             heartbeat: false,
             emitted: Vec::new(),
-            prev_features: Vec::new(),
         })
     }
 
     /// Rebuilds a campaign from a snapshot (see [`snapshot`]). `bin`
     /// must be the same binary the snapshot was taken against.
     pub fn resume(snap: &CampaignSnapshot, bin: &Binary) -> Result<Campaign, CampaignError> {
-        let fingerprint = snapshot::fingerprint(bin);
-        if snap.bin_fingerprint != fingerprint {
-            return Err(SnapshotError::BinaryMismatch {
-                expected: snap.bin_fingerprint,
-                actual: fingerprint,
-            }
-            .into());
-        }
-        snap.config.validate()?;
-        if snap.shard_states.len() != snap.config.shards as usize {
-            return Err(SnapshotError::Corrupt("shard count mismatch").into());
-        }
+        let clock = EpochClock::resume(snap, bin)?;
         let shards = snap
             .shard_states
             .iter()
             .enumerate()
             .map(|(i, s)| CampaignState::from_snapshot(snap.config.shard_fuzz_config(i as u32), s))
             .collect::<Result<Vec<_>, _>>()?;
-        // A snapshot taken before the first epoch has empty corpora and
-        // must still run seed_corpus on resume, or it would silently
-        // fall back to the default input and diverge from an
-        // uninterrupted run with the same seeds.
-        let seeded = snap.epochs_done > 0 || snap.shard_states.iter().any(|s| !s.corpus.is_empty());
         Ok(Campaign {
             cfg: snap.config.clone(),
             shards,
-            epochs_done: snap.epochs_done,
-            seeded,
+            clock,
             decode_stats: snap.decode_stats,
             metrics: None,
             heartbeat: false,
             emitted: Vec::new(),
-            prev_features: snap.prev_features.clone(),
         })
     }
 
@@ -443,26 +418,21 @@ impl Campaign {
         self.cfg.workers = workers;
     }
 
-    /// Raises the total epoch budget (e.g. to extend a resumed campaign
-    /// beyond its original plan). Never lowers it below what already ran.
-    pub fn extend_epochs(&mut self, total: u32) {
-        self.cfg.epochs = self.cfg.epochs.max(total);
-    }
-
     /// Epochs completed so far.
     pub fn epochs_done(&self) -> u32 {
-        self.epochs_done
+        self.clock.epochs_done()
     }
 
     /// Whether every configured epoch has run.
     pub fn finished(&self) -> bool {
-        self.epochs_done >= self.cfg.epochs
+        self.clock.epochs_done() >= self.cfg.epochs
     }
 
-    /// Runs one epoch: every shard fuzzes `iters_per_epoch` inputs (in
-    /// parallel across `workers` threads), then the barrier exchanges
-    /// fresh inputs between shards. `seeds` initializes shard corpora on
-    /// the first epoch and is ignored afterwards.
+    /// Runs one epoch of the [epoch engine](epoch) on live shard states:
+    /// every shard fuzzes its planned budget (in parallel across
+    /// `workers` threads), then the barrier exchanges fresh inputs
+    /// between shards. `seeds` initializes shard corpora on the first
+    /// epoch and is ignored afterwards.
     ///
     /// Runs over a shared predecoded program (decode once with
     /// [`Program::shared`]): one decode pass and one pristine memory
@@ -470,99 +440,30 @@ impl Campaign {
     pub fn run_epoch_shared(&mut self, prog: &Arc<Program>, seeds: &[Vec<u8>]) {
         self.decode_stats = *prog.stats();
         let watch = Stopwatch::new();
-        let epoch = self.epochs_done;
-        let seed_now = !self.seeded;
-        self.seeded = true;
-        let iters = self.cfg.iters_per_epoch;
-        let minimize = self.cfg.corpus_minimize;
+        let features = self.shards.iter().map(epoch::features).collect();
+        let plan = self.clock.plan(&self.cfg, features);
         let ranges = partition(self.shards.len(), self.cfg.effective_workers());
 
-        // Per-shard iteration budgets: uniform, unless adaptive budgets
-        // diff each shard's coverage-feature count against the start of
-        // the previous epoch. Both inputs are merged barrier state, so
-        // the budgets are identical for every worker count and fleet
-        // layout — the fabric coordinator computes the same vector from
-        // its boundary snapshots.
-        let curr: Vec<u64> = self
-            .shards
-            .iter()
-            .map(|s| (s.cov_normal().count_nonzero() + s.cov_spec().count_nonzero()) as u64)
-            .collect();
-        let budgets: Vec<u64> =
-            if self.cfg.adaptive_budgets && self.prev_features.len() == self.shards.len() {
-                adaptive_budgets(iters, &self.prev_features, &curr)
-            } else {
-                vec![iters; self.shards.len()]
-            };
-        self.prev_features = curr;
-        let budgets = &budgets;
-
-        // Phase 1 — fuzz. Shards are partitioned into contiguous chunks;
-        // each thread drives its chunk sequentially. The partition is an
-        // execution detail: shard states never interact here.
-        std::thread::scope(|scope| {
-            let mut rest = &mut self.shards[..];
-            for r in &ranges {
-                let (shard_chunk, tail) = rest.split_at_mut(r.len());
-                rest = tail;
-                let base = r.start;
-                scope.spawn(move || {
-                    for (k, st) in shard_chunk.iter_mut().enumerate() {
-                        if seed_now {
-                            st.seed_corpus_shared(prog, seeds);
-                        }
-                        st.begin_epoch(epoch);
-                        st.run_iters_shared(prog, budgets[base + k]);
-                    }
-                });
-            }
+        // Phase 1 — fuzz; then phase 2 — the barrier, where every shard
+        // imports what the others found this epoch (shard-index order).
+        let plan = &plan;
+        par_shards(&mut self.shards, &ranges, |i, st| {
+            epoch::fuzz_shard(
+                st,
+                prog,
+                seeds,
+                plan.epoch,
+                plan.seed_first,
+                plan.budgets[i],
+            );
         });
-
-        // Phase 2 — barrier exchange. Collect what every shard found
-        // this epoch (shard-index order), then let each shard import the
-        // others' findings. Imports consume no RNG and each shard scans
-        // donors in index order, so the outcome is worker-independent.
-        // Byte-identical clones — inputs the receiving shard already
-        // holds, or repeats among the donated sets — are dropped instead
-        // of re-executed: a clone can never add a corpus entry, so
-        // plateaued campaigns stop burning iterations on it. (Dropping a
-        // clone also skips its heuristic warm-up, so campaigns where
-        // clones occur are not step-for-step identical to clone-replaying
-        // ones — deterministically so, and without losing the corpus or
-        // coverage the clone's original already contributed.)
         let fresh: Vec<Vec<Vec<u8>>> = self.shards.iter().map(|s| s.fresh_inputs()).collect();
-        let fresh = &fresh;
-        std::thread::scope(|scope| {
-            let mut rest = &mut self.shards[..];
-            for r in &ranges {
-                let (shard_chunk, tail) = rest.split_at_mut(r.len());
-                rest = tail;
-                let base = r.start;
-                scope.spawn(move || {
-                    for (k, st) in shard_chunk.iter_mut().enumerate() {
-                        let j = base + k;
-                        let mut seen: FxHashSet<&[u8]> = FxHashSet::default();
-                        for (i, inputs) in fresh.iter().enumerate() {
-                            if i == j {
-                                continue;
-                            }
-                            for input in inputs {
-                                if st.contains_input(input) || !seen.insert(input.as_slice()) {
-                                    continue;
-                                }
-                                st.import_input_shared(prog, input);
-                            }
-                        }
-                        if minimize {
-                            st.minimize_corpus(prog);
-                        }
-                    }
-                });
-            }
+        let minimize = self.cfg.corpus_minimize;
+        par_shards(&mut self.shards, &ranges, |i, st| {
+            epoch::barrier_shard(st, prog, i, &fresh, minimize);
         });
 
-        self.epochs_done = epoch + 1;
-        self.emit_epoch(epoch, watch.ms());
+        self.emit_epoch(plan.epoch, watch.ms());
     }
 
     /// Streams the epoch's telemetry (metrics JSONL + heartbeat).
@@ -690,7 +591,7 @@ impl Campaign {
         CampaignReport {
             seed: self.cfg.seed,
             shards: self.cfg.shards,
-            epochs: self.epochs_done,
+            epochs: self.clock.epochs_done(),
             spec_models: self.cfg.models,
             iters,
             total_cost,
@@ -805,55 +706,36 @@ impl Campaign {
     /// Captures the whole campaign (config + every shard) into a
     /// snapshot bound to `bin` by fingerprint.
     pub fn snapshot(&self, bin: &Binary) -> CampaignSnapshot {
-        CampaignSnapshot {
-            config: self.cfg.clone(),
-            bin_fingerprint: snapshot::fingerprint(bin),
-            epochs_done: self.epochs_done,
-            decode_stats: self.decode_stats,
-            shard_states: self.shards.iter().map(|s| s.export_snapshot()).collect(),
-            prev_features: self.prev_features.clone(),
-        }
+        self.clock.snapshot(
+            &self.cfg,
+            snapshot::fingerprint(bin),
+            self.decode_stats,
+            self.shards.iter().map(|s| s.export_snapshot()).collect(),
+        )
     }
 }
 
-/// Adaptive shard budgets: shards whose coverage-feature count did not
-/// grow last epoch ("plateaued") give up half of the base budget; the
-/// pooled iterations are split evenly over the still-advancing shards
-/// (remainder to the lowest-indexed ones). The total budget is conserved
-/// and the result is a pure function of the two feature vectors, so
-/// every host computes the same split. All-plateaued (or all-advancing)
-/// epochs fall back to uniform budgets.
-pub fn adaptive_budgets(base: u64, prev: &[u64], now: &[u64]) -> Vec<u64> {
-    let n = now.len();
-    if prev.len() != n || n == 0 {
-        return vec![base; n];
-    }
-    let give = base / 2;
-    let plateaued: Vec<bool> = (0..n).map(|i| now[i] <= prev[i]).collect();
-    let stalled = plateaued.iter().filter(|&&p| p).count();
-    let active = n - stalled;
-    if stalled == 0 || active == 0 || give == 0 {
-        return vec![base; n];
-    }
-    let pool = give * stalled as u64;
-    let share = pool / active as u64;
-    let mut rem = pool % active as u64;
-    (0..n)
-        .map(|i| {
-            if plateaued[i] {
-                base - give
-            } else {
-                let extra = share
-                    + if rem > 0 {
-                        rem -= 1;
-                        1
-                    } else {
-                        0
-                    };
-                base + extra
-            }
-        })
-        .collect()
+/// Runs `f(shard index, state)` on every shard: one thread per range of
+/// `ranges`, each driving its contiguous chunk in order. The partition is
+/// an execution detail — shard states never interact within a phase.
+fn par_shards(
+    shards: &mut [CampaignState],
+    ranges: &[std::ops::Range<usize>],
+    f: impl Fn(usize, &mut CampaignState) + Sync,
+) {
+    let f = &f;
+    std::thread::scope(|scope| {
+        let mut rest = shards;
+        for r in ranges {
+            let (chunk, tail) = rest.split_at_mut(r.len());
+            rest = tail;
+            scope.spawn(move || {
+                for (k, st) in chunk.iter_mut().enumerate() {
+                    f(r.start + k, st);
+                }
+            });
+        }
+    });
 }
 
 /// Balanced contiguous partition of `shards` over `workers` threads:
@@ -943,27 +825,6 @@ mod tests {
             ..CampaignConfig::default()
         };
         assert_eq!(cfg.effective_workers(), 1);
-    }
-
-    #[test]
-    fn adaptive_budgets_conserve_and_rebalance() {
-        // No plateau: uniform.
-        assert_eq!(adaptive_budgets(100, &[1, 1], &[2, 2]), vec![100, 100]);
-        // All plateaued: uniform (nobody to give the pool to).
-        assert_eq!(adaptive_budgets(100, &[2, 2], &[2, 2]), vec![100, 100]);
-        // One of three plateaued: it gives half, split over the others.
-        let b = adaptive_budgets(100, &[5, 5, 5], &[5, 9, 9]);
-        assert_eq!(b, vec![50, 125, 125]);
-        assert_eq!(b.iter().sum::<u64>(), 300);
-        let b = adaptive_budgets(101, &[5, 5, 5], &[5, 9, 9]);
-        assert_eq!(b, vec![51, 126, 126]);
-        assert_eq!(b.iter().sum::<u64>(), 303);
-        // Uneven pool: the remainder lands on the lowest-indexed active.
-        let b = adaptive_budgets(10, &[1, 1, 1, 1], &[1, 5, 5, 5]);
-        assert_eq!(b.iter().sum::<u64>(), 40);
-        assert_eq!(b, vec![5, 12, 12, 11]);
-        // Missing history: uniform.
-        assert_eq!(adaptive_budgets(100, &[], &[1, 2]), vec![100, 100]);
     }
 
     #[test]

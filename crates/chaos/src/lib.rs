@@ -93,8 +93,8 @@ pub enum EpochFault {
     /// is a *hang*: the worker is declared dead mid-sleep, its shards
     /// re-leased, and its late deltas ignored.
     Stall(u64),
-    /// Drop the connection right after the epoch's first delta (the
-    /// `die_at_epoch` crash, now rejoinable).
+    /// Drop the connection right after the epoch's first delta; the
+    /// worker then rejoins the fleet.
     Crash,
 }
 

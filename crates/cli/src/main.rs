@@ -92,10 +92,13 @@ fn spec_models_from_args(args: &[String]) -> Result<teapot_vm::SpecModelSet, Str
 }
 
 fn parse_num<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
-    match opt(args, name) {
-        None => Ok(default),
-        Some(s) => s.parse().map_err(|_| format!("{name}: bad number `{s}`")),
-    }
+    Ok(opt_num(args, name)?.unwrap_or(default))
+}
+
+fn opt_num<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+    opt(args, name)
+        .map(|s| s.parse().map_err(|_| format!("{name}: bad number `{s}`")))
+        .transpose()
 }
 
 /// Builds a campaign configuration (and seed corpus) from the shared
@@ -603,11 +606,117 @@ fn stats_diff(old_path: &str, new_path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// `teapot campaign <bin.tof> --fleet N`: run the campaign over a
-/// spawn-local process fleet — a fabric coordinator in this process and
-/// N `teapot work` children on loopback TCP. Reports, triage and SARIF
-/// go through the exact same emission paths as a single-host campaign,
-/// and are byte-identical to them by the fabric's merge construction.
+/// A finished single-binary campaign, handed from its executor to the
+/// shared report tail ([`report_campaign`]).
+struct CampaignRun {
+    campaign: teapot_campaign::Campaign,
+    report: teapot_campaign::CampaignReport,
+    /// Wall time of the epochs run in this process.
+    secs: f64,
+    sink: Option<teapot_telemetry::MetricsSink>,
+    /// Executor-specific summary lines (decode cache, fleet statistics).
+    notes: Vec<String>,
+}
+
+/// Creates the `--metrics` stream, if asked for, opened with the
+/// campaign's `meta` event; `extend` appends executor-specific fields.
+fn open_metrics(
+    args: &[String],
+    target: &str,
+    cfg: &teapot_campaign::CampaignConfig,
+    workers: usize,
+    extend: impl FnOnce(teapot_telemetry::Event) -> teapot_telemetry::Event,
+) -> Result<Option<teapot_telemetry::MetricsSink>, String> {
+    let Some(path) = opt(args, "--metrics") else {
+        return Ok(None);
+    };
+    let mut sink = teapot_telemetry::MetricsSink::create(std::path::Path::new(path))
+        .map_err(|e| format!("create {path}: {e}"))?;
+    sink.emit(extend(
+        teapot_telemetry::Event::new("meta")
+            .num("schema", 1)
+            .str_field("binary", &file_label(target))
+            .num("seed", cfg.seed)
+            .num("shards", u64::from(cfg.shards))
+            .num("epochs", u64::from(cfg.epochs))
+            .num("iters_per_epoch", cfg.iters_per_epoch)
+            .str_field("models", &cfg.models.to_string())
+            .num("workers", workers as u64),
+    ));
+    Ok(Some(sink))
+}
+
+/// `teapot campaign <bin.tof>`: the campaign in this process, on
+/// `--workers` threads over one shared decode.
+fn run_single_host(
+    args: &[String],
+    target: &str,
+    bin: &teapot_obj::Binary,
+    cfg: teapot_campaign::CampaignConfig,
+    seeds: &[Vec<u8>],
+    resume: Option<&teapot_campaign::CampaignSnapshot>,
+) -> Result<CampaignRun, String> {
+    // One decode pass serves every shard on every worker thread.
+    let decode_watch = teapot_telemetry::Stopwatch::new();
+    let prog = teapot_vm::Program::shared(bin);
+    let decode_ms = decode_watch.ms();
+    let mut campaign = match resume {
+        Some(snap) => {
+            let mut c = teapot_campaign::Campaign::resume(snap, bin).map_err(|e| e.to_string())?;
+            c.set_workers(cfg.workers);
+            c
+        }
+        None => teapot_campaign::Campaign::new(cfg).map_err(|e| e.to_string())?,
+    };
+    let cs = prog.compile_stats();
+    let workers = campaign.config().effective_workers();
+    if let Some(mut sink) = open_metrics(args, target, campaign.config(), workers, |ev| {
+        ev.num("compiled_records", cs.records as u64)
+            .num("compiled_fused", (cs.fused_skips + cs.fused_checks) as u64)
+            .num("heuristic_sites", cs.sites as u64)
+    })? {
+        sink.emit(
+            teapot_telemetry::Event::new("span")
+                .str_field("name", "decode")
+                .num("wall_ms", decode_ms),
+        );
+        campaign.set_metrics(sink);
+        campaign.set_heartbeat(true);
+        campaign.set_block_profiling(true);
+    }
+    let started = std::time::Instant::now();
+    let report = campaign.run_shared(&prog, seeds);
+    let secs = started.elapsed().as_secs_f64();
+    let mut sink = campaign.take_metrics();
+    if let Some(s) = &mut sink {
+        emit_vm_metrics(s, &campaign.vm_counters());
+        emit_cost_hists(s, &campaign.cost_histograms());
+        if let Some(p) = campaign.merged_profile() {
+            emit_hot_blocks(s, &p, &prog, bin, 32);
+        }
+    }
+    let ds = prog.stats();
+    let decode_cache = teapot_telemetry::format_decode_cache(
+        ds.blocks as u64,
+        ds.insts as u64,
+        ds.bytes as u64,
+        ds.undecoded_bytes as u64,
+        cs.records as u64,
+        (cs.fused_skips + cs.fused_checks) as u64,
+        cs.sites as u64,
+    );
+    Ok(CampaignRun {
+        campaign,
+        report,
+        secs,
+        sink,
+        notes: vec![decode_cache],
+    })
+}
+
+/// `teapot campaign <bin.tof> --fleet N`: the campaign over a fabric
+/// coordinator in this process and N `teapot work` children on
+/// loopback TCP.
 fn run_fleet_campaign(
     args: &[String],
     target: &str,
@@ -615,46 +724,10 @@ fn run_fleet_campaign(
     cfg: teapot_campaign::CampaignConfig,
     seeds: &[Vec<u8>],
     fleet_n: usize,
-) -> Result<(), String> {
-    let total_watch = teapot_telemetry::Stopwatch::new();
-    let run_triage = !flag(args, "--no-triage");
-    let triage_opts = teapot_triage::TriageOptions::default();
-
-    // The snapshot's config defines a resumed campaign; only --epochs
-    // (extend) applies on top, exactly like single-host --resume.
-    let mut cfg = cfg;
-    let resume = match opt(args, "--resume") {
-        Some(snap_path) => {
-            let snap = teapot_campaign::CampaignSnapshot::load(std::path::Path::new(snap_path))
-                .map_err(|e| format!("{snap_path}: {e}"))?;
-            cfg = snap.config.clone();
-            if flag(args, "--epochs") {
-                cfg.epochs = parse_num(args, "--epochs", cfg.epochs)?;
-            }
-            println!("resumed from {snap_path} at epoch {}", snap.epochs_done);
-            Some(snap)
-        }
-        None => None,
-    };
-    let pre_iters: u64 = resume
-        .as_ref()
-        .map(|s| s.shard_states.iter().map(|st| st.iters).sum())
-        .unwrap_or(0);
-
-    // Fault injection for the fleet e2e suite: kill one worker process
-    // mid-epoch and let the coordinator re-lease its shards.
-    let kill: Option<(usize, String)> = match (
-        std::env::var("TEAPOT_FABRIC_KILL_WORKER"),
-        std::env::var("TEAPOT_FABRIC_KILL_EPOCH"),
-    ) {
-        (Ok(w), Ok(e)) => Some((
-            w.parse()
-                .map_err(|_| format!("TEAPOT_FABRIC_KILL_WORKER: bad number `{w}`"))?,
-            e,
-        )),
-        _ => None,
-    };
-
+    resume: Option<teapot_campaign::CampaignSnapshot>,
+) -> Result<CampaignRun, String> {
+    // A resumed campaign runs under the snapshot's configuration.
+    let run_cfg = resume.as_ref().map_or(&cfg, |snap| &snap.config);
     // Chaos soak mode: a seeded fault schedule derived from
     // --chaos-seed, or an explicit --chaos-schedule string (the same
     // DSL the seeded plan prints, for CI-pinned reruns).
@@ -667,7 +740,7 @@ fn run_fleet_campaign(
                 let seed: u64 = seed
                     .parse()
                     .map_err(|_| format!("--chaos-seed: bad number `{seed}`"))?;
-                let plan = teapot_chaos::FaultPlan::seeded(seed, fleet_n, cfg.epochs);
+                let plan = teapot_chaos::FaultPlan::seeded(seed, fleet_n, run_cfg.epochs);
                 println!("chaos seed {seed}: schedule {}", plan.to_schedule());
                 Some(plan)
             }
@@ -679,93 +752,28 @@ fn run_fleet_campaign(
             }
             (None, None) => None,
         };
-
-    let listener = std::net::TcpListener::bind(("127.0.0.1", 0))
-        .map_err(|e| format!("bind coordinator socket: {e}"))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| e.to_string())?
-        .to_string();
+    let opts = teapot_fabric::FleetOptions {
+        workers: fleet_n,
+        // --snapshot doubles as the per-epoch checkpoint target.
+        checkpoint: opt(args, "--snapshot").map(std::path::PathBuf::from),
+        metrics: open_metrics(args, target, run_cfg, fleet_n, |ev| ev)?,
+        lease_timeout_ms: opt_num(args, "--lease-timeout-ms")?,
+        resume,
+        chaos,
+    };
     let exe = std::env::current_exe().map_err(|e| format!("locate own executable: {e}"))?;
-    let chaos_schedule = chaos.as_ref().map(|p| p.to_schedule());
-    let mut children = Vec::with_capacity(fleet_n);
-    for w in 0..fleet_n {
-        let mut cmd = std::process::Command::new(&exe);
-        cmd.arg("work").arg(&addr);
-        if let Some((kw, ke)) = &kill {
-            if *kw == w {
-                cmd.env(teapot_fabric::DIE_AT_EPOCH_ENV, ke);
-            }
-        }
-        if let Some(schedule) = &chaos_schedule {
-            cmd.env(teapot_fabric::CHAOS_SCHEDULE_ENV, schedule);
-            cmd.env(teapot_fabric::CHAOS_WORKER_ENV, w.to_string());
-        }
-        children.push(cmd.spawn().map_err(|e| format!("spawn worker {w}: {e}"))?);
-    }
-
-    let mut coord_opts = teapot_fabric::CoordinatorOptions::new(fleet_n);
-    // --snapshot doubles as the per-epoch checkpoint target: the file
-    // after the last epoch IS the final campaign snapshot.
-    coord_opts.checkpoint = opt(args, "--snapshot").map(std::path::PathBuf::from);
-    if let Some(ms) = opt(args, "--lease-timeout-ms") {
-        coord_opts.lease_timeout_ms = ms
-            .parse()
-            .map_err(|_| format!("--lease-timeout-ms: bad number `{ms}`"))?;
-    }
-    if let Some(plan) = &chaos {
-        coord_opts.checkpoint_faults = plan.checkpoints.clone();
-    }
-    let mut coord =
-        teapot_fabric::Coordinator::new(listener, coord_opts).map_err(|e| e.to_string())?;
-    if let Some(path) = opt(args, "--metrics") {
-        let mut sink = teapot_telemetry::MetricsSink::create(std::path::Path::new(path))
-            .map_err(|e| format!("create {path}: {e}"))?;
-        sink.emit(
-            teapot_telemetry::Event::new("meta")
-                .num("schema", 1)
-                .str_field("binary", &file_label(target))
-                .num("seed", cfg.seed)
-                .num("shards", u64::from(cfg.shards))
-                .num("epochs", u64::from(cfg.epochs))
-                .num("iters_per_epoch", cfg.iters_per_epoch)
-                .str_field("models", &cfg.models.to_string())
-                .num("workers", fleet_n as u64),
-        );
-        coord.set_metrics(sink);
-    }
-
     let started = std::time::Instant::now();
-    let result = coord
-        .wait_for_workers()
-        .and_then(|()| coord.run_campaign_fleet(bin, seeds, &cfg, resume.as_ref()));
-    coord.shutdown();
-    for child in &mut children {
-        let _ = child.wait();
-    }
-    let campaign = result.map_err(|e| format!("fleet: {e}"))?;
+    let out = teapot_fabric::run_fleet(
+        bin,
+        seeds,
+        &cfg,
+        opts,
+        &teapot_fabric::WorkerLaunch::Processes(exe),
+    )
+    .map_err(|e| format!("fleet: {e}"))?;
     let secs = started.elapsed().as_secs_f64();
-    let stats = coord.stats().clone();
-    let mut sink = coord.take_metrics();
-
-    let report = campaign.report();
-    let ran_here = report.iters - pre_iters;
-    if let Some(s) = &mut sink {
-        s.emit(
-            teapot_telemetry::Event::new("span")
-                .str_field("name", "campaign")
-                .num("wall_ms", (secs * 1000.0) as u64),
-        );
-    }
-    if opt(args, "--snapshot").is_some() {
-        let path = opt(args, "--snapshot").expect("checked");
-        println!("wrote snapshot {path}");
-    }
-    println!(
-        "{} shards x {} epochs: {} iterations, corpus {}, {} crashes",
-        report.shards, report.epochs, report.iters, report.corpus_total, report.crashes
-    );
-    println!(
+    let stats = out.stats;
+    let mut notes = vec![format!(
         "fleet: {} worker(s), {} lease(s) ({} re-lease(s), {} death(s)), \
          {} delta(s) totalling {} bytes, merged in {} ms",
         fleet_n,
@@ -775,19 +783,69 @@ fn run_fleet_campaign(
         stats.deltas,
         stats.delta_bytes,
         stats.merge_ms
-    );
+    )];
     if stats.quarantined + stats.rejoins + stats.checkpoint_faults > 0 {
-        println!(
+        notes.push(format!(
             "chaos: {} quarantine(s), {} rejoin(s), {} checkpoint fault(s)",
             stats.quarantined, stats.rejoins, stats.checkpoint_faults
+        ));
+    }
+    Ok(CampaignRun {
+        report: out.campaign.report(),
+        campaign: out.campaign,
+        secs,
+        sink: out.metrics,
+        notes,
+    })
+}
+
+/// The tail every single-binary campaign shares, whatever ran it:
+/// snapshot, summary, JSON report, triage and the closing metrics.
+/// `pre_iters` counts the executions a resumed campaign had already
+/// done, so throughput covers only this process's work.
+fn report_campaign(
+    args: &[String],
+    target: &str,
+    bin: &teapot_obj::Binary,
+    run: CampaignRun,
+    pre_iters: u64,
+    total_watch: &teapot_telemetry::Stopwatch,
+) -> Result<(), String> {
+    let CampaignRun {
+        campaign,
+        report,
+        secs,
+        mut sink,
+        notes,
+    } = run;
+    let ran_here = report.iters - pre_iters;
+    if let Some(s) = &mut sink {
+        s.emit(
+            teapot_telemetry::Event::new("span")
+                .str_field("name", "campaign")
+                .num("wall_ms", (secs * 1000.0) as u64),
         );
     }
+    if let Some(snap_out) = opt(args, "--snapshot") {
+        campaign
+            .snapshot(bin)
+            .save(std::path::Path::new(snap_out))
+            .map_err(|e| format!("write {snap_out}: {e}"))?;
+        println!("wrote snapshot {snap_out}");
+    }
+    println!(
+        "{} shards x {} epochs: {} iterations, corpus {}, {} crashes",
+        report.shards, report.epochs, report.iters, report.corpus_total, report.crashes
+    );
     println!(
         "throughput: {:.0} execs/sec ({} execs in {:.2}s)",
         ran_here as f64 / secs.max(1e-9),
         ran_here,
         secs
     );
+    for note in &notes {
+        println!("{note}");
+    }
     println!(
         "coverage: {} normal features, {} speculative features",
         report.cov_normal_features, report.cov_spec_features
@@ -803,14 +861,14 @@ fn run_fleet_campaign(
         std::fs::write(out, report.to_json()).map_err(|e| format!("write {out}: {e}"))?;
         println!("wrote {out}");
     }
-    if run_triage {
+    if !flag(args, "--no-triage") {
         let triage_watch = teapot_telemetry::Stopwatch::new();
-        let (db, tstats, times) = teapot_triage::triage_report_timed(
+        let (db, stats, times) = teapot_triage::triage_report_timed(
             &file_label(target),
             bin,
             campaign.config(),
             &report,
-            &triage_opts,
+            &teapot_triage::TriageOptions::default(),
         );
         if let Some(s) = &mut sink {
             s.emit(
@@ -818,9 +876,9 @@ fn run_fleet_campaign(
                     .str_field("name", "triage")
                     .num("wall_ms", triage_watch.ms()),
             );
-            s.emit(triage_event(&db, &tstats, &times));
+            s.emit(triage_event(&db, &stats, &times));
         }
-        emit_triage(&db, &tstats, opt(args, "--triage"), opt(args, "--sarif"))?;
+        emit_triage(&db, &stats, opt(args, "--triage"), opt(args, "--sarif"))?;
     }
     if let Some(mut s) = sink {
         s.emit(
@@ -828,7 +886,11 @@ fn run_fleet_campaign(
                 .num("wall_ms", total_watch.ms())
                 .num("execs", ran_here)
                 .fnum("execs_per_sec", ran_here as f64 / secs.max(1e-9))
-                .num("unique_gadgets", report.unique_gadgets() as u64),
+                .num("unique_gadgets", report.unique_gadgets() as u64)
+                .opt_num(
+                    "time_to_first_gadget_execs",
+                    campaign.time_to_first_gadget_execs(),
+                ),
         );
         let path = s.path().display().to_string();
         s.finish().map_err(|e| format!("write {path}: {e}"))?;
@@ -999,15 +1061,12 @@ fn run(args: &[String]) -> Result<(), String> {
                 }
             }
             let (cfg, seeds) = campaign_config_from_args(args)?;
-            let triage_opts = teapot_triage::TriageOptions::default();
-            let run_triage = !flag(args, "--no-triage");
-            let metrics_path = opt(args, "--metrics");
 
             // Queue mode: a directory of .tof binaries.
             if std::path::Path::new(target).is_dir() {
-                if opt(args, "--resume").is_some()
-                    || opt(args, "--snapshot").is_some()
-                    || metrics_path.is_some()
+                if ["--resume", "--snapshot", "--metrics"]
+                    .iter()
+                    .any(|name| opt(args, name).is_some())
                 {
                     return Err("--resume/--snapshot/--metrics are only supported \
                          for single-binary campaigns"
@@ -1041,7 +1100,8 @@ fn run(args: &[String]) -> Result<(), String> {
                 // Triage runs automatically at the end of every
                 // campaign: replay + minimize each witness, collapse
                 // root causes across the whole queue.
-                if run_triage && !outcomes.is_empty() {
+                if !flag(args, "--no-triage") && !outcomes.is_empty() {
+                    let triage_opts = teapot_triage::TriageOptions::default();
                     let (db, stats) = teapot_triage::triage_queue(&outcomes, &cfg, &triage_opts);
                     emit_triage(&db, &stats, opt(args, "--triage"), opt(args, "--sarif"))?;
                 }
@@ -1050,20 +1110,9 @@ fn run(args: &[String]) -> Result<(), String> {
 
             // Single-binary mode, optionally resumed from a snapshot.
             let bin = load(target)?;
-
-            // Fleet mode: spawn N `teapot work` processes on loopback
-            // and run the campaign through the fabric coordinator. The
-            // report is byte-identical to --workers 1 by construction.
-            if let Some(fleet_n) = fleet_from_args(args)? {
-                return run_fleet_campaign(args, target, &bin, cfg, &seeds, fleet_n);
-            }
-
             let total_watch = teapot_telemetry::Stopwatch::new();
-            // One decode pass serves every shard on every worker thread.
-            let decode_watch = teapot_telemetry::Stopwatch::new();
-            let prog = teapot_vm::Program::shared(&bin);
-            let decode_ms = decode_watch.ms();
-            let mut campaign = match opt(args, "--resume") {
+            let snap_path = opt(args, "--resume");
+            let resume = match snap_path {
                 Some(snap_path) => {
                     // The snapshot's config defines the campaign; only
                     // --workers (execution detail) and --epochs (extend)
@@ -1083,154 +1132,39 @@ fn run(args: &[String]) -> Result<(), String> {
                             );
                         }
                     }
-                    let snap =
+                    let mut snap =
                         teapot_campaign::CampaignSnapshot::load(std::path::Path::new(snap_path))
                             .map_err(|e| format!("{snap_path}: {e}"))?;
-                    let mut c = teapot_campaign::Campaign::resume(&snap, &bin)
+                    // The one resume check, before any executor starts.
+                    teapot_campaign::EpochClock::resume(&snap, &bin)
                         .map_err(|e| resume_error(snap_path, target, e))?;
-                    c.set_workers(cfg.workers);
-                    // Extend only on an explicit --epochs: the default
-                    // must not silently grow a finished campaign, or a
-                    // plain resume would no longer match the
-                    // uninterrupted run.
+                    // Extend only on an explicit --epochs, and never
+                    // below the snapshot's plan: the default must not
+                    // silently grow a finished campaign, or a plain
+                    // resume would no longer match the uninterrupted run.
                     if flag(args, "--epochs") {
-                        c.extend_epochs(cfg.epochs);
+                        snap.config.epochs = snap.config.epochs.max(cfg.epochs);
                     }
-                    println!("resumed from {snap_path} at epoch {}", c.epochs_done());
-                    c
+                    println!("resumed from {snap_path} at epoch {}", snap.epochs_done);
+                    Some(snap)
                 }
-                None => teapot_campaign::Campaign::new(cfg).map_err(|e| e.to_string())?,
+                None => None,
             };
-            if let Some(path) = metrics_path {
-                let mut sink = teapot_telemetry::MetricsSink::create(std::path::Path::new(path))
-                    .map_err(|e| format!("create {path}: {e}"))?;
-                let c = campaign.config();
-                let cs = prog.compile_stats();
-                sink.emit(
-                    teapot_telemetry::Event::new("meta")
-                        .num("schema", 1)
-                        .str_field("binary", &file_label(target))
-                        .num("seed", c.seed)
-                        .num("shards", u64::from(c.shards))
-                        .num("epochs", u64::from(c.epochs))
-                        .num("iters_per_epoch", c.iters_per_epoch)
-                        .str_field("models", &c.models.to_string())
-                        .num("workers", c.effective_workers() as u64)
-                        .num("compiled_records", cs.records as u64)
-                        .num("compiled_fused", (cs.fused_skips + cs.fused_checks) as u64)
-                        .num("heuristic_sites", cs.sites as u64),
-                );
-                sink.emit(
-                    teapot_telemetry::Event::new("span")
-                        .str_field("name", "decode")
-                        .num("wall_ms", decode_ms),
-                );
-                campaign.set_metrics(sink);
-                campaign.set_heartbeat(true);
-                campaign.set_block_profiling(true);
-            }
             // Throughput must count only the work done in this process:
             // a resumed campaign's report includes pre-resume iterations.
-            let pre_iters = campaign.report().iters;
-            let started = std::time::Instant::now();
-            let report = campaign.run_shared(&prog, &seeds);
-            let secs = started.elapsed().as_secs_f64();
-            let ran_here = report.iters - pre_iters;
-            let mut sink = campaign.take_metrics();
-            if let Some(s) = &mut sink {
-                s.emit(
-                    teapot_telemetry::Event::new("span")
-                        .str_field("name", "campaign")
-                        .num("wall_ms", (secs * 1000.0) as u64),
-                );
-                emit_vm_metrics(s, &campaign.vm_counters());
-                emit_cost_hists(s, &campaign.cost_histograms());
-                if let Some(p) = campaign.merged_profile() {
-                    emit_hot_blocks(s, &p, &prog, &bin, 32);
+            let pre_iters = resume.as_ref().map_or(0, |snap| {
+                snap.shard_states.iter().map(|st| st.iters).sum::<u64>()
+            });
+            // Fleet mode: spawn N `teapot work` processes on loopback
+            // and run the campaign through the fabric coordinator. The
+            // report is byte-identical to --workers 1 by construction.
+            let run = match fleet_from_args(args)? {
+                Some(fleet_n) => {
+                    run_fleet_campaign(args, target, &bin, cfg, &seeds, fleet_n, resume)?
                 }
-            }
-            if let Some(snap_out) = opt(args, "--snapshot") {
-                campaign
-                    .snapshot(&bin)
-                    .save(std::path::Path::new(snap_out))
-                    .map_err(|e| format!("write {snap_out}: {e}"))?;
-                println!("wrote snapshot {snap_out}");
-            }
-            println!(
-                "{} shards x {} epochs: {} iterations, corpus {}, {} crashes",
-                report.shards, report.epochs, report.iters, report.corpus_total, report.crashes
-            );
-            println!(
-                "throughput: {:.0} execs/sec ({} execs in {:.2}s)",
-                ran_here as f64 / secs.max(1e-9),
-                ran_here,
-                secs
-            );
-            let ds = prog.stats();
-            let cs = prog.compile_stats();
-            println!(
-                "{}",
-                teapot_telemetry::format_decode_cache(
-                    ds.blocks as u64,
-                    ds.insts as u64,
-                    ds.bytes as u64,
-                    ds.undecoded_bytes as u64,
-                    cs.records as u64,
-                    (cs.fused_skips + cs.fused_checks) as u64,
-                    cs.sites as u64,
-                )
-            );
-            println!(
-                "coverage: {} normal features, {} speculative features",
-                report.cov_normal_features, report.cov_spec_features
-            );
-            println!("unique gadgets: {}", report.unique_gadgets());
-            for (bucket, n) in &report.buckets {
-                println!("  {bucket}: {n}");
-            }
-            for g in report.gadgets.iter().take(20) {
-                println!("GADGET {g}");
-            }
-            if let Some(out) = opt(args, "--json") {
-                std::fs::write(out, report.to_json()).map_err(|e| format!("write {out}: {e}"))?;
-                println!("wrote {out}");
-            }
-            if run_triage {
-                let triage_watch = teapot_telemetry::Stopwatch::new();
-                let (db, stats, times) = teapot_triage::triage_report_timed(
-                    &file_label(target),
-                    &bin,
-                    campaign.config(),
-                    &report,
-                    &triage_opts,
-                );
-                if let Some(s) = &mut sink {
-                    s.emit(
-                        teapot_telemetry::Event::new("span")
-                            .str_field("name", "triage")
-                            .num("wall_ms", triage_watch.ms()),
-                    );
-                    s.emit(triage_event(&db, &stats, &times));
-                }
-                emit_triage(&db, &stats, opt(args, "--triage"), opt(args, "--sarif"))?;
-            }
-            if let Some(mut s) = sink {
-                s.emit(
-                    teapot_telemetry::Event::new("summary")
-                        .num("wall_ms", total_watch.ms())
-                        .num("execs", ran_here)
-                        .fnum("execs_per_sec", ran_here as f64 / secs.max(1e-9))
-                        .num("unique_gadgets", report.unique_gadgets() as u64)
-                        .opt_num(
-                            "time_to_first_gadget_execs",
-                            campaign.time_to_first_gadget_execs(),
-                        ),
-                );
-                let path = s.path().display().to_string();
-                s.finish().map_err(|e| format!("write {path}: {e}"))?;
-                println!("wrote metrics {path}");
-            }
-            Ok(())
+                None => run_single_host(args, target, &bin, cfg, &seeds, resume.as_ref())?,
+            };
+            report_campaign(args, target, &bin, run, pre_iters, &total_watch)
         }
         "serve" => {
             let dir = args
@@ -1266,10 +1200,8 @@ fn run(args: &[String]) -> Result<(), String> {
                  (`teapot work {addr}`)"
             );
             let mut serve_opts = teapot_fabric::CoordinatorOptions::new(expect);
-            if let Some(ms) = opt(args, "--lease-timeout-ms") {
-                serve_opts.lease_timeout_ms = ms
-                    .parse()
-                    .map_err(|_| format!("--lease-timeout-ms: bad number `{ms}`"))?;
+            if let Some(ms) = opt_num(args, "--lease-timeout-ms")? {
+                serve_opts.lease_timeout_ms = ms;
             }
             let mut coord =
                 teapot_fabric::Coordinator::new(listener, serve_opts).map_err(|e| e.to_string())?;
@@ -1310,9 +1242,6 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         "work" => {
             let addr = args.get(1).ok_or("usage: work <host:port>")?;
-            let die_at_epoch = std::env::var(teapot_fabric::DIE_AT_EPOCH_ENV)
-                .ok()
-                .and_then(|s| s.parse().ok());
             // The coordinator may still be binding (or restarting):
             // retries with bounded backoff are built into
             // run_worker_tcp, as is the mid-campaign rejoin path.
@@ -1335,7 +1264,6 @@ fn run(args: &[String]) -> Result<(), String> {
             };
             let wopts = teapot_fabric::WorkerOptions {
                 name: format!("worker-{}", std::process::id()),
-                die_at_epoch,
                 chaos,
             };
             teapot_fabric::run_worker_tcp(addr, &wopts, &teapot_fabric::RetryPolicy::default())

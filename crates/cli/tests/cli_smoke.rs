@@ -309,16 +309,26 @@ fn tcs_fingerprint_mismatch_names_both_fingerprints() {
     assert_eq!(fps.len(), 2, "{text}");
     assert_ne!(fps[0], fps[1], "{text}");
 
-    // `campaign --resume` against the wrong binary reports the same way.
-    let (ok, text) = run_cli(&[
-        "campaign",
-        b.to_str().unwrap(),
-        "--resume",
-        snap.to_str().unwrap(),
-    ]);
-    assert!(!ok);
-    assert!(text.contains("snapshot fingerprint 0x"), "{text}");
-    assert!(text.contains("binary fingerprint 0x"), "{text}");
+    // `campaign --resume` against the wrong binary reports the same way,
+    // in process and on a fleet.
+    for fleet in [&[][..], &["--fleet", "2"][..]] {
+        let mut args = vec![
+            "campaign",
+            b.to_str().unwrap(),
+            "--resume",
+            snap.to_str().unwrap(),
+        ];
+        args.extend_from_slice(fleet);
+        let (ok, text) = run_cli(&args);
+        assert!(!ok, "{fleet:?}: {text}");
+        assert!(
+            text.contains("snapshot fingerprint 0x"),
+            "{fleet:?}: {text}"
+        );
+        assert!(text.contains("binary fingerprint 0x"), "{fleet:?}: {text}");
+        assert!(text.contains("a.tcs"), "{fleet:?}: {text}");
+        assert!(text.contains("jsmn_inst.tof"), "{fleet:?}: {text}");
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }

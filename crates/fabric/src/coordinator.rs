@@ -15,16 +15,16 @@
 //!
 //! The coordinator never runs the VM. It holds the campaign's *boundary
 //! state* — every shard's [`StateSnapshot`] as of the last completed
-//! epoch — plus the adaptive-budget feature counts, and advances it
-//! only by applying worker deltas in shard-index order. Because shard
-//! budgets, seed decisions and barrier fresh-lists are all pure
-//! functions of that boundary (the same functions
-//! [`Campaign::run_epoch_shared`] computes from its live states), and
-//! because a [`ShardDelta`] is a pure function of (boundary shard
-//! state, epoch), the boundary after every epoch is byte-identical to a
-//! single-host campaign's — for any fleet size, any delta arrival
-//! order, and any worker deaths (a re-leased shard re-runs the same
-//! deterministic work from the same boundary state).
+//! epoch — plus the [epoch engine](teapot_campaign::epoch)'s
+//! [`EpochClock`], and advances the boundary only by applying worker
+//! deltas in shard-index order. Budgets and seed decisions come from
+//! [`EpochClock::plan`], the call [`Campaign::run_epoch_shared`] makes;
+//! workers run the engine's per-shard steps; and a [`ShardDelta`] is a
+//! pure function of (boundary shard state, epoch). So the boundary after
+//! every epoch is byte-identical to a single-host campaign's — for any
+//! fleet size, any delta arrival order, and any worker deaths (a
+//! re-leased shard re-runs the same deterministic work from the same
+//! boundary state).
 //!
 //! [`Campaign::run_epoch_shared`]: teapot_campaign::Campaign::run_epoch_shared
 
@@ -33,10 +33,13 @@ use crate::{FabricError, FabricStats};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
+use teapot_campaign::epoch::boundary_features;
 use teapot_campaign::snapshot::fingerprint;
-use teapot_campaign::{adaptive_budgets, partition, Campaign, CampaignConfig, CampaignSnapshot};
+use teapot_campaign::{
+    partition, Campaign, CampaignConfig, CampaignSnapshot, EpochClock, EpochPlan,
+};
 use teapot_chaos::CheckpointFault;
 use teapot_fuzz::StateSnapshot;
 use teapot_obj::Binary;
@@ -372,6 +375,11 @@ impl Coordinator {
     /// finished [`Campaign`] (resumed from the final boundary snapshot,
     /// so its report is byte-identical to `--workers 1` by
     /// construction).
+    ///
+    /// With `resume`, the campaign continues from that boundary snapshot
+    /// under the snapshot's own configuration, exactly as
+    /// [`Campaign::resume`] would (raise `snap.config.epochs` to extend
+    /// it); `cfg` describes fresh campaigns only.
     pub fn run_campaign_fleet(
         &mut self,
         bin: &Binary,
@@ -379,76 +387,49 @@ impl Coordinator {
         cfg: &CampaignConfig,
         resume: Option<&CampaignSnapshot>,
     ) -> Result<Campaign, FabricError> {
-        cfg.validate().map_err(FabricError::Campaign)?;
+        let (cfg, mut clock, mut boundary) = match resume {
+            Some(snap) => {
+                let clock = EpochClock::resume(snap, bin)?;
+                self.decode_stats = snap.decode_stats;
+                (&snap.config, clock, snap.shard_states.clone())
+            }
+            None => {
+                cfg.validate()?;
+                let empty = vec![StateSnapshot::empty(); cfg.shards as usize];
+                (cfg, EpochClock::default(), empty)
+            }
+        };
         let fp = fingerprint(bin);
         let tof = bin.to_bytes();
-        let n = cfg.shards as usize;
-
-        let (mut boundary, mut epochs_done, mut prev_features) = match resume {
-            Some(snap) => {
-                if snap.bin_fingerprint != fp {
-                    return Err(FabricError::Protocol(
-                        "resume snapshot is for a different binary",
-                    ));
-                }
-                if snap.shard_states.len() != n {
-                    return Err(FabricError::Protocol(
-                        "resume snapshot shard count mismatch",
-                    ));
-                }
-                (
-                    snap.shard_states.clone(),
-                    snap.epochs_done,
-                    snap.prev_features.clone(),
-                )
-            }
-            None => (vec![StateSnapshot::empty(); n], 0, Vec::new()),
-        };
-        if let Some(snap) = resume {
-            self.decode_stats = snap.decode_stats;
-        }
-        let mut seeded = epochs_done > 0 || boundary.iter().any(|s| !s.corpus.is_empty());
+        let n = boundary.len();
         for c in self.conns.iter_mut() {
             c.shards.clear();
         }
         let mut leased = false;
 
-        while epochs_done < cfg.epochs {
-            let epoch = epochs_done;
-            // Budgets and the seed decision are computed from the merged
-            // boundary exactly as run_epoch_shared computes them from
-            // its live shard states.
-            let curr: Vec<u64> = boundary.iter().map(feature_count).collect();
-            let budgets: Vec<u64> = if cfg.adaptive_budgets && prev_features.len() == n {
-                adaptive_budgets(cfg.iters_per_epoch, &prev_features, &curr)
-            } else {
-                vec![cfg.iters_per_epoch; n]
-            };
-            prev_features = curr;
-            let seed_first = !seeded;
-            seeded = true;
-
-            if !leased {
-                self.lease_initial(&boundary, epoch, seed_first, &budgets, cfg, &tof, fp, seeds)?;
-                leased = true;
-            } else {
-                self.broadcast(&Frame::Proceed {
-                    epoch,
-                    budgets: budgets.clone(),
-                });
-            }
-
-            // Phase 0: fuzzing deltas, one per shard.
+        while clock.epochs_done() < cfg.epochs {
+            let plan = clock.plan(cfg, boundary.iter().map(boundary_features).collect());
+            let epoch = plan.epoch;
             let ctx = EpochCtx {
                 cfg,
                 tof: &tof,
                 fp,
                 seeds,
-                epoch,
-                seed_first,
-                budgets: &budgets,
+                plan: &plan,
+                boundary: &boundary,
             };
-            let phase0 = self.collect_phase(&ctx, 0, &boundary, None, None)?;
+            if !leased {
+                self.lease_initial(&ctx)?;
+                leased = true;
+            } else {
+                self.broadcast(&Frame::Proceed {
+                    epoch,
+                    budgets: plan.budgets.clone(),
+                });
+            }
+
+            // Phase 0: fuzzing deltas, one per shard.
+            let phase0 = self.collect_phase(&ctx, 0, None, None)?;
 
             // Barrier: fresh-input lists in shard-index order, computed
             // from the phase-0 deltas (== each shard's fresh_inputs()).
@@ -462,7 +443,7 @@ impl Coordinator {
             self.broadcast(&barrier);
 
             // Phase 1: import/minimize deltas, one per shard.
-            let phase1 = self.collect_phase(&ctx, 1, &boundary, Some(&phase0), Some(&barrier))?;
+            let phase1 = self.collect_phase(&ctx, 1, Some(&phase0), Some(&barrier))?;
 
             // Merge in shard-index order.
             let watch = Stopwatch::new();
@@ -479,7 +460,6 @@ impl Coordinator {
             self.stats.delta_bytes += epoch_bytes;
             self.stats.deltas += 2 * n as u64;
             self.stats.epochs += 1;
-            epochs_done = epoch + 1;
             self.emit(
                 Event::new("fabric")
                     .str_field("op", "merge")
@@ -490,89 +470,56 @@ impl Coordinator {
             );
 
             if let Some(path) = self.opts.checkpoint.clone() {
-                let snap = self.snapshot_boundary(cfg, fp, epochs_done, &boundary, &prev_features);
-                match self.opts.checkpoint_faults.get(&epochs_done).copied() {
-                    Some(fault) => {
-                        // Injected checkpoint crash: a failed write
-                        // leaves nothing, a torn write leaves a partial
-                        // temp file that is never renamed into place —
-                        // either way the previous epoch's checkpoint
-                        // survives under the real name and the campaign
-                        // carries on.
-                        let bytes = snap.to_bytes();
-                        let keep = match fault {
-                            CheckpointFault::Fail => 0,
-                            CheckpointFault::Short => bytes.len() / 2,
-                        };
-                        if keep > 0 {
-                            let mut tmp = path.clone().into_os_string();
-                            tmp.push(".tmp");
-                            std::fs::write(tmp, &bytes[..keep])?;
-                        }
-                        self.stats.checkpoint_faults += 1;
-                        self.emit(
-                            Event::new("fabric")
-                                .str_field("op", "checkpoint_fault")
-                                .str_field(
-                                    "kind",
-                                    match fault {
-                                        CheckpointFault::Fail => "fail",
-                                        CheckpointFault::Short => "short",
-                                    },
-                                )
-                                .num("epoch", epochs_done as u64),
-                        );
-                    }
-                    None => {
-                        snap.save(&path)?;
-                        self.emit(
-                            Event::new("fabric")
-                                .str_field("op", "checkpoint")
-                                .num("epoch", epochs_done as u64),
-                        );
-                    }
-                }
+                let snap = clock.snapshot(cfg, fp, self.decode_stats, boundary.clone());
+                self.checkpoint(&path, &snap)?;
             }
         }
 
         self.broadcast(&Frame::Complete);
         self.drain_writes();
-        let snap = self.snapshot_boundary(cfg, fp, epochs_done, &boundary, &prev_features);
-        Campaign::resume(&snap, bin).map_err(FabricError::Campaign)
+        let snap = clock.snapshot(cfg, fp, self.decode_stats, boundary);
+        Ok(Campaign::resume(&snap, bin)?)
     }
 
-    fn snapshot_boundary(
-        &self,
-        cfg: &CampaignConfig,
-        fp: u64,
-        epochs_done: u32,
-        boundary: &[StateSnapshot],
-        prev_features: &[u64],
-    ) -> CampaignSnapshot {
-        CampaignSnapshot {
-            config: cfg.clone(),
-            bin_fingerprint: fp,
-            epochs_done,
-            decode_stats: self.decode_stats,
-            shard_states: boundary.to_vec(),
-            prev_features: prev_features.to_vec(),
+    /// Writes the epoch-boundary checkpoint, unless the chaos schedule
+    /// injects a crash into this write: a failed write leaves nothing, a
+    /// torn one leaves a partial temp file that is never renamed into
+    /// place. Either way the previous epoch's checkpoint survives under
+    /// the real name and the campaign carries on.
+    fn checkpoint(&mut self, path: &Path, snap: &CampaignSnapshot) -> Result<(), FabricError> {
+        let epoch = snap.epochs_done as u64;
+        let Some(fault) = self.opts.checkpoint_faults.get(&snap.epochs_done).copied() else {
+            snap.save(path)?;
+            self.emit(
+                Event::new("fabric")
+                    .str_field("op", "checkpoint")
+                    .num("epoch", epoch),
+            );
+            return Ok(());
+        };
+        let bytes = snap.to_bytes();
+        let (keep, kind) = match fault {
+            CheckpointFault::Fail => (0, "fail"),
+            CheckpointFault::Short => (bytes.len() / 2, "short"),
+        };
+        if keep > 0 {
+            let mut tmp = path.as_os_str().to_os_string();
+            tmp.push(".tmp");
+            std::fs::write(tmp, &bytes[..keep])?;
         }
+        self.stats.checkpoint_faults += 1;
+        self.emit(
+            Event::new("fabric")
+                .str_field("op", "checkpoint_fault")
+                .str_field("kind", kind)
+                .num("epoch", epoch),
+        );
+        Ok(())
     }
 
     /// Partitions the shards over the assembled fleet and sends the
     /// initial phase-0 leases.
-    #[allow(clippy::too_many_arguments)]
-    fn lease_initial(
-        &mut self,
-        boundary: &[StateSnapshot],
-        epoch: u32,
-        seed_first: bool,
-        budgets: &[u64],
-        cfg: &CampaignConfig,
-        tof: &[u8],
-        fp: u64,
-        seeds: &[Vec<u8>],
-    ) -> Result<(), FabricError> {
+    fn lease_initial(&mut self, ctx: &EpochCtx<'_>) -> Result<(), FabricError> {
         let workers: Vec<usize> = self
             .conns
             .iter()
@@ -583,56 +530,49 @@ impl Coordinator {
         if workers.is_empty() {
             return Err(FabricError::FleetAssembly(0, self.opts.expect_workers));
         }
-        let ranges = partition(boundary.len(), workers.len());
+        let ranges = partition(ctx.boundary.len(), workers.len());
         for (w, range) in workers.iter().zip(&ranges) {
             let shards: Vec<u32> = range.clone().map(|i| i as u32).collect();
-            self.send_lease(
-                *w, &shards, boundary, None, epoch, 0, seed_first, budgets, cfg, tof, fp, seeds,
-            );
+            self.send_lease(ctx, *w, &shards, None, 0);
         }
         Ok(())
     }
 
     /// Builds and queues a lease for `shards` on worker `w`. For phase
-    /// 1 the shipped states are boundary + this epoch's phase-0 delta.
-    #[allow(clippy::too_many_arguments)]
+    /// 1 the shipped states are boundary + this epoch's phase-0 delta
+    /// (`phase0`, passed only for phase 1).
     fn send_lease(
         &mut self,
+        ctx: &EpochCtx<'_>,
         w: usize,
         shards: &[u32],
-        boundary: &[StateSnapshot],
         phase0: Option<&BTreeMap<u32, ShardDelta>>,
-        epoch: u32,
         phase: u8,
-        seed_first: bool,
-        budgets: &[u64],
-        cfg: &CampaignConfig,
-        tof: &[u8],
-        fp: u64,
-        seeds: &[Vec<u8>],
     ) {
+        let plan = ctx.plan;
         let leased: Vec<LeasedShard> = shards
             .iter()
             .map(|&i| {
-                let mut state = boundary[i as usize].clone();
+                let mut state = ctx.boundary[i as usize].clone();
                 if let Some(p0) = phase0 {
                     state.apply_delta(&p0[&i]);
                 }
                 LeasedShard {
                     shard: i,
-                    budget: budgets[i as usize],
+                    budget: plan.budgets[i as usize],
                     state,
                 }
             })
             .collect();
         let frame = Frame::Lease(Lease {
-            fingerprint: fp,
-            start_epoch: epoch,
+            fingerprint: ctx.fp,
+            start_epoch: plan.epoch,
             phase,
-            seed_first,
-            config: cfg.clone(),
-            binary: tof.to_vec(),
-            seeds: seeds.to_vec(),
+            // Seeding belongs to fuzzing; a phase-1 lease never seeds.
+            seed_first: phase == 0 && plan.seed_first,
+            config: ctx.cfg.clone(),
+            binary: ctx.tof.to_vec(),
+            seeds: ctx.seeds.to_vec(),
             shards: leased,
         });
         let bytes = encode_frame(&frame);
@@ -642,7 +582,7 @@ impl Coordinator {
                 .str_field("op", "lease")
                 .num("worker", w as u64)
                 .num("shards", shards.len() as u64)
-                .num("epoch", epoch as u64)
+                .num("epoch", plan.epoch as u64)
                 .num("phase", phase as u64)
                 .num("bytes", bytes.len() as u64),
         );
@@ -663,11 +603,10 @@ impl Coordinator {
         &mut self,
         ctx: &EpochCtx<'_>,
         phase: u8,
-        boundary: &[StateSnapshot],
         phase0: Option<&BTreeMap<u32, ShardDelta>>,
         barrier: Option<&Frame>,
     ) -> Result<BTreeMap<u32, ShardDelta>, FabricError> {
-        let n = boundary.len();
+        let n = ctx.boundary.len();
         let mut got: BTreeMap<u32, ShardDelta> = BTreeMap::new();
         let mut starved_since: Option<Instant> = None;
         while got.len() < n {
@@ -678,7 +617,10 @@ impl Coordinator {
                     Frame::Hello { .. } => {}
                     Frame::Decode(d) => self.decode_stats = d,
                     Frame::Delta(d) => {
-                        if d.epoch == ctx.epoch && d.phase == phase && !got.contains_key(&d.shard) {
+                        if d.epoch == ctx.plan.epoch
+                            && d.phase == phase
+                            && !got.contains_key(&d.shard)
+                        {
                             got.insert(d.shard, d);
                         }
                     }
@@ -728,26 +670,13 @@ impl Coordinator {
                         Event::new("fabric")
                             .str_field("op", "worker_dead")
                             .str_field("worker", &name)
-                            .num("epoch", ctx.epoch as u64),
+                            .num("epoch", ctx.plan.epoch as u64),
                     );
                 }
                 match self.relend_target() {
                     Some(w) => {
                         self.stats.releases += 1;
-                        self.send_lease(
-                            w,
-                            &orphaned,
-                            boundary,
-                            if phase == 1 { phase0 } else { None },
-                            ctx.epoch,
-                            phase,
-                            if phase == 0 { ctx.seed_first } else { false },
-                            ctx.budgets,
-                            ctx.cfg,
-                            ctx.tof,
-                            ctx.fp,
-                            ctx.seeds,
-                        );
+                        self.send_lease(ctx, w, &orphaned, phase0, phase);
                         // A phase-1 re-lease needs this epoch's barrier
                         // re-sent; the new shards are the only ones on
                         // that worker still flagged for imports.
@@ -780,24 +709,15 @@ impl Coordinator {
     }
 }
 
-/// Per-epoch context threaded into [`Coordinator::collect_phase`] for
-/// re-leasing.
+/// What a lease of this epoch carries: the campaign, its plan, and the
+/// boundary states shards are leased from.
 struct EpochCtx<'a> {
     cfg: &'a CampaignConfig,
     tof: &'a [u8],
     fp: u64,
     seeds: &'a [Vec<u8>],
-    epoch: u32,
-    seed_first: bool,
-    budgets: &'a [u64],
-}
-
-/// Coverage-feature count of a boundary shard state — the adaptive
-/// budget input, equal to `cov_normal().count_nonzero() +
-/// cov_spec().count_nonzero()` on the live state.
-fn feature_count(s: &StateSnapshot) -> u64 {
-    let nz = |m: &[u8]| m.iter().filter(|&&b| b != 0).count() as u64;
-    nz(&s.cov_normal) + nz(&s.cov_spec)
+    plan: &'a EpochPlan,
+    boundary: &'a [StateSnapshot],
 }
 
 /// What `fresh_inputs()` returns on the live shard after phase 0: the

@@ -10,14 +10,19 @@
 //!   state (every shard's snapshot at the last epoch barrier) and a
 //!   non-blocking poll loop over worker sockets. It leases contiguous
 //!   shard ranges ([`teapot_campaign::partition`]) to workers, collects
-//!   per-shard [`ShardDelta`]s, computes the barrier fresh-lists and
-//!   next-epoch budgets from the merged boundary, and checkpoints the
+//!   per-shard [`ShardDelta`]s, computes the barrier fresh-lists from
+//!   them, plans each epoch with the
+//!   [epoch engine](teapot_campaign::epoch)'s clock, and checkpoints the
 //!   boundary to a `.tcs` file every epoch.
 //! * **Workers** ([`worker::run_worker`]) drive real
-//!   [`CampaignState`](teapot_fuzz::CampaignState)s through exactly the
-//!   single-host per-shard sequence and ship only *deltas* — new corpus
-//!   entries, sparse coverage updates, first-seen gadgets and witnesses
-//!   — per epoch phase, not full snapshots.
+//!   [`CampaignState`](teapot_fuzz::CampaignState)s through the epoch
+//!   engine's per-shard steps — the ones a single-host epoch runs — and
+//!   ship only *deltas* — new corpus entries, sparse coverage updates,
+//!   first-seen gadgets and witnesses — per epoch phase, not full
+//!   snapshots.
+//! * **Launch** ([`run_fleet`]): one coordinator on loopback plus N
+//!   workers, started as threads in this process or as `teapot work`
+//!   child processes ([`WorkerLaunch`]).
 //! * **Fault tolerance**: a worker death (EOF or lease timeout) re-leases
 //!   its outstanding shards from the boundary to a surviving worker.
 //!   Re-run work produces byte-identical deltas (pure functions of the
@@ -25,7 +30,7 @@
 //!
 //! The invariant the e2e suite pins: `teapot campaign --fleet N` — and
 //! a coordinator with N remote `teapot work` processes, with or without
-//! mid-epoch worker kills — produces campaign JSON, triage JSONL,
+//! injected faults — produces campaign JSON, triage JSONL,
 //! ranked text and SARIF byte-identical to `--workers 1`, for every
 //! speculation-model set.
 //!
@@ -39,13 +44,14 @@ pub use coordinator::{Coordinator, CoordinatorOptions};
 pub use wire::{Frame, Lease, LeasedShard, WireError};
 pub use worker::{
     run_worker, run_worker_tcp, RetryPolicy, WorkerOptions, CHAOS_SCHEDULE_ENV, CHAOS_WORKER_ENV,
-    DIE_AT_EPOCH_ENV,
 };
 
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use teapot_campaign::queue::{prepare_binary, scan_queue};
-use teapot_campaign::{Campaign, CampaignConfig, CampaignError, CampaignReport, CampaignSnapshot};
+use teapot_campaign::{
+    Campaign, CampaignConfig, CampaignError, CampaignReport, CampaignSnapshot, EpochClock,
+};
 use teapot_fuzz::ConfigError;
 use teapot_obj::Binary;
 use teapot_telemetry::MetricsSink;
@@ -131,7 +137,7 @@ pub struct FabricStats {
     pub checkpoint_faults: u64,
 }
 
-/// Options for [`run_fleet_threads`].
+/// Options for [`run_fleet`] and [`run_fleet_threads`].
 #[derive(Default)]
 pub struct FleetOptions {
     /// Fleet size (worker threads/processes to wait for).
@@ -140,10 +146,8 @@ pub struct FleetOptions {
     pub checkpoint: Option<PathBuf>,
     /// Metrics JSONL sink for `fabric` events.
     pub metrics: Option<MetricsSink>,
-    /// Fault injection: kill worker `(ordinal, at_epoch)` right after
-    /// its first phase-0 delta of that epoch (thread fleets only).
-    pub kill_worker: Option<(usize, u32)>,
-    /// Resume the campaign from this boundary snapshot.
+    /// Resume the campaign from this boundary snapshot (under its own
+    /// configuration; see [`Coordinator::run_campaign_fleet`]).
     pub resume: Option<CampaignSnapshot>,
     /// Seeded fault schedule: per-worker stream/crash/stall faults plus
     /// coordinator checkpoint faults (see [`teapot_chaos::FaultPlan`]).
@@ -164,23 +168,35 @@ pub struct FleetOutcome {
     pub metrics: Option<MetricsSink>,
 }
 
-/// Runs a whole campaign over an in-process fleet: a coordinator on
-/// this thread and `opts.workers` worker threads talking to it over
-/// loopback TCP — the `--fleet N` CI-testable path, faithful to a
-/// multi-host fleet in everything but the socket endpoints.
-pub fn run_fleet_threads(
+/// How [`run_fleet`] starts its workers. Either way they reach the
+/// coordinator over loopback TCP and run the same worker loop.
+pub enum WorkerLaunch {
+    /// Worker threads in this process.
+    Threads,
+    /// `<exe> work <addr>` child processes, where `exe` is the `teapot`
+    /// CLI binary; chaos schedules reach them through
+    /// [`CHAOS_SCHEDULE_ENV`] / [`CHAOS_WORKER_ENV`].
+    Processes(PathBuf),
+}
+
+/// Runs a whole campaign over a local fleet: a coordinator on this
+/// thread and `opts.workers` workers, started as `launch` says, talking
+/// to it over loopback TCP — faithful to a multi-host fleet in
+/// everything but the socket endpoints.
+pub fn run_fleet(
     bin: &Binary,
     seeds: &[Vec<u8>],
     cfg: &CampaignConfig,
     opts: FleetOptions,
+    launch: &WorkerLaunch,
 ) -> Result<FleetOutcome, FabricError> {
     if opts.workers == 0 {
         return Err(FabricError::Campaign(CampaignError::ZeroFleet));
     }
     let listener = TcpListener::bind(("127.0.0.1", 0))?;
-    let addr = listener.local_addr()?;
+    let addr = listener.local_addr()?.to_string();
     let mut coord_opts = CoordinatorOptions::new(opts.workers);
-    coord_opts.checkpoint = opts.checkpoint.clone();
+    coord_opts.checkpoint = opts.checkpoint;
     if let Some(ms) = opts.lease_timeout_ms {
         coord_opts.lease_timeout_ms = ms;
     }
@@ -191,44 +207,81 @@ pub fn run_fleet_threads(
     if let Some(sink) = opts.metrics {
         coord.set_metrics(sink);
     }
-    // Thread fleets reconnect fast: loopback sockets refuse instantly,
-    // and a short idle timeout keeps an injected stall from parking the
-    // scope past the coordinator's own lease sweep.
-    let policy = worker::RetryPolicy {
-        max_attempts: 10,
-        base_ms: 10,
-        cap_ms: 200,
-        idle_timeout_ms: 2_000,
-    };
-    let campaign = std::thread::scope(|scope| {
-        for w in 0..opts.workers {
-            let die_at_epoch = opts.kill_worker.filter(|&(kw, _)| kw == w).map(|(_, e)| e);
-            let chaos = opts.chaos.as_ref().map(|plan| plan.worker(w));
-            let policy = &policy;
-            scope.spawn(move || {
-                let wopts = WorkerOptions {
-                    name: format!("worker-{w}"),
-                    die_at_epoch,
-                    chaos,
-                };
-                // A worker error (including injected faults) is the
-                // coordinator's problem to survive, not ours to report.
-                let _ = run_worker_tcp(&addr.to_string(), &wopts, policy);
-            });
-        }
+    // Shutdown on every path: the workers must see Shutdown or EOF
+    // before they can be joined.
+    let drive = |coord: &mut Coordinator| {
         let result = coord
             .wait_for_workers()
             .and_then(|()| coord.run_campaign_fleet(bin, seeds, cfg, opts.resume.as_ref()));
-        // Shutdown on both paths: worker threads are scoped, so they
-        // must see Shutdown or EOF before this closure can return.
         coord.shutdown();
         result
-    })?;
+    };
+    let chaos = opts.chaos.as_ref();
+    let campaign = match launch {
+        WorkerLaunch::Threads => {
+            // Thread fleets reconnect fast: loopback sockets refuse
+            // instantly, and a short idle timeout keeps an injected
+            // stall from parking the scope past the coordinator's own
+            // lease sweep.
+            let policy = RetryPolicy {
+                max_attempts: 10,
+                base_ms: 10,
+                cap_ms: 200,
+                idle_timeout_ms: 2_000,
+            };
+            std::thread::scope(|scope| {
+                for w in 0..opts.workers {
+                    let wopts = WorkerOptions {
+                        name: format!("worker-{w}"),
+                        chaos: chaos.map(|plan| plan.worker(w)),
+                    };
+                    let (addr, policy) = (&addr, &policy);
+                    // A worker error (including injected faults) is the
+                    // coordinator's problem to survive, not ours to
+                    // report.
+                    scope.spawn(move || run_worker_tcp(addr, &wopts, policy).ok());
+                }
+                drive(&mut coord)
+            })?
+        }
+        WorkerLaunch::Processes(exe) => {
+            let schedule = chaos.map(|plan| plan.to_schedule());
+            // A spawn failure fails the run; workers already started find
+            // the coordinator gone and exit once their retries run out.
+            let mut children = (0..opts.workers)
+                .map(|w| {
+                    let mut cmd = std::process::Command::new(exe);
+                    cmd.arg("work").arg(&addr);
+                    if let Some(schedule) = &schedule {
+                        cmd.env(CHAOS_SCHEDULE_ENV, schedule);
+                        cmd.env(CHAOS_WORKER_ENV, w.to_string());
+                    }
+                    cmd.spawn()
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            let result = drive(&mut coord);
+            for child in &mut children {
+                child.wait().ok();
+            }
+            result?
+        }
+    };
     Ok(FleetOutcome {
         campaign,
         stats: coord.stats().clone(),
         metrics: coord.take_metrics(),
     })
+}
+
+/// [`run_fleet`] with worker threads: the in-process fleet tests and
+/// benches drive.
+pub fn run_fleet_threads(
+    bin: &Binary,
+    seeds: &[Vec<u8>],
+    cfg: &CampaignConfig,
+    opts: FleetOptions,
+) -> Result<FleetOutcome, FabricError> {
+    run_fleet(bin, seeds, cfg, opts, &WorkerLaunch::Threads)
 }
 
 /// One binary processed by [`run_queue_fleet`].
@@ -246,10 +299,10 @@ pub struct QueueFleetOutcome {
 /// [`teapot_campaign::queue::run_queue`]), run a fleet campaign over
 /// each, checkpoint the boundary to `<stem>.tcs` every epoch, and
 /// write the report to `<stem>.json`. Binaries whose report already
-/// exists are skipped, and a matching checkpoint resumes the campaign
-/// where preemption left it — so killing and restarting the
-/// coordinator never loses more than one epoch and never changes any
-/// report. With `once` the queue drains once and returns; otherwise it
+/// exists are skipped, and a checkpoint of the same binary under the
+/// same configuration (`workers` aside) resumes the campaign where
+/// preemption left it — so killing and restarting the coordinator
+/// never loses more than one epoch and never changes any report. With `once` the queue drains once and returns; otherwise it
 /// keeps rescanning for newly streamed-in binaries.
 pub fn run_queue_fleet(
     coord: &mut Coordinator,
@@ -270,14 +323,19 @@ pub fn run_queue_fleet(
             let checkpoint = path.with_extension("tcs");
             // A checkpoint from a preempted run resumes the campaign —
             // falling back to the `.prev` generation if the primary was
-            // torn by a crash mid-write. One that is unreadable or
-            // belongs to a different binary is ignored (starting over
-            // reproduces the same report).
+            // torn by a crash mid-write. One that is unreadable, fails
+            // the resume check, or was taken under a different campaign
+            // configuration (a restart with other flags) is ignored:
+            // starting over reproduces the same report.
             let resume = CampaignSnapshot::load_with_fallback(&checkpoint)
                 .ok()
                 .map(|(snap, _)| snap)
                 .filter(|snap| {
-                    snap.bin_fingerprint == teapot_campaign::snapshot::fingerprint(&bin)
+                    let same_config = CampaignConfig {
+                        workers: cfg.workers,
+                        ..snap.config.clone()
+                    } == *cfg;
+                    same_config && EpochClock::resume(snap, &bin).is_ok()
                 });
             coord.set_checkpoint(Some(checkpoint.clone()));
             let campaign = coord.run_campaign_fleet(&bin, seeds, cfg, resume.as_ref())?;

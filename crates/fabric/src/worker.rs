@@ -1,7 +1,7 @@
 //! The fabric worker: a blocking event loop that drives real
-//! [`CampaignState`]s through exactly the per-shard sequence of a
-//! single-host epoch — seed, `begin_epoch`, fuzz, barrier imports,
-//! minimize — and ships each phase's [`ShardDelta`] back to the
+//! [`CampaignState`]s through the epoch engine's two per-shard steps —
+//! [`fuzz_shard`] and [`barrier_shard`], the functions a single-host
+//! epoch calls — and ships each phase's [`ShardDelta`] back to the
 //! coordinator. The worker holds no campaign-level state: leases are
 //! self-contained (config + binary + shard states), so a worker can
 //! join mid-campaign and a dead worker's shards can be re-leased to a
@@ -26,6 +26,8 @@
 //! per-connection session, so a fault fires exactly once even across
 //! rejoins — a worker re-leased the epoch it just crashed on does not
 //! crash again.
+//!
+//! [`ShardDelta`]: teapot_rt::ShardDelta
 
 use crate::wire::{encode_frame, write_frame, Frame, FrameBuffer, Lease};
 use crate::FabricError;
@@ -33,11 +35,11 @@ use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::sync::Arc;
 use std::time::Duration;
+use teapot_campaign::epoch::{barrier_shard, fuzz_shard};
 use teapot_campaign::CampaignConfig;
 use teapot_chaos::{corrupt_frame, truncate_len, EpochFault, StreamFault, WorkerPlan};
 use teapot_fuzz::CampaignState;
 use teapot_obj::Binary;
-use teapot_rt::FxHashSet;
 use teapot_vm::Program;
 
 /// Worker behavior knobs.
@@ -45,19 +47,9 @@ use teapot_vm::Program;
 pub struct WorkerOptions {
     /// Display name sent in the Hello frame.
     pub name: String,
-    /// Fault-injection hook for tests: drop the connection right after
-    /// sending the **first** phase-0 delta of this epoch, simulating a
-    /// worker dying mid-epoch with work in flight. (Equivalent to a
-    /// [`EpochFault::Crash`] entry in `chaos`.)
-    pub die_at_epoch: Option<u32>,
     /// Deterministic fault schedule for this worker (chaos testing).
     pub chaos: Option<WorkerPlan>,
 }
-
-/// Environment variable the CLI `work` subcommand reads into
-/// [`WorkerOptions::die_at_epoch`] (set by the fleet kill-test harness
-/// on a spawned worker process).
-pub const DIE_AT_EPOCH_ENV: &str = "TEAPOT_FABRIC_DIE_AT_EPOCH";
 
 /// Environment variable carrying a fleet chaos schedule
 /// ([`teapot_chaos::FaultPlan::parse`] grammar) to spawned workers.
@@ -117,11 +109,10 @@ struct ChaosState {
 
 impl ChaosState {
     fn new(opts: &WorkerOptions) -> ChaosState {
-        let mut plan = opts.chaos.clone().unwrap_or_default();
-        if let Some(epoch) = opts.die_at_epoch {
-            plan.insert(epoch, EpochFault::Crash);
+        ChaosState {
+            plan: opts.chaos.clone().unwrap_or_default(),
+            armed: None,
         }
-        ChaosState { plan, armed: None }
     }
 }
 
@@ -304,7 +295,8 @@ fn run_session<S: Read + Write>(
                         .get(i as usize)
                         .ok_or(FabricError::Protocol("budget vector too short"))?;
                 }
-                if run_phase0(s, &mut stream, epoch, false, chaos)? {
+                let owned: Vec<u32> = s.shards.keys().copied().collect();
+                if run_phase0(s, &mut stream, epoch, false, chaos, &owned)? {
                     return Ok(SessionEnd::Injected);
                 }
             }
@@ -365,31 +357,15 @@ fn install_lease<S: Read + Write>(
         new_shards.push(ls.shard);
     }
     if lease.phase == 0 {
-        return run_phase0_for(
-            s,
-            stream,
-            lease.start_epoch,
-            lease.seed_first,
-            chaos,
-            &new_shards,
-        );
+        let epoch = lease.start_epoch;
+        return run_phase0(s, stream, epoch, lease.seed_first, chaos, &new_shards);
     }
     Ok(false)
 }
 
-/// Fuzzes every owned shard for `epoch` (phase 0) and ships the deltas.
+/// Fuzzes `shards` for `epoch` (phase 0) and ships their deltas.
+/// Returns `true` if a fault-injection hook killed the connection.
 fn run_phase0<S: Write>(
-    s: &mut Session,
-    stream: &mut S,
-    epoch: u32,
-    seed_first: bool,
-    chaos: &mut ChaosState,
-) -> Result<bool, FabricError> {
-    let owned: Vec<u32> = s.shards.keys().copied().collect();
-    run_phase0_for(s, stream, epoch, seed_first, chaos, &owned)
-}
-
-fn run_phase0_for<S: Write>(
     s: &mut Session,
     stream: &mut S,
     epoch: u32,
@@ -410,11 +386,14 @@ fn run_phase0_for<S: Write>(
             .shards
             .get_mut(&i)
             .ok_or(FabricError::Protocol("phase-0 shard was never leased"))?;
-        if seed_first {
-            slot.st.seed_corpus_shared(&s.prog, &s.seeds);
-        }
-        slot.st.begin_epoch(epoch);
-        slot.st.run_iters_shared(&s.prog, slot.budget);
+        fuzz_shard(
+            &mut slot.st,
+            &s.prog,
+            &s.seeds,
+            epoch,
+            seed_first,
+            slot.budget,
+        );
         let delta = slot.st.take_delta(i, epoch, 0);
         slot.needs_phase1 = true;
         if send_delta(stream, &Frame::Delta(delta), chaos)? {
@@ -472,9 +451,7 @@ fn send_delta<S: Write>(
     }
 }
 
-/// Runs the barrier's cross-pollination imports (and optional corpus
-/// minimization) for every shard that fuzzed this epoch, replicating
-/// the single-host phase-2 loop donor-for-donor.
+/// Runs the barrier step for every shard that fuzzed this epoch.
 fn run_barrier<S: Write>(
     s: &mut Session,
     stream: &mut S,
@@ -486,21 +463,7 @@ fn run_barrier<S: Write>(
         if !slot.needs_phase1 {
             continue;
         }
-        let mut seen: FxHashSet<&[u8]> = FxHashSet::default();
-        for (i, inputs) in fresh.iter().enumerate() {
-            if i as u32 == j {
-                continue;
-            }
-            for input in inputs {
-                if slot.st.contains_input(input) || !seen.insert(input.as_slice()) {
-                    continue;
-                }
-                slot.st.import_input_shared(&s.prog, input);
-            }
-        }
-        if minimize {
-            slot.st.minimize_corpus(&s.prog);
-        }
+        barrier_shard(&mut slot.st, &s.prog, j as usize, fresh, minimize);
         let delta = slot.st.take_delta(j, epoch, 1);
         slot.needs_phase1 = false;
         write_frame(stream, &Frame::Delta(delta))?;

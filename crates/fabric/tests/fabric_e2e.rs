@@ -2,15 +2,17 @@
 //!
 //! A 2-worker loopback fleet must produce a report byte-identical to
 //! `--workers 1` — for every speculation-model set, after a mid-epoch
-//! worker kill and re-lease, across checkpoint boundaries, and in
-//! queue mode.
+//! worker crash and re-lease, across checkpoint boundaries, and in
+//! queue mode (where a stale checkpoint is ignored, not resumed).
 
 use std::net::TcpListener;
 use teapot_campaign::{Campaign, CampaignConfig, CampaignError, CampaignSnapshot};
 use teapot_cc::{compile_to_binary, Options};
+use teapot_chaos::FaultPlan;
 use teapot_core::{rewrite, RewriteOptions};
 use teapot_fabric::{
     run_fleet_threads, Coordinator, CoordinatorOptions, FabricError, FleetOptions,
+    QueueFleetOutcome,
 };
 use teapot_obj::Binary;
 use teapot_specmodel::SpecModelSet;
@@ -96,7 +98,7 @@ fn killed_worker_mid_epoch_keeps_the_report_identical() {
     // delta of epoch 1, with shards still owed.
     let opts = FleetOptions {
         workers: 2,
-        kill_worker: Some((0, 1)),
+        chaos: Some(FaultPlan::parse("w0:crash@1").unwrap()),
         ..FleetOptions::default()
     };
     let outcome = run_fleet_threads(&bin, &[], &cfg, opts).unwrap();
@@ -165,25 +167,7 @@ fn queue_fleet_drains_a_directory_and_resumes_checkpoints() {
     let single = Campaign::new(cfg.clone()).unwrap().run_shared(&prog, &[]);
 
     // A 2-worker fleet drains the queue once.
-    let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-    let addr = listener.local_addr().unwrap();
-    let mut coord = Coordinator::new(listener, CoordinatorOptions::new(2)).unwrap();
-    let outcomes = std::thread::scope(|scope| {
-        for w in 0..2 {
-            scope.spawn(move || {
-                let stream = std::net::TcpStream::connect(addr).unwrap();
-                let opts = teapot_fabric::WorkerOptions {
-                    name: format!("q{w}"),
-                    ..Default::default()
-                };
-                teapot_fabric::run_worker(stream, &opts).unwrap();
-            });
-        }
-        coord.wait_for_workers().unwrap();
-        let outcomes = teapot_fabric::run_queue_fleet(&mut coord, &dir, &cfg, &[], true).unwrap();
-        coord.shutdown();
-        outcomes
-    });
+    let outcomes = drain_queue(&dir, &cfg);
 
     assert_eq!(outcomes.len(), 2);
     for o in &outcomes {
@@ -195,6 +179,60 @@ fn queue_fleet_drains_a_directory_and_resumes_checkpoints() {
         // Checkpoints are cleaned up after the report lands.
         assert!(!o.path.with_extension("tcs").exists());
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs `run_queue_fleet` once over `dir` on a fresh 2-worker fleet.
+fn drain_queue(dir: &std::path::Path, cfg: &CampaignConfig) -> Vec<QueueFleetOutcome> {
+    let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let addr = listener.local_addr().unwrap();
+    let mut coord = Coordinator::new(listener, CoordinatorOptions::new(2)).unwrap();
+    std::thread::scope(|scope| {
+        for w in 0..2 {
+            scope.spawn(move || {
+                let stream = std::net::TcpStream::connect(addr).unwrap();
+                let opts = teapot_fabric::WorkerOptions {
+                    name: format!("q{w}"),
+                    ..Default::default()
+                };
+                teapot_fabric::run_worker(stream, &opts).unwrap();
+            });
+        }
+        coord.wait_for_workers().unwrap();
+        let outcomes = teapot_fabric::run_queue_fleet(&mut coord, dir, cfg, &[], true).unwrap();
+        coord.shutdown();
+        outcomes
+    })
+}
+
+#[test]
+fn queue_fleet_ignores_a_checkpoint_taken_under_another_config() {
+    let dir = std::env::temp_dir().join(format!("teapot-fabric-stale-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let bin = instrumented(TARGET);
+    let prog = Program::shared(&bin);
+    std::fs::write(dir.join("a.tof"), bin.to_bytes()).unwrap();
+
+    // A serve restarted with a different --iters finds the checkpoint
+    // its predecessor left: same binary, other iters_per_epoch.
+    let cfg = small_config("pht");
+    let stale_cfg = CampaignConfig {
+        iters_per_epoch: cfg.iters_per_epoch / 2,
+        ..cfg.clone()
+    };
+    let mut stale = Campaign::new(stale_cfg).unwrap();
+    stale.run_epoch_shared(&prog, &[]);
+    stale.snapshot(&bin).save(&dir.join("a.tcs")).unwrap();
+
+    let single = Campaign::new(cfg.clone()).unwrap().run_shared(&prog, &[]);
+    let outcomes = drain_queue(&dir, &cfg);
+    assert_eq!(outcomes.len(), 1);
+    assert_eq!(outcomes[0].report, single);
+    assert_eq!(
+        std::fs::read_to_string(&outcomes[0].report_path).unwrap(),
+        single.to_json()
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -15,7 +15,7 @@
 //!   overlapping store and forwards the *stale* value, Spectre-V4 /
 //!   speculative store bypass).
 //! * [`SpecModelSet`] — the set of models active in a run; parsed from
-//!   `--spec-models pht,rsb,stl`, snapshotted into `.tcs` v3 headers,
+//!   `--spec-models pht,rsb,stl`, snapshotted into `.tcs` headers,
 //!   and threaded through fuzz, campaign, triage and bench
 //!   configurations. The default set is **PHT only**, and the whole
 //!   pipeline is byte-identical to the pre-specmodel pipeline under it.
@@ -285,7 +285,7 @@ impl SpecModelSet {
             .filter(move |m| self.contains(*m))
     }
 
-    /// The raw mask, for serialization (`.tcs` v3 config byte).
+    /// The raw mask, for serialization (the `.tcs` config byte).
     pub fn bits(self) -> u8 {
         self.0
     }

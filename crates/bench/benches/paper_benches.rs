@@ -4,6 +4,8 @@
 //! stages (rewriting throughput, instrumented-execution throughput,
 //! disassembly). The authoritative figure/table harnesses live in
 //! `src/bin/` — run `cargo run --release -p teapot-bench --bin fig7` etc.
+//! Campaign, fleet and triage throughput, and the per-layer split of
+//! it, are the repository benchmark's job (`perfbench/`).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use teapot_baselines::{specfuzz_rewrite, SpecFuzzOptions};

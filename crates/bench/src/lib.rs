@@ -7,9 +7,12 @@
 //! | [`fig2`] | Figure 2 (compiler-divergence study) |
 //! | [`table3`] | Table 3 (artificial-gadget detection) |
 //! | [`table4`] | Table 4 (vanilla-binary gadget counts) |
-//! | [`campaign`] | Campaign scaling (execs/sec vs worker count; not in the paper) |
-//! | [`fabric`] | Fleet scaling + wire economy (execs/sec vs fleet size, delta vs snapshot bytes; not in the paper) |
-//! | [`triage`] | Triage throughput (witness replays/sec, minimization work; not in the paper) |
+//!
+//! Throughput is not measured here: execs/s, replays/s, fleet overhead,
+//! delta bytes and the per-layer VM/campaign/fabric/triage numbers come
+//! from the repository benchmark (`perfbench/`, declared in
+//! `BENCHMARK.json`); worker sweeps and time-to-first-gadget come from
+//! `teapot campaign --workers N --metrics`.
 //!
 //! Absolute numbers differ from the paper (the substrate is a simulator
 //! with a documented cost model, not an EPYC testbed); the *shape* —
@@ -20,14 +23,10 @@ use teapot_obj::Binary;
 use teapot_vm::{Machine, RunOptions, SpecHeuristics};
 use teapot_workloads::Workload;
 
-pub mod campaign;
-pub mod fabric;
 pub mod fig2;
 pub mod runtime;
 pub mod table3;
 pub mod table4;
-pub mod triage;
-pub mod vmhot;
 
 /// Builds the stripped COTS binary of a workload (GCC-flavoured
 /// lowering, like the paper's default toolchain for deployment).

@@ -69,11 +69,43 @@ fn save(bin: &teapot_obj::Binary, path: &str) -> Result<(), String> {
     std::fs::write(path, bin.to_bytes()).map_err(|e| format!("write {path}: {e}"))
 }
 
-fn find_workload(name: &str) -> Option<teapot_workloads::Workload> {
+fn workloads() -> impl Iterator<Item = teapot_workloads::Workload> {
     teapot_workloads::all()
         .into_iter()
         .chain(teapot_workloads::spec_suite())
-        .find(|w| w.name == name)
+}
+
+fn find_workload(name: &str) -> Option<teapot_workloads::Workload> {
+    workloads().find(|w| w.name == name)
+}
+
+/// Resolves `--workload NAME`: `None` when the flag is absent, an error
+/// naming the valid workloads when it is unknown (running on with no
+/// seeds and no dictionary would silently fuzz something else).
+fn workload_from_args(args: &[String]) -> Result<Option<teapot_workloads::Workload>, String> {
+    let Some(name) = opt(args, "--workload") else {
+        return Ok(None);
+    };
+    find_workload(name).map(Some).ok_or_else(|| {
+        let valid: Vec<&str> = workloads().map(|w| w.name).collect();
+        format!(
+            "--workload: unknown workload `{name}` (valid: {})",
+            valid.join(", ")
+        )
+    })
+}
+
+/// Fails when one of the space-separated value-taking flag `names` is
+/// given without its value: a bare trailing `--resume` must not silently
+/// start from scratch.
+fn require_values(args: &[String], names: &str) -> Result<(), String> {
+    match names
+        .split_whitespace()
+        .find(|&n| flag(args, n) && opt(args, n).is_none())
+    {
+        Some(name) => Err(format!("{name} requires a value")),
+        None => Ok(()),
+    }
 }
 
 /// Parses the shared `--spec-models pht,rsb,stl` flag (default: the
@@ -125,7 +157,7 @@ fn campaign_config_from_args(
         return Err(teapot_campaign::CampaignError::ZeroWorkers.to_string());
     }
     cfg.models = spec_models_from_args(args)?;
-    let seeds = match opt(args, "--workload").and_then(find_workload) {
+    let seeds = match workload_from_args(args)? {
         Some(w) => {
             cfg.dictionary = w.dictionary.clone();
             w.seeds.clone()
@@ -138,17 +170,9 @@ fn campaign_config_from_args(
 /// Parses `--fleet N`: `None` when absent, a typed error on an explicit
 /// zero (a fleet with no workers cannot run anything).
 fn fleet_from_args(args: &[String]) -> Result<Option<usize>, String> {
-    match opt(args, "--fleet") {
-        None => Ok(None),
-        Some(s) => {
-            let n: usize = s
-                .parse()
-                .map_err(|_| format!("--fleet: bad number `{s}`"))?;
-            if n == 0 {
-                return Err(teapot_campaign::CampaignError::ZeroFleet.to_string());
-            }
-            Ok(Some(n))
-        }
+    match opt_num(args, "--fleet")? {
+        Some(0) => Err(teapot_campaign::CampaignError::ZeroFleet.to_string()),
+        n => Ok(n),
     }
 }
 
@@ -949,6 +973,7 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         "run" => {
             let input = args.get(1).ok_or("usage: run <bin.tof>")?;
+            require_values(args, "--input-file --spec-models")?;
             let bin = load(input)?;
             let data = match opt(args, "--input-file") {
                 Some(f) => std::fs::read(f).map_err(|e| format!("read {f}: {e}"))?,
@@ -990,11 +1015,10 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         "fuzz" => {
             let input = args.get(1).ok_or("usage: fuzz <bin.tof>")?;
+            require_values(args, "--iters --workload --spec-models")?;
             let bin = load(input)?;
-            let iters = opt(args, "--iters")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(400);
-            let (seeds, dict) = match opt(args, "--workload").and_then(find_workload) {
+            let iters = parse_num(args, "--iters", 400)?;
+            let (seeds, dict) = match workload_from_args(args)? {
                 Some(w) => (w.seeds.clone(), w.dictionary.clone()),
                 None => (vec![], vec![]),
             };
@@ -1035,31 +1059,12 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         "campaign" => {
             let target = args.get(1).ok_or("usage: campaign <bin.tof|dir>")?;
-            // Every value-taking flag must actually have a value; a bare
-            // trailing `--resume` must not silently start from scratch.
-            for name in [
-                "--seed",
-                "--shards",
-                "--workers",
-                "--fleet",
-                "--epochs",
-                "--iters",
-                "--workload",
-                "--spec-models",
-                "--resume",
-                "--snapshot",
-                "--json",
-                "--triage",
-                "--sarif",
-                "--metrics",
-                "--chaos-seed",
-                "--chaos-schedule",
-                "--lease-timeout-ms",
-            ] {
-                if flag(args, name) && opt(args, name).is_none() {
-                    return Err(format!("{name} requires a value"));
-                }
-            }
+            require_values(
+                args,
+                "--seed --shards --workers --fleet --epochs --iters --workload --spec-models \
+                 --resume --snapshot --json --triage --sarif --metrics --chaos-seed \
+                 --chaos-schedule --lease-timeout-ms",
+            )?;
             let (cfg, seeds) = campaign_config_from_args(args)?;
 
             // Queue mode: a directory of .tof binaries.
@@ -1170,22 +1175,11 @@ fn run(args: &[String]) -> Result<(), String> {
             let dir = args
                 .get(1)
                 .ok_or("usage: serve <dir> [--addr host:port] [--fleet N] [--once]")?;
-            for name in [
-                "--addr",
-                "--fleet",
-                "--seed",
-                "--shards",
-                "--epochs",
-                "--iters",
-                "--workload",
-                "--spec-models",
-                "--metrics",
-                "--lease-timeout-ms",
-            ] {
-                if flag(args, name) && opt(args, name).is_none() {
-                    return Err(format!("{name} requires a value"));
-                }
-            }
+            require_values(
+                args,
+                "--addr --fleet --seed --shards --epochs --iters --workload --spec-models \
+                 --metrics --lease-timeout-ms",
+            )?;
             if !std::path::Path::new(dir).is_dir() {
                 return Err(format!("serve: {dir} is not a directory"));
             }
@@ -1271,23 +1265,11 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         "triage" => {
             let target = args.get(1).ok_or("usage: triage <bin.tof|snap.tcs|dir>")?;
-            for name in [
-                "--bin",
-                "--jsonl",
-                "--sarif",
-                "--seed",
-                "--shards",
-                "--workers",
-                "--epochs",
-                "--iters",
-                "--workload",
-                "--spec-models",
-                "--metrics",
-            ] {
-                if flag(args, name) && opt(args, name).is_none() {
-                    return Err(format!("{name} requires a value"));
-                }
-            }
+            require_values(
+                args,
+                "--bin --jsonl --sarif --seed --shards --workers --epochs --iters --workload \
+                 --spec-models --metrics",
+            )?;
             let (cfg, seeds) = campaign_config_from_args(args)?;
             let opts = teapot_triage::TriageOptions {
                 minimize: !flag(args, "--no-minimize"),
@@ -1386,22 +1368,11 @@ fn run(args: &[String]) -> Result<(), String> {
                 "usage: explain <report.jsonl|snap.tcs|bin.tof> [--gadget KEY] \
                  [--bin bin.tof] [campaign flags]",
             )?;
-            for name in [
-                "--gadget",
-                "--bin",
-                "--seed",
-                "--shards",
-                "--workers",
-                "--epochs",
-                "--iters",
-                "--workload",
-                "--spec-models",
-                "--metrics",
-            ] {
-                if flag(args, name) && opt(args, name).is_none() {
-                    return Err(format!("{name} requires a value"));
-                }
-            }
+            require_values(
+                args,
+                "--gadget --bin --seed --shards --workers --epochs --iters --workload \
+                 --spec-models --metrics",
+            )?;
             let gadget = opt(args, "--gadget");
             let no_match = |total: usize| {
                 format!(

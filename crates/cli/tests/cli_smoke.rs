@@ -332,3 +332,45 @@ fn tcs_fingerprint_mismatch_names_both_fingerprints() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn bad_flag_values_fail_instead_of_running_something_else() {
+    let dir = std::env::temp_dir().join("teapot-cli-bad-flags-test");
+    std::fs::remove_dir_all(&dir).ok();
+    let inst = build_workload(&dir, "jsmn");
+    let inst = inst.to_str().unwrap();
+    let dir_str = dir.to_str().unwrap();
+
+    // An unknown workload name is an error naming the valid ones, on
+    // every command that takes --workload (the short budget keeps a
+    // silent run cheap should the check ever regress).
+    let budget = ["--shards", "1", "--epochs", "1", "--iters", "1"];
+    for cmd in ["campaign", "triage", "explain", "fuzz", "serve"] {
+        let target = if cmd == "serve" { dir_str } else { inst };
+        let mut args = vec![cmd, target, "--workload", "nope", "--no-triage"];
+        args.extend(budget);
+        let (ok, text) = run_cli(&args);
+        assert!(!ok, "{cmd}: {text}");
+        assert!(text.contains("unknown workload `nope`"), "{cmd}: {text}");
+        assert!(text.contains("jsmn, libyaml"), "{cmd}: {text}");
+    }
+
+    // `fuzz --iters` parses like every other numeric flag.
+    let (ok, text) = run_cli(&["fuzz", inst, "--iters", "12x"]);
+    assert!(!ok, "{text}");
+    assert!(text.contains("--iters: bad number `12x`"), "{text}");
+
+    // A trailing value-taking flag without its value is an error.
+    for args in [
+        &["fuzz", inst, "--iters"][..],
+        &["fuzz", inst, "--workload"][..],
+        &["run", inst, "--input-file"][..],
+        &["run", inst, "--spec-models"][..],
+    ] {
+        let (ok, text) = run_cli(args);
+        assert!(!ok, "{args:?}: {text}");
+        assert!(text.contains("requires a value"), "{args:?}: {text}");
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -18,7 +18,8 @@
 //!
 //! Campaigns are bounded by an iteration budget and seeded RNG, so every
 //! experiment in `teapot-bench` is reproducible (the substitution for the
-//! paper's 24-hour wall-clock sessions; see DESIGN.md §1).
+//! paper's 24-hour wall-clock sessions, whose results would depend on
+//! host speed).
 //!
 //! # Re-entrant campaigns
 //!

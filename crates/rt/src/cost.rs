@@ -9,8 +9,8 @@
 //! in executed instrumentation* (guard conditionals, always-on ASan) —
 //! exactly the effect Speculation Shadows targets — while the SpecTaint
 //! emulation multiplier is calibrated once against the ratios in the
-//! paper's Figure 1 and then reused unchanged for Figure 7. See
-//! DESIGN.md §7 for the table with justifications.
+//! paper's Figure 1 and then reused unchanged for Figure 7. Each
+//! constant's doc names the paper mechanism whose snippet it prices.
 
 /// Cost of a plain architectural instruction.
 pub const PLAIN_INST: u64 = 1;

@@ -133,8 +133,8 @@ pub struct ShardDelta {
 impl ShardDelta {
     /// Approximate wire size of the delta's variable payload in bytes —
     /// corpus inputs, coverage updates, witness inputs/traces — the
-    /// number the fabric's `delta` telemetry events and the
-    /// `BENCH_fabric.json` `delta_bytes_per_epoch` row report.
+    /// number the fabric's `delta` telemetry events report (the
+    /// benchmark's `campaign.delta_bytes_per_epoch` counts encoded bytes).
     pub fn payload_bytes(&self) -> u64 {
         let corpus: usize = self
             .corpus_append

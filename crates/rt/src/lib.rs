@@ -40,7 +40,7 @@ pub struct DetectorConfig {
     /// buffer µops); TEA-64's stack-machine code generator emits roughly
     /// twice the instructions per source statement that an optimizing x86
     /// compiler would, so the default is calibrated to 500 to cover the
-    /// same source-level window (see DESIGN.md §7).
+    /// same source-level window.
     pub rob_budget: u32,
     /// Maximum nesting depth of branch mispredictions (the paper uses 6).
     pub max_nesting: u32,

@@ -110,8 +110,9 @@ impl Default for TriageOptions {
     }
 }
 
-/// Work metrics of a triage pass (the numbers `BENCH_triage.json`
-/// reports).
+/// Work metrics of a triage pass (the counts behind the `triage`
+/// telemetry event and the benchmark's `replays_per_s` and
+/// `witnesses_per_s`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TriageStats {
     /// Total VM executions (witness replays + minimization candidates).

@@ -9,7 +9,7 @@
 //!    memory log, rollback (§6.1), binary ASan (§6.2.1), the DIFT tag
 //!    shadow (§6.2.2), gadget reporting (§6.2.3), and two-level coverage
 //!    (§6.3). Performance is accounted in deterministic *host-cost units*
-//!    (see `teapot-rt::cost` and DESIGN.md §7).
+//!    (see `teapot-rt::cost`).
 //! 2. **SpecTaint-style full-system emulation** ([`EmuStyle::SpecTaint`])
 //!    of uninstrumented binaries, used by the baseline comparisons of
 //!    Figures 1 and 7 and the detection experiments.

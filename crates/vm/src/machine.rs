@@ -2968,8 +2968,8 @@ impl<'c> Machine<'c> {
                 is_write: _,
             } => self.asan_probe(&mem, size, pc),
             Inst::MemLog { .. } => {
-                // Cost marker: semantic logging happens on the store
-                // itself (DESIGN.md §3, "Semantic note").
+                // Cost marker: the VM logs every speculative store
+                // itself, so the opcode only prices the paper's snippet.
             }
             Inst::TagProp | Inst::TagBlockProp { .. } => {
                 // Cost markers: the taint engine is always precise.

@@ -5,8 +5,8 @@
 //! the mapping itself is defined and tested in `teapot-rt::layout`);
 //! register tags are per-register folds. The engine is *always precise*:
 //! tags propagate for every executed instruction. The inserted
-//! `tag.prop`/`tag.blockprop` instrumentation opcodes carry the cost model
-//! (see DESIGN.md §3, "Semantic note").
+//! `tag.prop`/`tag.blockprop` instrumentation opcodes only carry the cost
+//! of the paper's inline propagation snippets.
 //!
 //! The shadow is a [`ShadowMem`](crate::slab) — the same region-table +
 //! software-TLB page slab as guest memory — and every range operation is

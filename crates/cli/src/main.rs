@@ -35,6 +35,11 @@
 //! chain — mispredict site, tainted loads, leaking access, and the
 //! exact input bytes that steer the flow — from a provenance replay
 //! (or re-renders the chains a triage JSONL already carries).
+//!
+//! Triage (`teapot triage`, and the pass at the end of `teapot
+//! campaign`) replays witnesses on every available CPU, independent of
+//! `--workers`; restrict it with `taskset` or a cgroup. Its JSONL, text
+//! and SARIF are byte-identical for any thread count.
 
 use std::process::ExitCode;
 
@@ -1716,7 +1721,8 @@ fn run(args: &[String]) -> Result<(), String> {
                 println!(
                     "\ntriage: {} root cause(s) from {} witness(es); {} replays \
                      ({} minimization candidates), {} dedup collapse(s), \
-                     {} ms replaying ({} ms minimizing)",
+                     {} ms replaying ({} ms minimizing; thread-time summed \
+                     over triage threads)",
                     json_num(t, "root_causes").unwrap_or(0),
                     json_num(t, "witnesses").unwrap_or(0),
                     json_num(t, "replays").unwrap_or(0),

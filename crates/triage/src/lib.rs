@@ -24,6 +24,14 @@
 //! 4. **Reporting** ([`db`], [`sarif`]) — a byte-deterministic
 //!    [`TriageDb`] rendered as JSONL, ranked text and SARIF 2.1.0.
 //!
+//! Stages 1-2 and the provenance replay run on every available CPU
+//! ([`std::thread::available_parallelism`]; restrict it with `taskset`
+//! or a cgroup): each thread pools its own replayer over the input's one
+//! shared program and claims the next witness, and the findings are
+//! inserted afterwards in report order. A witness's triage is a pure
+//! function of `(program, witness)`, so the database and its JSONL,
+//! text and SARIF renderings are byte-identical for any thread count.
+//!
 //! # Worked example: campaign → triage → SARIF
 //!
 //! ```
@@ -71,12 +79,15 @@ pub mod provenance;
 pub mod replay;
 pub mod sarif;
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 use teapot_campaign::queue::QueueOutcome;
-use teapot_campaign::{CampaignConfig, CampaignReport};
+use teapot_campaign::{CampaignConfig, CampaignReport, ShardWitness};
 use teapot_obj::Binary;
 use teapot_rt::{GadgetKey, GadgetReport, GadgetWitness};
-use teapot_telemetry::Stopwatch;
 use teapot_vm::Program;
 
 pub use db::{BinaryStats, TriageDb, TriageEntry, TriageLocation};
@@ -130,6 +141,10 @@ pub struct TriageStats {
 /// [`TriageStats`] (which stays wall-clock-free and `Eq`-comparable):
 /// these values may only ever appear in telemetry output, never in the
 /// byte-pinned reports.
+///
+/// Both are thread-time summed over the triage threads (so they can
+/// exceed the pass's wall time), accumulated exactly and rounded down
+/// to milliseconds once per pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TriagePhaseTimes {
     /// Milliseconds spent processing witnesses end to end (replay
@@ -236,91 +251,117 @@ pub fn triage<'a>(
 /// [`triage`] plus wall-clock phase timing for telemetry. The timing is
 /// observation-only: the database and stats are identical to an untimed
 /// pass.
+///
+/// Witnesses are replayed on every available CPU
+/// ([`std::thread::available_parallelism`], which honours affinity masks
+/// and cgroup quotas): restrict it with `taskset` or a cgroup. The
+/// database, stats and every rendering of them are byte-identical for
+/// any thread count.
 pub fn triage_timed<'a>(
     inputs: impl IntoIterator<Item = TriageInput<'a>>,
     opts: &TriageOptions,
+) -> (TriageDb, TriageStats, TriagePhaseTimes) {
+    let threads = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    triage_on(inputs, opts, threads)
+}
+
+/// [`triage_timed`] on at most `threads` triage threads per input.
+fn triage_on<'a>(
+    inputs: impl IntoIterator<Item = TriageInput<'a>>,
+    opts: &TriageOptions,
+    threads: usize,
 ) -> (TriageDb, TriageStats, TriagePhaseTimes) {
     let mut inputs: Vec<TriageInput<'a>> = inputs.into_iter().collect();
     inputs.sort_by(|a, b| a.label.cmp(&b.label));
 
     let mut db = TriageDb::new();
     let mut stats = TriageStats::default();
-    let mut times = TriagePhaseTimes::default();
+    let mut busy = Busy::default();
+    // One input at a time: at most one triage `Program` is alive.
     for input in &inputs {
-        triage_one(input, opts, &mut db, &mut stats, &mut times);
+        triage_one(input, opts, threads, &mut db, &mut stats, &mut busy);
     }
     db.finalize();
+    let times = TriagePhaseTimes {
+        replay_ms: busy.replay.as_millis() as u64,
+        minimize_ms: busy.minimize.as_millis() as u64,
+    };
     (db, stats, times)
+}
+
+/// Thread-time spent in the triage phases, summed exactly and converted
+/// to [`TriagePhaseTimes`] milliseconds once.
+#[derive(Default)]
+struct Busy {
+    replay: Duration,
+    minimize: Duration,
+}
+
+impl Busy {
+    fn add(&mut self, other: &Busy) {
+        self.replay += other.replay;
+        self.minimize += other.minimize;
+    }
+}
+
+/// What replaying one witness found. Computed on any triage thread; the
+/// chain's symbols are filled in later, in report order.
+struct Outcome {
+    replayed: bool,
+    minimized: Option<Vec<u8>>,
+    steps: u32,
+    chain: Option<provenance::CausalChain>,
 }
 
 fn triage_one(
     input: &TriageInput<'_>,
     opts: &TriageOptions,
+    threads: usize,
     db: &mut TriageDb,
     stats: &mut TriageStats,
-    times: &mut TriagePhaseTimes,
+    busy: &mut Busy,
 ) {
     let report = input.report;
     let prog = Program::shared(input.bin);
     let enricher = Enricher::new(input.bin, &prog);
-    let mut rp = Replayer::new(prog.clone(), ReplayConfig::from_campaign(&input.config));
 
     let by_key: HashMap<GadgetKey, &GadgetReport> =
         report.gadgets.iter().map(|g| (g.key, g)).collect();
+    // Witnessed gadgets, in report order: `report.witnesses` is already
+    // deduplicated in shard-index order. A stale witness for a key the
+    // report dropped is counted but not replayed.
+    let jobs: Vec<(&ShardWitness, &GadgetReport)> = report
+        .witnesses
+        .iter()
+        .filter_map(|sw| Some((sw, by_key.get(&sw.witness.key).copied()?)))
+        .collect();
+    stats.witnesses += report.witnesses.len();
+    let cfg = ReplayConfig::from_campaign(&input.config);
+    let outcomes = replay_all(&prog, &cfg, &jobs, opts, threads, stats, busy);
 
-    // Witnessed gadgets: replay, minimize, enrich. `report.witnesses`
-    // is already deduplicated in shard-index order.
-    let mut witnessed: std::collections::HashSet<GadgetKey> = std::collections::HashSet::new();
-    for sw in &report.witnesses {
-        let w = &sw.witness;
-        witnessed.insert(w.key);
-        stats.witnesses += 1;
-        let Some(g) = by_key.get(&w.key).copied() else {
-            continue; // stale witness for a key the report dropped
-        };
-        // minimize() performs the validation replay itself (its `None`
-        // is exactly "the witness did not reproduce"), so the witness is
-        // executed once, not twice.
-        let watch = Stopwatch::new();
-        let (replayed, minimized, steps) = if opts.minimize {
-            let r = match minimize(&mut rp, w, opts.max_minimize_steps) {
-                Some(m) => (true, Some(m.input), m.steps),
-                None => (false, None, 0),
-            };
-            times.minimize_ms += watch.ms();
-            r
-        } else {
-            let outcome = rp.replay(w);
-            let minimized = outcome.reproduced.then(|| w.input.clone());
-            (outcome.reproduced, minimized, 0)
-        };
-        times.replay_ms += watch.ms();
-        if !replayed {
+    // Entries go in one at a time, in report order, whatever order the
+    // threads finished in.
+    for ((sw, g), out) in jobs.iter().zip(outcomes) {
+        if !out.replayed {
             stats.replay_failures += 1;
         }
-        stats.minimize_steps += u64::from(steps);
-        // One extra replay with the origin shadow on turns the witness
-        // into a causal chain; symbolization happens here so renderers
-        // stay plain-string.
-        let chain = (opts.provenance && replayed)
-            .then(|| rp.replay_provenance(w))
-            .flatten()
-            .and_then(|trace| provenance::extract(&trace, g))
-            .map(|mut chain| {
-                for step in &mut chain.steps {
-                    step.symbol = enricher.symbolize(step.pc);
-                }
-                chain
-            });
+        stats.minimize_steps += u64::from(out.steps);
+        // Symbolization happens here so renderers stay plain-string.
+        let chain = out.chain.map(|mut chain| {
+            for step in &mut chain.steps {
+                step.symbol = enricher.symbolize(step.pc);
+            }
+            chain
+        });
         db.insert(build_entry(
             &enricher,
             &input.label,
             sw.shard,
             g,
-            Some(w),
-            replayed,
-            minimized,
-            steps,
+            Some(&sw.witness),
+            out.replayed,
+            out.minimized,
+            out.steps,
             chain,
         ));
     }
@@ -328,6 +369,7 @@ fn triage_one(
     // Witness-less gadgets (capture off, or pre-capture snapshots):
     // enriched and ranked, but with no reproducer. Shard attribution is
     // unknown without a witness and reported as shard 0.
+    let witnessed: HashSet<GadgetKey> = report.witnesses.iter().map(|sw| sw.witness.key).collect();
     for g in &report.gadgets {
         if !witnessed.contains(&g.key) {
             db.insert(build_entry(
@@ -344,13 +386,106 @@ fn triage_one(
         }
     }
 
-    stats.replays += rp.replays();
     db.binaries.push(BinaryStats {
         binary: input.label.clone(),
         decode_stats: report.decode_stats,
         iters: report.iters,
         raw_gadgets: report.gadgets.len(),
     });
+}
+
+/// Replays, minimizes and provenance-replays every job on
+/// `min(threads, jobs)` scoped threads, each pooling its own
+/// [`Replayer`] over the shared program. Threads claim job indices from
+/// one counter; the outcomes come back in job order.
+fn replay_all(
+    prog: &Arc<Program>,
+    cfg: &ReplayConfig,
+    jobs: &[(&ShardWitness, &GadgetReport)],
+    opts: &TriageOptions,
+    threads: usize,
+    stats: &mut TriageStats,
+    busy: &mut Busy,
+) -> Vec<Outcome> {
+    // The counter only hands out indices; the results reach this thread
+    // through `join`, which orders everything the workers wrote.
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut rp = Replayer::new(prog.clone(), cfg.clone());
+        let mut busy = Busy::default();
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&(sw, g)) = jobs.get(i) else {
+                break;
+            };
+            done.push((i, replay_one(&mut rp, &sw.witness, g, opts, &mut busy)));
+        }
+        (done, rp.replays(), busy)
+    };
+    let parts = match threads.min(jobs.len()) {
+        0 => Vec::new(),
+        1 => vec![work()],
+        n => std::thread::scope(|s| {
+            let handles: Vec<_> = (0..n).map(|_| s.spawn(work)).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
+        }),
+    };
+
+    let mut slots: Vec<Option<Outcome>> = jobs.iter().map(|_| None).collect();
+    for (done, replays, thread_busy) in parts {
+        stats.replays += replays;
+        busy.add(&thread_busy);
+        for (i, out) in done {
+            slots[i] = Some(out);
+        }
+    }
+    slots
+        .into_iter()
+        .map(|o| o.expect("every job index is claimed by exactly one thread"))
+        .collect()
+}
+
+/// Triages one witness on a pooled replayer.
+fn replay_one(
+    rp: &mut Replayer,
+    w: &GadgetWitness,
+    g: &GadgetReport,
+    opts: &TriageOptions,
+    busy: &mut Busy,
+) -> Outcome {
+    // minimize() performs the validation replay itself (its `None` is
+    // exactly "the witness did not reproduce"), so the witness is
+    // executed once, not twice.
+    let watch = Instant::now();
+    let (replayed, minimized, steps) = if opts.minimize {
+        let r = match minimize(rp, w, opts.max_minimize_steps) {
+            Some(m) => (true, Some(m.input), m.steps),
+            None => (false, None, 0),
+        };
+        busy.minimize += watch.elapsed();
+        r
+    } else {
+        let outcome = rp.replay(w);
+        let minimized = outcome.reproduced.then(|| w.input.clone());
+        (outcome.reproduced, minimized, 0)
+    };
+    busy.replay += watch.elapsed();
+    // One extra replay with the origin shadow on turns the witness into
+    // a causal chain.
+    let chain = (opts.provenance && replayed)
+        .then(|| rp.replay_provenance(w))
+        .flatten()
+        .and_then(|trace| provenance::extract(&trace, g));
+    Outcome {
+        replayed,
+        minimized,
+        steps,
+        chain,
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -388,5 +523,65 @@ fn build_entry(
             access_pc: g.access_pc,
             depth: g.depth,
         }],
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use teapot_campaign::Campaign;
+    use teapot_rt::SpecModelSet;
+
+    fn campaign(
+        w: teapot_workloads::Workload,
+        models: &str,
+        iters: u64,
+    ) -> (Binary, CampaignConfig, CampaignReport) {
+        let mut cots = w.build(&teapot_cc::Options::gcc_like()).unwrap();
+        cots.strip();
+        let bin = teapot_core::rewrite(&cots, &teapot_core::RewriteOptions::default()).unwrap();
+        let cfg = CampaignConfig {
+            shards: 8,
+            epochs: 2,
+            iters_per_epoch: iters,
+            models: SpecModelSet::parse(models).unwrap(),
+            dictionary: w.dictionary.clone(),
+            ..CampaignConfig::default()
+        };
+        let report = Campaign::new(cfg.clone())
+            .unwrap()
+            .run_shared(&Program::shared(&bin), &w.seeds);
+        (bin, cfg, report)
+    }
+
+    /// Many short brotli witnesses under all three models plus a few
+    /// deep-ddmin openssl ones: the threads finish them out of order,
+    /// and the reports must not show it.
+    #[test]
+    fn output_is_identical_for_any_thread_count() {
+        let brotli = campaign(teapot_workloads::brotli_like(), "pht,rsb,stl", 5);
+        let openssl = campaign(teapot_workloads::ssl_like(), "pht", 10);
+        let render = |threads| {
+            let inputs = [("brotli", &brotli), ("openssl", &openssl)].map(
+                |(label, (bin, config, report))| TriageInput {
+                    label: label.to_string(),
+                    bin,
+                    config: config.clone(),
+                    report,
+                },
+            );
+            let (db, stats, _) = triage_on(inputs, &TriageOptions::default(), threads);
+            (db.to_jsonl(), db.to_text(), sarif::render(&db), stats)
+        };
+        let one = render(1);
+        assert!(one.3.witnesses >= 8, "too few witnesses: {:?}", one.3);
+        assert_eq!(one.3.replay_failures, 0);
+        for threads in [2, 3, 8] {
+            let many = render(threads);
+            assert!(many.0 == one.0, "JSONL differs on {threads} threads");
+            assert!(many.1 == one.1, "text differs on {threads} threads");
+            assert!(many.2 == one.2, "SARIF differs on {threads} threads");
+            assert_eq!(many.3, one.3, "stats differ on {threads} threads");
+        }
     }
 }

@@ -3144,3 +3144,38 @@ impl<'c> Machine<'c> {
         Ok(Step::Continue)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The program image and a context cloned from it hold no slab
+    /// slack, a warmed context stays within the growth bound, and a
+    /// second run on the reset context reuses the slab instead of
+    /// regrowing it.
+    #[test]
+    fn a_reset_context_does_not_regrow_its_memory_slab() {
+        let w = teapot_workloads::yaml_like();
+        let mut cots = w.build(&teapot_cc::Options::gcc_like()).unwrap();
+        cots.strip();
+        let bin = teapot_core::rewrite(&cots, &teapot_core::RewriteOptions::default()).unwrap();
+        let prog = Program::shared(&bin);
+        let (len, cap) = prog.pristine().slab_bytes();
+        assert_eq!(cap, len, "the program image holds slack");
+
+        let mut ctx = ExecContext::new(&prog);
+        assert_eq!(ctx.mem.slab_bytes(), (len, cap));
+        let run = |ctx: &mut ExecContext| {
+            let opts = RunOptions {
+                input: w.seeds[0].clone(),
+                ..RunOptions::default()
+            };
+            Machine::with_context(&prog, ctx, opts).run_stats(&mut SpecHeuristics::default());
+            ctx.mem.slab_bytes()
+        };
+        let (len1, cap1) = run(&mut ctx);
+        assert!(len1 > len, "the run mapped no heap page");
+        assert!(cap1 <= len1 + (16 * crate::mem::PAGE_SIZE as usize).max(len1 / 8));
+        assert_eq!(run(&mut ctx), (len1, cap1));
+    }
+}

@@ -66,6 +66,10 @@ impl PagedMem {
         }
         let first = start / PAGE_SIZE;
         let last = (start + size - 1) / PAGE_SIZE;
+        // One exact reservation for the whole run (a 4 MiB stack must
+        // not double the slab page by page).
+        self.slab
+            .reserve_pages(self.slab.missing_pages(first, last) as usize);
         for p in first..=last {
             let (slot, created) = self.slab.ensure(p);
             if created {
@@ -148,6 +152,16 @@ impl PagedMem {
     /// Number of mapped pages (for diagnostics).
     pub fn mapped_pages(&self) -> usize {
         self.slab.num_slots()
+    }
+
+    /// `(len, capacity)` of the backing slab in bytes (for the growth
+    /// tests).
+    #[cfg(test)]
+    pub(crate) fn slab_bytes(&self) -> (usize, usize) {
+        (
+            self.slab.num_slots() * PAGE_SIZE as usize,
+            self.slab.capacity(),
+        )
     }
 
     /// Telemetry snapshot of the backing slab:
@@ -665,6 +679,52 @@ mod tests {
         assert_eq!(live.read_u8(0x1000).unwrap(), 9);
         assert_eq!(live.read_u8(0x8000).unwrap(), 0xBB);
         assert_eq!(live.mapped_pages(), pristine.mapped_pages());
+    }
+
+    #[test]
+    fn mapping_the_stack_reserves_exactly() {
+        use teapot_rt::layout::{STACK_LIMIT, STACK_TOP};
+        let mut m = PagedMem::new();
+        m.map_region(STACK_TOP - STACK_LIMIT, STACK_LIMIT, true);
+        let (len, cap) = m.slab_bytes();
+        assert_eq!(len as u64, STACK_LIMIT);
+        assert_eq!(cap, len);
+        // Behind a few loader sections, as `Program::new` maps it.
+        let mut m = PagedMem::new();
+        m.map_region(0x1000, 3 * PAGE_SIZE, false);
+        m.map_region(0x10_0000, 100, true);
+        m.map_region(STACK_TOP - STACK_LIMIT, STACK_LIMIT, true);
+        let (len, cap) = m.slab_bytes();
+        assert_eq!(cap, len);
+        // Re-mapping mapped pages reserves nothing.
+        m.map_region(STACK_TOP - STACK_LIMIT, STACK_LIMIT, true);
+        assert_eq!(m.slab_bytes(), (len, cap));
+    }
+
+    #[test]
+    fn heap_growth_is_bounded_and_a_reset_run_does_not_regrow() {
+        use teapot_rt::layout::{HEAP_BASE, STACK_LIMIT, STACK_TOP};
+        let mut pristine = PagedMem::new();
+        pristine.map_region(0x1000, PAGE_SIZE, true);
+        pristine.map_region(STACK_TOP - STACK_LIMIT, STACK_LIMIT, true);
+        pristine.seal_pristine();
+        let mut live = pristine.clone();
+        // A run mallocs page after page, as the runtime's MALLOC does;
+        // the first one checks the growth bound after every page.
+        let run = |m: &mut PagedMem, check: bool| {
+            for i in 0..300 {
+                m.map_region(HEAP_BASE + i * PAGE_SIZE, 64, true);
+                m.write_u8(HEAP_BASE + i * PAGE_SIZE, 1).unwrap();
+                let (len, cap) = m.slab_bytes();
+                assert!(!check || cap <= len + (16 * PAGE_SIZE as usize).max(len / 8));
+            }
+        };
+        run(&mut live, true);
+        let warmed = live.slab_bytes();
+        live.reset_to(&pristine);
+        assert_eq!(live.slab_bytes().1, warmed.1);
+        run(&mut live, false);
+        assert_eq!(live.slab_bytes(), warmed);
     }
 
     #[test]

@@ -21,6 +21,14 @@
 //! load is one TLB probe and one 8-byte copy, and `memcpy`-style guest
 //! loops move whole page slices at a time.
 //!
+//! The slab never grows by doubling: a doubled 4 MiB stack mapping
+//! would leave megabytes of unused capacity in every program image and
+//! every context cloned from it. Growth reserves exactly
+//! `max(run, GROW_MIN_PAGES pages, len/8)`: a large mapping (the stack)
+//! reserves its whole run once and leaves no slack, while page-by-page
+//! growth (the heap, sanitizer shadows) stays amortized with its slack
+//! bounded by an eighth of the slab.
+//!
 //! [`ShadowMem`] layers zero-default semantics over a `PageSlab` for
 //! the two sanitizer shadows: an absent page reads as zeroes, writing
 //! zeroes to an absent page is a no-op (observably identical, and it
@@ -32,6 +40,9 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 /// Page size in bytes (must be a power of two).
 pub const PAGE_SIZE: u64 = 4096;
 const PAGE: usize = PAGE_SIZE as usize;
+
+/// Smallest growth step of a slab, in pages (see the module docs).
+const GROW_MIN_PAGES: usize = 16;
 
 /// Software-TLB depth (direct-mapped by page-id low bits). Wide enough
 /// that the hot working set — several stack pages, globals, the input
@@ -197,6 +208,39 @@ impl PageSlab {
         self.bytes.len() / PAGE
     }
 
+    /// Allocated bytes (for the growth-bound tests).
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.bytes.capacity()
+    }
+
+    /// Pages of `first..=last` that are not mapped yet. Walks the region
+    /// table directly, so the TLB and its counters are untouched.
+    pub(crate) fn missing_pages(&self, first: u64, last: u64) -> u64 {
+        let mapped: u64 = self
+            .runs
+            .iter()
+            .map(|r| {
+                (r.first_page + r.npages as u64)
+                    .min(last + 1)
+                    .saturating_sub(r.first_page.max(first))
+            })
+            .sum();
+        last - first + 1 - mapped
+    }
+
+    /// Makes room for `n` more pages without doubling: when the spare
+    /// capacity is short, grows by `max(n, GROW_MIN_PAGES)` pages or an
+    /// eighth of the slab, whichever is larger, and by exactly that.
+    pub(crate) fn reserve_pages(&mut self, n: usize) {
+        let need = n * PAGE;
+        let len = self.bytes.len();
+        if self.bytes.capacity() - len < need {
+            self.bytes
+                .reserve_exact(need.max(GROW_MIN_PAGES * PAGE).max(len / 8));
+        }
+    }
+
     pub(crate) fn invalidate_tlb(&self) {
         self.l0.store(TLB_EMPTY, Relaxed);
         for e in &self.tlb {
@@ -220,6 +264,7 @@ impl PageSlab {
         // Open a page-sized, zeroed gap at `slot`.
         let at = slot as usize * PAGE;
         let old_len = self.bytes.len();
+        self.reserve_pages(1);
         self.bytes.resize(old_len + PAGE, 0);
         if at < old_len {
             self.bytes.copy_within(at..old_len, at + PAGE);
@@ -685,6 +730,41 @@ mod tests {
         let (_, _) = s.ensure(5);
         assert_eq!(s.slot_of(12), Some(3));
         assert_eq!(s.page(3)[0], 0xAB);
+    }
+
+    #[test]
+    fn single_page_growth_is_bounded_and_rare() {
+        let mut s = PageSlab::default();
+        let mut grows = 0;
+        for p in 0..2000u64 {
+            let before = s.capacity();
+            s.ensure(1000 + p);
+            grows += usize::from(s.capacity() != before);
+            let len = s.num_slots() * PAGE;
+            assert!(
+                s.capacity() <= len + (GROW_MIN_PAGES * PAGE).max(len / 8),
+                "page {p}: capacity {} over len {len}",
+                s.capacity()
+            );
+        }
+        // Geometric by 1/8: a few dozen reallocations, not one per page.
+        assert!(grows < 60, "{grows} reallocations for 2000 pages");
+    }
+
+    #[test]
+    fn missing_pages_counts_unmapped_pages_of_a_run() {
+        let mut s = PageSlab::default();
+        for p in [3, 4, 8] {
+            s.ensure(p);
+        }
+        assert_eq!(s.missing_pages(0, 9), 7);
+        assert_eq!(s.missing_pages(3, 4), 0);
+        assert_eq!(s.missing_pages(4, 8), 3);
+        assert_eq!(s.missing_pages(20, 20), 1);
+        let (hits, misses, _) = s.telemetry_counts();
+        s.missing_pages(0, 100);
+        assert_eq!(s.telemetry_counts().0, hits);
+        assert_eq!(s.telemetry_counts().1, misses);
     }
 
     #[test]

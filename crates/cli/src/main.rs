@@ -192,7 +192,7 @@ fn emit_triage(
     print!("{}", db.to_text());
     println!(
         "triage: {} root cause(s) from {} witness(es); {} replays \
-         ({} minimization candidates), {} replay failure(s)",
+         for {} minimization candidates, {} replay failure(s)",
         db.entries().len(),
         stats.witnesses,
         stats.replays,
@@ -330,6 +330,7 @@ fn triage_event(
         .num("root_causes", db.entries().len() as u64)
         .num("replay_ms", times.replay_ms)
         .num("minimize_ms", times.minimize_ms)
+        .num("provenance_ms", times.provenance_ms)
 }
 
 /// Extracts the raw text of a top-level field from one flat telemetry
@@ -515,6 +516,7 @@ fn digest_metrics(path: &str) -> Result<MetricsDigest, String> {
                     "dedup_collapses",
                     "replay_ms",
                     "minimize_ms",
+                    "provenance_ms",
                 ] {
                     if let Some(v) = json_num(line, k) {
                         d.triage.push((k.to_string(), v));
@@ -1428,7 +1430,7 @@ fn run(args: &[String]) -> Result<(), String> {
             }
 
             // A snapshot or binary: triage with the origin shadow on
-            // (one provenance replay per witness), then narrate.
+            // (one provenance replay per discovering run), then narrate.
             let (cfg, seeds) = campaign_config_from_args(args)?;
             let opts = teapot_triage::TriageOptions::default();
             let total_watch = teapot_telemetry::Stopwatch::new();
@@ -1720,9 +1722,9 @@ fn run(args: &[String]) -> Result<(), String> {
             if let Some(t) = triage {
                 println!(
                     "\ntriage: {} root cause(s) from {} witness(es); {} replays \
-                     ({} minimization candidates), {} dedup collapse(s), \
-                     {} ms replaying ({} ms minimizing; thread-time summed \
-                     over triage threads)",
+                     for {} minimization candidates, {} dedup collapse(s), \
+                     {} ms replaying ({} ms minimizing), {} ms in provenance \
+                     replays (thread-time summed over triage threads)",
                     json_num(t, "root_causes").unwrap_or(0),
                     json_num(t, "witnesses").unwrap_or(0),
                     json_num(t, "replays").unwrap_or(0),
@@ -1730,6 +1732,7 @@ fn run(args: &[String]) -> Result<(), String> {
                     json_num(t, "dedup_collapses").unwrap_or(0),
                     json_num(t, "replay_ms").unwrap_or(0),
                     json_num(t, "minimize_ms").unwrap_or(0),
+                    json_num(t, "provenance_ms").unwrap_or(0),
                 );
             }
             if let Some(s) = summary {

@@ -35,7 +35,7 @@
 //! | `counters` | the merged registry snapshot: one key per registered counter, summed over shards |
 //! | `cost_hist` | `shard`, then `b<k>` = number of runs whose cost had `ilog2 == k` |
 //! | `hot_block` | `rank`, `pc`, `end`, `orig_pc`, `symbol` (or `null`), `cost`, `insts`, `hits` |
-//! | `triage` | `replays`, `minimize_steps`, `witnesses`, `replay_failures`, `dedup_collapses`, `root_causes`, `replay_ms`, `minimize_ms` (both thread-time summed over the triage threads, so they can exceed the triage span's `wall_ms`) |
+//! | `triage` | `replays`, `minimize_steps`, `witnesses`, `replay_failures`, `dedup_collapses`, `root_causes`, `replay_ms`, `minimize_ms`, `provenance_ms` (all three thread-time summed over the triage threads, so they can exceed the triage span's `wall_ms`; `provenance_ms` is not part of `replay_ms`) |
 //! | `fabric` | `op` (`lease` \| `worker_dead` \| `merge` \| `quarantine` \| `rejoin` \| `checkpoint` \| `checkpoint_fault`); for `lease`: `worker`, `shards`, `epoch`, `phase`, `bytes`; for `worker_dead`: `worker` (name), `epoch`; for `merge`: `epoch`, `deltas`, `bytes`, `wall_ms`; for `quarantine` (a connection condemned for a malformed frame): `worker`, `error`; for `rejoin` (a worker reconnecting after the fleet assembled): `worker`; for `checkpoint`: `epoch`; for `checkpoint_fault` (an injected failed/torn `.tcs` write): `kind` (`fail` \| `short`), `epoch` |
 //! | `summary` | `wall_ms`, `execs`, `execs_per_sec`, `unique_gadgets`, `time_to_first_gadget_execs` (or `null`) |
 //!

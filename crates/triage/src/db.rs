@@ -56,7 +56,8 @@ pub struct TriageEntry {
     /// ddmin-minimized reproducer (replays to the same gadget key);
     /// `None` when the gadget carried no witness.
     pub minimized_input: Option<Vec<u8>>,
-    /// Candidate replays minimization spent.
+    /// ddmin candidates minimization tried (not VM executions: see
+    /// [`MinimizeOutcome::steps`](crate::MinimizeOutcome::steps)).
     pub minimize_steps: u32,
     /// Whether the witness replayed successfully.
     pub replayed: bool,

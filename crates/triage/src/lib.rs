@@ -12,10 +12,12 @@
 //!    witness recorder) is re-executed on a pooled
 //!    [`ExecContext`](teapot_vm::ExecContext); the VM's determinism
 //!    makes the replay bit-identical to the discovering run, so the
-//!    same [`GadgetKey`](teapot_rt::GadgetKey) must fire again.
+//!    same [`GadgetKey`](teapot_rt::GadgetKey) must fire again. Each
+//!    replay stops once the keys it asks about have fired.
 //! 2. **Minimization** ([`minimize`]) — ddmin shrinks the witness input
 //!    to a minimal, canonical reproducer, validating every candidate by
-//!    replay.
+//!    replay; witnesses of one discovering run share one candidate
+//!    memo.
 //! 3. **Enrichment + root-cause dedup** ([`enrich`]) — reports gain
 //!    symbols (when present) and a 0–100 severity score, and collapse
 //!    across shards *and binaries* under a content-derived root-cause
@@ -27,10 +29,13 @@
 //! Stages 1-2 and the provenance replay run on every available CPU
 //! ([`std::thread::available_parallelism`]; restrict it with `taskset`
 //! or a cgroup): each thread pools its own replayer over the input's one
-//! shared program and claims the next witness, and the findings are
-//! inserted afterwards in report order. A witness's triage is a pure
-//! function of `(program, witness)`, so the database and its JSONL,
-//! text and SARIF renderings are byte-identical for any thread count.
+//! shared program and claims the next group of witnesses that share a
+//! discovering run (same input, same heuristic counts), and the
+//! findings are inserted afterwards in report order. A group's triage is
+//! a pure function of `(program, group)`, and each witness's result
+//! equals its triage alone, so the database and its JSONL, text and
+//! SARIF renderings — and the replay count — are identical for any
+//! thread count.
 //!
 //! # Worked example: campaign → triage → SARIF
 //!
@@ -92,7 +97,7 @@ use teapot_vm::Program;
 
 pub use db::{BinaryStats, TriageDb, TriageEntry, TriageLocation};
 pub use enrich::{severity, Enricher};
-pub use minimize::{minimize, MinimizeOutcome, DEFAULT_MAX_STEPS};
+pub use minimize::{minimize, minimize_group, MinimizeOutcome, DEFAULT_MAX_STEPS};
 pub use provenance::{CausalChain, CausalStep, StepRole};
 pub use replay::{run_fresh, ReplayConfig, ReplayOutcome, Replayer};
 
@@ -101,7 +106,7 @@ pub use replay::{run_fresh, ReplayConfig, ReplayOutcome, Replayer};
 pub struct TriageOptions {
     /// ddmin-minimize every witness (each candidate replay-validated).
     pub minimize: bool,
-    /// Candidate-replay budget per witness.
+    /// ddmin candidate budget per witness.
     pub max_minimize_steps: u32,
     /// Replay every reproducing witness once with the VM's origin
     /// shadow on and attach the resulting causal chain (mispredict →
@@ -126,9 +131,13 @@ impl Default for TriageOptions {
 /// `witnesses_per_s`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TriageStats {
-    /// Total VM executions (witness replays + minimization candidates).
+    /// VM executions: validation, minimization and provenance replays.
+    /// Witnesses of one discovering run share these, so `replays` can be
+    /// smaller than `minimize_steps`.
     pub replays: u64,
-    /// Minimization candidate replays alone.
+    /// ddmin candidates tried, summed over witnesses. A candidate that
+    /// several witnesses of one run try counts once per witness here but
+    /// executes once.
     pub minimize_steps: u64,
     /// Witnesses processed.
     pub witnesses: usize,
@@ -142,17 +151,19 @@ pub struct TriageStats {
 /// these values may only ever appear in telemetry output, never in the
 /// byte-pinned reports.
 ///
-/// Both are thread-time summed over the triage threads (so they can
+/// All are thread-time summed over the triage threads (so they can
 /// exceed the pass's wall time), accumulated exactly and rounded down
 /// to milliseconds once per pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TriagePhaseTimes {
-    /// Milliseconds spent processing witnesses end to end (replay
-    /// validation plus minimization).
+    /// Milliseconds spent validating and minimizing witnesses.
     pub replay_ms: u64,
     /// Milliseconds inside ddmin minimization alone (a subset of
     /// `replay_ms`).
     pub minimize_ms: u64,
+    /// Milliseconds in provenance replays and chain extraction (not
+    /// part of `replay_ms`).
+    pub provenance_ms: u64,
 }
 
 /// One campaign to fold into a triage database.
@@ -285,6 +296,7 @@ fn triage_on<'a>(
     let times = TriagePhaseTimes {
         replay_ms: busy.replay.as_millis() as u64,
         minimize_ms: busy.minimize.as_millis() as u64,
+        provenance_ms: busy.provenance.as_millis() as u64,
     };
     (db, stats, times)
 }
@@ -295,17 +307,23 @@ fn triage_on<'a>(
 struct Busy {
     replay: Duration,
     minimize: Duration,
+    provenance: Duration,
 }
 
 impl Busy {
     fn add(&mut self, other: &Busy) {
         self.replay += other.replay;
         self.minimize += other.minimize;
+        self.provenance += other.provenance;
     }
 }
 
+/// Most witnesses in one group: a [`Replayer::fired`] mask has 64 bits.
+const GROUP_CAP: usize = 64;
+
 /// What replaying one witness found. Computed on any triage thread; the
 /// chain's symbols are filled in later, in report order.
+#[derive(Default)]
 struct Outcome {
     replayed: bool,
     minimized: Option<Vec<u8>>,
@@ -394,10 +412,35 @@ fn triage_one(
     });
 }
 
+/// What identifies a discovering run: its input and pre-run heuristic
+/// counts.
+type RunId<'w> = (&'w [u8], &'w [(u64, u32)]);
+
+/// Splits `witnesses` into groups from one discovering run: indices of
+/// witnesses sharing `(input, heur_counts)`, in order, at most
+/// [`GROUP_CAP`] per group. Groups are ordered by their first member.
+fn group_runs<'w>(witnesses: impl IntoIterator<Item = &'w GadgetWitness>) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut open: HashMap<RunId<'w>, usize> = HashMap::new();
+    for (i, w) in witnesses.into_iter().enumerate() {
+        let run = (w.input.as_slice(), w.heur_counts.as_slice());
+        match open.get(&run) {
+            Some(&g) if groups[g].len() < GROUP_CAP => groups[g].push(i),
+            _ => {
+                open.insert(run, groups.len());
+                groups.push(vec![i]);
+            }
+        }
+    }
+    groups
+}
+
 /// Replays, minimizes and provenance-replays every job on
-/// `min(threads, jobs)` scoped threads, each pooling its own
-/// [`Replayer`] over the shared program. Threads claim job indices from
-/// one counter; the outcomes come back in job order.
+/// `min(threads, groups)` scoped threads, each pooling its own
+/// [`Replayer`] over the shared program. Threads claim whole groups
+/// (see [`group_runs`]) from one counter, so the VM executions of a
+/// group do not depend on the thread count; the outcomes come back in
+/// job order.
 fn replay_all(
     prog: &Arc<Program>,
     cfg: &ReplayConfig,
@@ -407,6 +450,7 @@ fn replay_all(
     stats: &mut TriageStats,
     busy: &mut Busy,
 ) -> Vec<Outcome> {
+    let groups = group_runs(jobs.iter().map(|(sw, _)| &sw.witness));
     // The counter only hands out indices; the results reach this thread
     // through `join`, which orders everything the workers wrote.
     let next = AtomicUsize::new(0);
@@ -415,15 +459,20 @@ fn replay_all(
         let mut busy = Busy::default();
         let mut done = Vec::new();
         loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(&(sw, g)) = jobs.get(i) else {
+            let g = next.fetch_add(1, Ordering::Relaxed);
+            let Some(group) = groups.get(g) else {
                 break;
             };
-            done.push((i, replay_one(&mut rp, &sw.witness, g, opts, &mut busy)));
+            let members: Vec<(&GadgetWitness, &GadgetReport)> = group
+                .iter()
+                .map(|&i| (&jobs[i].0.witness, jobs[i].1))
+                .collect();
+            let outs = replay_group(&mut rp, &members, opts, &mut busy);
+            done.extend(group.iter().copied().zip(outs));
         }
         (done, rp.replays(), busy)
     };
-    let parts = match threads.min(jobs.len()) {
+    let parts = match threads.min(groups.len()) {
         0 => Vec::new(),
         1 => vec![work()],
         n => std::thread::scope(|s| {
@@ -445,47 +494,73 @@ fn replay_all(
     }
     slots
         .into_iter()
-        .map(|o| o.expect("every job index is claimed by exactly one thread"))
+        .map(|o| o.expect("every job index is in exactly one claimed group"))
         .collect()
 }
 
-/// Triages one witness on a pooled replayer.
-fn replay_one(
+/// Triages the witnesses of one discovering run on a pooled replayer:
+/// each member's outcome is what triaging it alone would give, but the
+/// members share their ddmin candidate runs and one provenance replay.
+fn replay_group(
     rp: &mut Replayer,
-    w: &GadgetWitness,
-    g: &GadgetReport,
+    group: &[(&GadgetWitness, &GadgetReport)],
     opts: &TriageOptions,
     busy: &mut Busy,
-) -> Outcome {
-    // minimize() performs the validation replay itself (its `None` is
-    // exactly "the witness did not reproduce"), so the witness is
+) -> Vec<Outcome> {
+    let witnesses: Vec<&GadgetWitness> = group.iter().map(|&(w, _)| w).collect();
+    let run = witnesses[0];
+    // minimize_group() performs the validation replay itself (a `None`
+    // is exactly "the witness did not reproduce"), so the witness is
     // executed once, not twice.
     let watch = Instant::now();
-    let (replayed, minimized, steps) = if opts.minimize {
-        let r = match minimize(rp, w, opts.max_minimize_steps) {
-            Some(m) => (true, Some(m.input), m.steps),
-            None => (false, None, 0),
-        };
+    let mut outs: Vec<Outcome> = if opts.minimize {
+        let outs = minimize_group(rp, &witnesses, opts.max_minimize_steps)
+            .into_iter()
+            .map(|m| match m {
+                Some(m) => Outcome {
+                    replayed: true,
+                    minimized: Some(m.input),
+                    steps: m.steps,
+                    chain: None,
+                },
+                None => Outcome::default(),
+            })
+            .collect();
         busy.minimize += watch.elapsed();
-        r
+        outs
     } else {
-        let outcome = rp.replay(w);
-        let minimized = outcome.reproduced.then(|| w.input.clone());
-        (outcome.reproduced, minimized, 0)
+        let keys: Vec<GadgetKey> = witnesses.iter().map(|w| w.key).collect();
+        let fired = rp.fired(&run.input, &run.heur_counts, &keys);
+        (0..group.len())
+            .map(|j| {
+                let replayed = (fired >> j) & 1 != 0;
+                Outcome {
+                    replayed,
+                    minimized: replayed.then(|| run.input.clone()),
+                    ..Outcome::default()
+                }
+            })
+            .collect()
     };
     busy.replay += watch.elapsed();
-    // One extra replay with the origin shadow on turns the witness into
-    // a causal chain.
-    let chain = (opts.provenance && replayed)
-        .then(|| rp.replay_provenance(w))
-        .flatten()
-        .and_then(|trace| provenance::extract(&trace, g));
-    Outcome {
-        replayed,
-        minimized,
-        steps,
-        chain,
+
+    // One extra replay with the origin shadow on, stopped after the last
+    // reproduced key's leak site, turns every reproduced witness into a
+    // causal chain: `extract` reads the trace only up to its own key's
+    // leak site.
+    let reproduced: Vec<usize> = (0..group.len()).filter(|&j| outs[j].replayed).collect();
+    if opts.provenance && !reproduced.is_empty() {
+        let watch = Instant::now();
+        let keys: Vec<GadgetKey> = reproduced.iter().map(|&j| group[j].0.key).collect();
+        let (fired, trace) = rp.fired_provenance(&run.input, &run.heur_counts, &keys);
+        for (bit, &j) in reproduced.iter().enumerate() {
+            if (fired >> bit) & 1 != 0 {
+                outs[j].chain = provenance::extract(&trace, group[j].1);
+            }
+        }
+        busy.provenance += watch.elapsed();
     }
+    outs
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -529,14 +604,13 @@ fn build_entry(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
     use teapot_campaign::Campaign;
     use teapot_rt::SpecModelSet;
 
-    fn campaign(
-        w: teapot_workloads::Workload,
-        models: &str,
-        iters: u64,
-    ) -> (Binary, CampaignConfig, CampaignReport) {
+    type Fixture = (Binary, CampaignConfig, CampaignReport);
+
+    fn campaign(w: teapot_workloads::Workload, models: &str, iters: u64) -> Fixture {
         let mut cots = w.build(&teapot_cc::Options::gcc_like()).unwrap();
         cots.strip();
         let bin = teapot_core::rewrite(&cots, &teapot_core::RewriteOptions::default()).unwrap();
@@ -555,21 +629,33 @@ mod tests {
     }
 
     /// Many short brotli witnesses under all three models plus a few
-    /// deep-ddmin openssl ones: the threads finish them out of order,
-    /// and the reports must not show it.
+    /// deep-ddmin openssl ones, shared by the tests below.
+    fn fixtures() -> &'static [(&'static str, Fixture); 2] {
+        static FIXTURES: OnceLock<[(&str, Fixture); 2]> = OnceLock::new();
+        FIXTURES.get_or_init(|| {
+            [
+                (
+                    "brotli",
+                    campaign(teapot_workloads::brotli_like(), "pht,rsb,stl", 5),
+                ),
+                ("openssl", campaign(teapot_workloads::ssl_like(), "pht", 10)),
+            ]
+        })
+    }
+
+    /// The threads finish groups out of order, and the reports must not
+    /// show it.
     #[test]
     fn output_is_identical_for_any_thread_count() {
-        let brotli = campaign(teapot_workloads::brotli_like(), "pht,rsb,stl", 5);
-        let openssl = campaign(teapot_workloads::ssl_like(), "pht", 10);
         let render = |threads| {
-            let inputs = [("brotli", &brotli), ("openssl", &openssl)].map(
-                |(label, (bin, config, report))| TriageInput {
+            let inputs = fixtures()
+                .iter()
+                .map(|(label, (bin, config, report))| TriageInput {
                     label: label.to_string(),
                     bin,
                     config: config.clone(),
                     report,
-                },
-            );
+                });
             let (db, stats, _) = triage_on(inputs, &TriageOptions::default(), threads);
             (db.to_jsonl(), db.to_text(), sarif::render(&db), stats)
         };
@@ -581,7 +667,114 @@ mod tests {
             assert!(many.0 == one.0, "JSONL differs on {threads} threads");
             assert!(many.1 == one.1, "text differs on {threads} threads");
             assert!(many.2 == one.2, "SARIF differs on {threads} threads");
+            assert_eq!(
+                many.3.replays, one.3.replays,
+                "VM executions differ on {threads} threads"
+            );
             assert_eq!(many.3, one.3, "stats differ on {threads} threads");
         }
+    }
+
+    /// ddmin as it was before witnesses shared their runs: every
+    /// candidate is a full replay checked for the one key, with no memo
+    /// and no stop set.
+    fn minimize_alone(
+        rp: &mut Replayer,
+        w: &GadgetWitness,
+        max_steps: u32,
+    ) -> Option<MinimizeOutcome> {
+        let reproduces = |rp: &mut Replayer, input: &[u8]| {
+            rp.run(input, &w.heur_counts).iter().any(|g| g.key == w.key)
+        };
+        if !reproduces(rp, &w.input) {
+            return None;
+        }
+        let mut steps = 0u32;
+        let mut cur = w.input.clone();
+        let mut budget_exhausted = false;
+        let mut n = 2usize;
+        'outer: while cur.len() >= 2 {
+            let chunk = cur.len().div_ceil(n);
+            let mut reduced = false;
+            let mut start = 0usize;
+            while start < cur.len() {
+                let end = (start + chunk).min(cur.len());
+                let mut cand = Vec::with_capacity(cur.len() - (end - start));
+                cand.extend_from_slice(&cur[..start]);
+                cand.extend_from_slice(&cur[end..]);
+                if steps >= max_steps {
+                    budget_exhausted = true;
+                    break 'outer;
+                }
+                steps += 1;
+                if reproduces(rp, &cand) {
+                    cur = cand;
+                    n = 2.max(n.saturating_sub(1));
+                    reduced = true;
+                    break;
+                }
+                start = end;
+            }
+            if !reduced {
+                if chunk <= 1 {
+                    break;
+                }
+                n = (n * 2).min(cur.len());
+            }
+        }
+        for i in 0..cur.len() {
+            if cur[i] == 0 {
+                continue;
+            }
+            if steps >= max_steps {
+                budget_exhausted = true;
+                break;
+            }
+            steps += 1;
+            let mut cand = cur.clone();
+            cand[i] = 0;
+            if reproduces(rp, &cand) {
+                cur = cand;
+            }
+        }
+        Some(MinimizeOutcome {
+            input: cur,
+            steps,
+            budget_exhausted,
+        })
+    }
+
+    #[test]
+    fn grouped_minimization_equals_minimizing_each_witness_alone() {
+        let (mut shared_groups, mut alone_replays, mut grouped_replays) = (0, 0, 0);
+        for (label, (bin, config, report)) in fixtures() {
+            let prog = Program::shared(bin);
+            let cfg = ReplayConfig::from_campaign(config);
+            let reported: HashSet<GadgetKey> = report.gadgets.iter().map(|g| g.key).collect();
+            let witnesses: Vec<&GadgetWitness> = report
+                .witnesses
+                .iter()
+                .map(|sw| &sw.witness)
+                .filter(|w| reported.contains(&w.key))
+                .collect();
+            let mut alone = Replayer::new(prog.clone(), cfg.clone());
+            let mut grouped = Replayer::new(prog, cfg);
+            for group in group_runs(witnesses.iter().copied()) {
+                shared_groups += usize::from(group.len() >= 2);
+                let members: Vec<&GadgetWitness> = group.iter().map(|&i| witnesses[i]).collect();
+                let outs = minimize_group(&mut grouped, &members, DEFAULT_MAX_STEPS);
+                for (w, out) in members.iter().zip(outs) {
+                    let want = minimize_alone(&mut alone, w, DEFAULT_MAX_STEPS);
+                    assert_eq!(out, want, "{label}: {:?}", w.key);
+                }
+            }
+            alone_replays += alone.replays();
+            grouped_replays += grouped.replays();
+        }
+        assert!(shared_groups > 0, "no discovering run found two gadgets");
+        assert!(
+            grouped_replays < alone_replays,
+            "grouping saved nothing: {grouped_replays} vs {alone_replays} replays"
+        );
     }
 }

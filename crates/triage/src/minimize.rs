@@ -14,24 +14,33 @@
 //! budget)`: candidate order is fixed, replays are deterministic, and
 //! the step budget is a plain counter — byte-identical output on every
 //! host, which the triage database's determinism guarantee builds on.
+//!
+//! Witnesses of one discovering run share their input and heuristic
+//! counts, so [`minimize_group`] searches for all of them over one memo
+//! from candidate bytes to the keys that fired: a candidate two members
+//! try executes once. Each member's search is unchanged — the memo
+//! returns exactly what a full replay would — so only the number of VM
+//! executions falls.
 
 use crate::replay::Replayer;
-use teapot_rt::GadgetWitness;
+use std::collections::HashMap;
+use teapot_rt::{GadgetKey, GadgetWitness};
 
 /// Result of minimizing one witness.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MinimizeOutcome {
     /// The minimized input; replays to the witness's gadget key.
     pub input: Vec<u8>,
-    /// Candidate replays performed (the "work" metric of the triage
-    /// bench).
+    /// ddmin candidates tried (the "work" metric of the triage bench).
+    /// Each costs at most one VM execution: candidates that another
+    /// member of the same [`minimize_group`] already ran cost none.
     pub steps: u32,
     /// Whether the budget expired before the search was exhausted (the
     /// result is still valid, just possibly not 1-minimal).
     pub budget_exhausted: bool,
 }
 
-/// Default candidate-replay budget per witness.
+/// Default ddmin candidate budget per witness.
 pub const DEFAULT_MAX_STEPS: u32 = 512;
 
 /// ddmin-shrinks `w.input` to a minimal reproducer of `w.key`, validating
@@ -41,14 +50,70 @@ pub const DEFAULT_MAX_STEPS: u32 = 512;
 /// `steps` counts ddmin candidates only; the initial validation replay is
 /// excluded.
 pub fn minimize(rp: &mut Replayer, w: &GadgetWitness, max_steps: u32) -> Option<MinimizeOutcome> {
-    let reproduces = |rp: &mut Replayer, input: &[u8]| {
-        rp.run(input, &w.heur_counts).iter().any(|g| g.key == w.key)
+    minimize_group(rp, &[w], max_steps).pop().flatten()
+}
+
+/// [`minimize`] for every member of `group`, in order, over one shared
+/// candidate memo. The members must share their input and heuristic
+/// counts (they come from one discovering run), and each outcome equals
+/// `minimize(rp, member, max_steps)`.
+///
+/// A memo miss while searching for member `j` runs the candidate with
+/// the stop set `keys[j..]`: the run either ends because every one of
+/// those keys fired or goes to completion, so the recorded mask is
+/// exact for member `j` and every later one.
+///
+/// # Panics
+///
+/// Panics if the members do not share input and heuristic counts, or
+/// on more than 64 members.
+pub fn minimize_group(
+    rp: &mut Replayer,
+    group: &[&GadgetWitness],
+    max_steps: u32,
+) -> Vec<Option<MinimizeOutcome>> {
+    let Some(first) = group.first() else {
+        return Vec::new();
     };
-    if !reproduces(rp, &w.input) {
+    assert!(
+        group
+            .iter()
+            .all(|w| w.input == first.input && w.heur_counts == first.heur_counts),
+        "a minimize group shares one input and heuristic state"
+    );
+    let keys: Vec<GadgetKey> = group.iter().map(|w| w.key).collect();
+    // The default hasher: candidates are fuzzer-derived bytes, and a
+    // snapshot can carry any witness input.
+    let mut memo: HashMap<Vec<u8>, u64> = HashMap::new();
+    (0..group.len())
+        .map(|j| {
+            ddmin(&first.input, max_steps, |input| {
+                let mask = match memo.get(input) {
+                    Some(&mask) => mask,
+                    None => {
+                        let mask = rp.fired(input, &first.heur_counts, &keys[j..]) << j;
+                        memo.insert(input.to_vec(), mask);
+                        mask
+                    }
+                };
+                (mask >> j) & 1 != 0
+            })
+        })
+        .collect()
+}
+
+/// The ddmin search over `input`, with `reproduces` deciding each
+/// candidate; `None` if `input` itself does not reproduce.
+fn ddmin(
+    input: &[u8],
+    max_steps: u32,
+    mut reproduces: impl FnMut(&[u8]) -> bool,
+) -> Option<MinimizeOutcome> {
+    if !reproduces(input) {
         return None;
     }
     let mut steps = 0u32;
-    let mut cur = w.input.clone();
+    let mut cur = input.to_vec();
     let mut budget_exhausted = false;
 
     // Phase 1 — ddmin chunk deletion: split into n chunks, try dropping
@@ -68,7 +133,7 @@ pub fn minimize(rp: &mut Replayer, w: &GadgetWitness, max_steps: u32) -> Option<
                 break 'outer;
             }
             steps += 1;
-            if reproduces(rp, &cand) {
+            if reproduces(&cand) {
                 cur = cand;
                 n = 2.max(n.saturating_sub(1));
                 reduced = true;
@@ -97,7 +162,7 @@ pub fn minimize(rp: &mut Replayer, w: &GadgetWitness, max_steps: u32) -> Option<
         steps += 1;
         let mut cand = cur.clone();
         cand[i] = 0;
-        if reproduces(rp, &cand) {
+        if reproduces(&cand) {
             cur = cand;
         }
     }

@@ -12,10 +12,15 @@
 //! reset-in-place path the fuzzing hot loop uses); `ExecContext::reset`
 //! is observably identical to a fresh context, so pooled and fresh
 //! replays agree — the replay-determinism property test pins this.
+//!
+//! Triage only ever asks whether some keys fire, so [`Replayer::fired`]
+//! and [`Replayer::fired_provenance`] give the VM those keys as its stop
+//! set: the run ends once the last of them is reported, which answers
+//! exactly as the full run would.
 
 use std::sync::Arc;
 use teapot_campaign::CampaignConfig;
-use teapot_rt::{DetectorConfig, GadgetReport, GadgetWitness, SpecModelSet, TraceEvent};
+use teapot_rt::{DetectorConfig, GadgetKey, GadgetReport, GadgetWitness, SpecModelSet, TraceEvent};
 use teapot_vm::{EmuStyle, ExecContext, HeurStyle, Machine, Program, RunOptions, SpecHeuristics};
 
 /// Everything a replay needs beyond the witness itself: the detector
@@ -92,7 +97,7 @@ impl Replayer {
         &self.cfg
     }
 
-    /// Total executions performed (replays + minimization candidates).
+    /// Total VM executions performed, early-stopped ones included.
     pub fn replays(&self) -> u64 {
         self.replays
     }
@@ -125,23 +130,56 @@ impl Replayer {
         }
     }
 
-    /// Replays a witness once with the origin shadow and witness
-    /// recorder on, returning the provenance-enriched trace — tainted
-    /// accesses carry resolved input-byte origins and the completing
-    /// access appears as a [`TraceEvent::LeakSite`]. Both switches are
-    /// restored afterwards, so subsequent pooled replays (and their
-    /// campaign-equivalence guarantee) are untouched. Returns `None`
-    /// when the witness does not reproduce.
+    /// Executes `input` with heuristics seeded from `heur_counts` and
+    /// returns the mask of `keys` that fired: bit `i` is set iff
+    /// `keys[i]` was reported. The run stops once all of them have
+    /// fired, so the mask is the full run's at less cost.
+    ///
+    /// # Panics
+    ///
+    /// Panics on more than 64 keys.
+    pub fn fired(&mut self, input: &[u8], heur_counts: &[(u64, u32)], keys: &[GadgetKey]) -> u64 {
+        assert!(keys.len() <= 64, "a fired mask holds at most 64 keys");
+        self.ctx.set_stop_keys(keys);
+        let gadgets = self.run(input, heur_counts);
+        self.ctx.set_stop_keys(&[]);
+        keys.iter()
+            .enumerate()
+            .filter(|(_, k)| gadgets.iter().any(|g| g.key == **k))
+            .fold(0, |mask, (i, _)| mask | (1 << i))
+    }
+
+    /// [`Replayer::fired`] with the origin shadow and witness recorder
+    /// on: also returns the provenance-enriched trace, in which tainted
+    /// accesses carry resolved input-byte origins and every fired key's
+    /// completing access appears as a [`TraceEvent::LeakSite`]. The run
+    /// stops after the last key's leak site, and the trace up to there
+    /// is the full run's. Both switches are restored afterwards, so
+    /// subsequent pooled replays (and their campaign-equivalence
+    /// guarantee) are untouched.
     ///
     /// [`TraceEvent::LeakSite`]: teapot_rt::TraceEvent::LeakSite
-    pub fn replay_provenance(&mut self, w: &GadgetWitness) -> Option<Vec<TraceEvent>> {
+    pub fn fired_provenance(
+        &mut self,
+        input: &[u8],
+        heur_counts: &[(u64, u32)],
+        keys: &[GadgetKey],
+    ) -> (u64, Vec<TraceEvent>) {
         self.ctx.set_witness_recording(true);
         self.ctx.set_provenance(true);
-        let gadgets = self.run(&w.input, &w.heur_counts);
+        let mask = self.fired(input, heur_counts, keys);
         let trace = self.ctx.trace().to_vec();
         self.ctx.set_provenance(false);
         self.ctx.set_witness_recording(false);
-        gadgets.iter().any(|g| g.key == w.key).then_some(trace)
+        (mask, trace)
+    }
+
+    /// Replays a witness once with provenance on — the one-key case of
+    /// [`Replayer::fired_provenance`]. Returns `None` when the witness
+    /// does not reproduce.
+    pub fn replay_provenance(&mut self, w: &GadgetWitness) -> Option<Vec<TraceEvent>> {
+        let (mask, trace) = self.fired_provenance(&w.input, &w.heur_counts, &[w.key]);
+        (mask != 0).then_some(trace)
     }
 }
 

@@ -200,7 +200,7 @@ pub struct RunOutcome {
 /// Coverage, gadget reports and program output stay in the
 /// [`ExecContext`], where the caller reads or drains them without the
 /// per-run allocations a [`RunOutcome`] would cost.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunStats {
     /// Termination status.
     pub status: ExitStatus,
@@ -365,6 +365,11 @@ pub struct ExecContext {
     /// execution's architectural outcome — origins are observation-only
     /// metadata carried beside the tags.
     record_provenance: bool,
+    /// Keys whose first report ends a run early (see
+    /// [`ExecContext::set_stop_keys`]). Configuration like
+    /// `record_witness`: survives [`ExecContext::reset`]; empty, the
+    /// default, runs every execution to completion.
+    stop_keys: FxHashSet<GadgetKey>,
     /// Identity of the [`Program`] whose pristine image this context's
     /// memory derives from. A dirty-page reset is only valid against
     /// that image; `reset` rebuilds from scratch on a mismatch.
@@ -416,6 +421,7 @@ impl ExecContext {
             trace: Vec::new(),
             record_witness: false,
             record_provenance: false,
+            stop_keys: FxHashSet::default(),
             for_program: prog.uid,
             icache_ro: teapot_rt::FxHashMap::default(),
             icache_run: teapot_rt::FxHashMap::default(),
@@ -524,6 +530,19 @@ impl ExecContext {
         self.record_provenance
     }
 
+    /// Sets the stop set of subsequent runs: once every key of `keys`
+    /// has been reported, the run ends with [`ExitStatus::OutOfFuel`]
+    /// before its next instruction or compiled window. Until then it is
+    /// the full run, so its gadget reports are a prefix of the full
+    /// run's that reaches the last stop key to fire, and a caller that
+    /// only asks whether these keys fire gets the full run's answer
+    /// sooner. Empty (the default) runs to completion. Intended for
+    /// triage replays; the campaign paths never set it.
+    pub fn set_stop_keys(&mut self, keys: &[GadgetKey]) {
+        self.stop_keys.clear();
+        self.stop_keys.extend(keys.iter().copied());
+    }
+
     /// Speculative trace of the last run (empty unless recording is on).
     pub fn trace(&self) -> &[TraceEvent] {
         &self.trace
@@ -624,6 +643,10 @@ pub struct Machine<'c> {
     /// branch below is dead there, and compiled windows outside
     /// simulation use the slim memory-access templates.
     prov_on: bool,
+    /// Stop-set keys not yet reported this run (the context's
+    /// `stop_keys` count at assembly). Reaching 0 from above empties
+    /// `opts.fuel`, ending the run; 0 from the start never stops.
+    stop_left: usize,
 
     opts: RunOptions,
     /// Mirror of `ctx.checkpoints.len()`, maintained at every push and
@@ -793,6 +816,7 @@ impl<'c> Machine<'c> {
         };
         let dift_on = flags.dift || matches!(opts.emu, EmuStyle::SpecTaint);
         let prov_on = ctx.record_provenance && dift_on;
+        let stop_left = ctx.stop_keys.len();
         let models = opts.models;
 
         let mut cpu = Cpu {
@@ -809,6 +833,7 @@ impl<'c> Machine<'c> {
             nested_on: flags.nested_speculation,
             single_copy: flags.single_copy,
             prov_on,
+            stop_left,
             prog,
             ctx,
             opts,
@@ -1092,6 +1117,7 @@ impl<'c> Machine<'c> {
                     depth,
                     description: what.to_string(),
                 });
+                self.count_stop_key(key);
                 // Provenance replays append the leak-site event that
                 // completes the causal chain; campaign-captured traces
                 // (prov_on off) are unchanged.
@@ -1133,6 +1159,22 @@ impl<'c> Machine<'c> {
                 depth,
                 description: "speculative out-of-bounds access".to_string(),
             });
+            self.count_stop_key(key);
+        }
+    }
+
+    /// Counts a first-seen report against the stop set. The last stop
+    /// key to fire empties the fuel budget, so the fuel checks already
+    /// on the dispatch path (compiled window entry, [`Machine::step`])
+    /// end the run with [`ExitStatus::OutOfFuel`] before its next
+    /// window or instruction.
+    #[inline]
+    fn count_stop_key(&mut self, key: GadgetKey) {
+        if self.stop_left != 0 && self.ctx.stop_keys.contains(&key) {
+            self.stop_left -= 1;
+            if self.stop_left == 0 {
+                self.opts.fuel = 0;
+            }
         }
     }
 

@@ -122,7 +122,6 @@ impl std::error::Error for AsmError {}
 #[derive(Debug)]
 pub struct FuncAsm {
     name: String,
-    global: bool,
     items: Vec<Item>,
     next_label: usize,
     jump_tables: Vec<(String, Vec<Label>)>,
@@ -389,18 +388,10 @@ impl Assembler {
     pub fn func(&mut self, name: impl Into<String>) -> FuncAsm {
         FuncAsm {
             name: name.into(),
-            global: true,
             items: Vec::new(),
             next_label: 0,
             jump_tables: Vec::new(),
         }
-    }
-
-    /// Starts assembling a local (object-private) function.
-    pub fn local_func(&mut self, name: impl Into<String>) -> FuncAsm {
-        let mut f = self.func(name);
-        f.global = false;
-        f
     }
 
     /// Lays out a finished function: resolves local labels, appends the
@@ -515,7 +506,7 @@ impl Assembler {
             self.text,
             func_start,
             func_size,
-            f.global,
+            true,
         );
         for (name, off) in extra_syms {
             self.obj

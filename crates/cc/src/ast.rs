@@ -41,11 +41,6 @@ impl Type {
     pub fn is_unsigned(&self) -> bool {
         matches!(self, Type::Uint | Type::Char | Type::Ptr(_) | Type::FnPtr)
     }
-
-    /// Whether this is a scalar value type (assignable).
-    pub fn is_scalar(&self) -> bool {
-        !matches!(self, Type::Void)
-    }
 }
 
 /// Binary operators.

@@ -41,9 +41,24 @@
 //! `--workers`; restrict it with `taskset` or a cgroup. Its JSONL, text
 //! and SARIF are byte-identical for any thread count.
 
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
+    // Rust ignores SIGPIPE, so `teapot stats m.jsonl | head` would panic
+    // on its next print; a closed stdout ends a CLI tool quietly.
+    #[cfg(unix)]
+    {
+        extern "C" {
+            fn signal(signum: i32, handler: usize) -> usize;
+        }
+        const SIGPIPE: i32 = 13;
+        const SIG_DFL: usize = 0;
+        // SAFETY: restoring the default disposition of one signal before
+        // any thread starts.
+        unsafe { signal(SIGPIPE, SIG_DFL) };
+    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
@@ -236,37 +251,14 @@ fn file_label(path: &str) -> String {
 }
 
 /// Emits one `vm` event per shard plus the merged `counters` event.
-///
-/// The merge runs through the sharded lock-free [`Registry`] — the same
-/// path a live exporter would use — rather than a plain fold, so the
-/// registry aggregation is exercised on every `--metrics` run. Field
-/// names come from [`teapot_telemetry::VmCounters::for_each`], keeping
-/// the JSONL schema pinned to the counter struct.
-fn emit_vm_metrics(
-    sink: &mut teapot_telemetry::MetricsSink,
-    per_shard: &[teapot_telemetry::VmCounters],
-) {
-    use teapot_telemetry::{Event, Registry, VmCounters};
-    for (i, c) in per_shard.iter().enumerate() {
-        let mut ev = Some(Event::new("vm").num("shard", i as u64));
-        c.for_each(|name, v| ev = Some(ev.take().expect("event slot").num(name, v)));
-        sink.emit(ev.expect("event slot"));
+/// Field names come from [`teapot_telemetry::VmCounters::for_each`],
+/// keeping the JSONL schema pinned to the counter struct.
+fn emit_vm_metrics(sink: &mut teapot_telemetry::MetricsSink, campaign: &teapot_campaign::Campaign) {
+    use teapot_telemetry::Event;
+    for (i, c) in campaign.vm_counters().iter().enumerate() {
+        sink.emit(Event::new("vm").num("shard", i as u64).counters(c));
     }
-    let mut reg = Registry::new(per_shard.len().max(1));
-    let mut ids = Vec::new();
-    VmCounters::default().for_each(|name, _| ids.push(reg.register(name)));
-    for (i, c) in per_shard.iter().enumerate() {
-        let mut k = 0;
-        c.for_each(|_, v| {
-            reg.add(i, ids[k], v);
-            k += 1;
-        });
-    }
-    let mut ev = Some(Event::new("counters"));
-    for (name, v) in reg.snapshot() {
-        ev = Some(ev.take().expect("event slot").num(&name, v));
-    }
-    sink.emit(ev.expect("event slot"));
+    sink.emit(Event::new("counters").counters(&campaign.merged_vm_counters()));
 }
 
 /// Emits one `cost_hist` event per shard (only nonzero buckets, keyed
@@ -333,41 +325,61 @@ fn triage_event(
         .num("provenance_ms", times.provenance_ms)
 }
 
-/// Extracts the raw text of a top-level field from one flat telemetry
-/// JSONL line. The schema guarantees no nested objects and
-/// identifier-shaped strings (no escaped quotes), which is what makes
-/// this string scan sound.
-fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+/// Extracts a top-level field from one flat JSON line: a string value
+/// comes back unescaped, any other value (a number, `null`) as its raw
+/// text. Every `"` inside a written string value is escaped, so the
+/// `"key":` pattern can only match a real key.
+fn json_field<'a>(line: &'a str, key: &str) -> Option<Cow<'a, str>> {
     let pat = format!("\"{key}\":");
     let rest = &line[line.find(&pat)? + pat.len()..];
     if let Some(s) = rest.strip_prefix('"') {
-        Some(&s[..s.find('"')?])
+        // The closing quote is the first one no backslash escapes.
+        let mut end = 0;
+        loop {
+            match s.as_bytes().get(end)? {
+                b'\\' => end += 2,
+                b'"' => break,
+                _ => end += 1,
+            }
+        }
+        Some(unescape(&s[..end]))
     } else {
         let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(&rest[..end])
+        Some(Cow::Borrowed(&rest[..end]))
     }
+}
+
+/// Undoes [`teapot_telemetry::escape`] (plus `\/` and `\uXXXX` in
+/// general); borrows when there is nothing to undo.
+fn unescape(raw: &str) -> Cow<'_, str> {
+    if !raw.contains('\\') {
+        return Cow::Borrowed(raw);
+    }
+    let mut out = String::with_capacity(raw.len());
+    let mut chars = raw.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        match chars.next() {
+            Some('n') => out.push('\n'),
+            Some('r') => out.push('\r'),
+            Some('t') => out.push('\t'),
+            Some('u') => {
+                let hex: String = chars.by_ref().take(4).collect();
+                let c = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32);
+                out.push(c.unwrap_or(char::REPLACEMENT_CHARACTER));
+            }
+            Some(c) => out.push(c),
+            None => {}
+        }
+    }
+    Cow::Owned(out)
 }
 
 fn json_num(line: &str, key: &str) -> Option<u64> {
     json_field(line, key)?.parse().ok()
-}
-
-/// Splits one flat all-numeric telemetry line (`counters`) into
-/// `(key, value)` pairs, skipping the `event` tag.
-fn json_pairs(line: &str) -> Vec<(String, String)> {
-    line.trim()
-        .trim_start_matches('{')
-        .trim_end_matches('}')
-        .split(',')
-        .filter_map(|kv| {
-            let (k, v) = kv.split_once(':')?;
-            let k = k.trim().trim_matches('"');
-            if k == "event" {
-                return None;
-            }
-            Some((k.to_string(), v.trim().trim_matches('"').to_string()))
-        })
-        .collect()
 }
 
 /// Narrates one explained finding: header, reproducer, then the causal
@@ -443,7 +455,7 @@ fn chain_from_jsonl(line: &str) -> Vec<teapot_triage::CausalStep> {
         .split("},{")
         .filter_map(|frag| {
             use teapot_triage::StepRole;
-            let role = match json_field(frag, "role")? {
+            let role = match &*json_field(frag, "role")? {
                 "mispredict" => StepRole::Mispredict,
                 "tainted-load" => StepRole::TaintedLoad,
                 "leak" => StepRole::Leak,
@@ -451,94 +463,119 @@ fn chain_from_jsonl(line: &str) -> Vec<teapot_triage::CausalStep> {
             };
             Some(teapot_triage::CausalStep {
                 role,
-                pc: parse_hex_pc(json_field(frag, "pc")?)?,
+                pc: parse_hex_pc(&json_field(frag, "pc")?)?,
                 symbol: json_field(frag, "symbol")
-                    .filter(|s| *s != "null")
-                    .map(str::to_string),
-                model: parse_model(json_field(frag, "model").unwrap_or("pht")),
+                    .filter(|s| s != "null")
+                    .map(Cow::into_owned),
+                model: parse_model(json_field(frag, "model").as_deref().unwrap_or("pht")),
                 depth: json_num(frag, "depth").unwrap_or(0) as u32,
-                addr: json_field(frag, "addr").and_then(parse_hex_pc).unwrap_or(0),
+                addr: json_field(frag, "addr")
+                    .and_then(|a| parse_hex_pc(&a))
+                    .unwrap_or(0),
                 width: json_num(frag, "width").unwrap_or(0) as u8,
                 tag: 0,
-                origin: parse_origin(json_field(frag, "origin").unwrap_or("-")),
+                origin: parse_origin(json_field(frag, "origin").as_deref().unwrap_or("-")),
             })
         })
         .collect()
 }
 
-/// What `stats --diff` compares: every named numeric series a metrics
-/// stream carries, in stream order.
-#[derive(Default)]
-struct MetricsDigest {
-    binary: String,
-    models: String,
-    spans: Vec<(String, u64)>,
-    counters: Vec<(String, u64)>,
-    triage: Vec<(String, u64)>,
-    execs: Option<u64>,
-    wall_ms: Option<u64>,
-    execs_per_sec: Option<f64>,
-    unique_gadgets: Option<u64>,
-    ttfg: Option<u64>,
+/// The `triage` event keys `stats` and `stats --diff` report, in
+/// print order.
+const TRIAGE_KEYS: [&str; 8] = [
+    "root_causes",
+    "witnesses",
+    "replays",
+    "minimize_steps",
+    "dedup_collapses",
+    "replay_ms",
+    "minimize_ms",
+    "provenance_ms",
+];
+
+/// A metrics stream read in one pass: its lines grouped by `event`
+/// kind, each group in stream order.
+struct Metrics<'a> {
+    by_kind: HashMap<Cow<'a, str>, Vec<&'a str>>,
 }
 
-fn digest_metrics(path: &str) -> Result<MetricsDigest, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let mut d = MetricsDigest::default();
-    let mut saw_meta = false;
-    for line in text.lines() {
-        let Some(ev) = json_field(line, "event") else {
-            continue;
-        };
-        match ev {
-            "meta" => {
-                saw_meta = true;
-                d.binary = json_field(line, "binary").unwrap_or("?").to_string();
-                d.models = json_field(line, "models").unwrap_or("?").to_string();
+/// The named numeric series of a stream, each in stream order.
+struct Series {
+    /// `(name, wall_ms)` per `span` event.
+    spans: Vec<(String, u64)>,
+    /// The `counters` event's keys.
+    counters: Vec<(String, u64)>,
+    /// The [`TRIAGE_KEYS`] the `triage` event carries.
+    triage: Vec<(String, u64)>,
+}
+
+impl<'a> Metrics<'a> {
+    fn parse(path: &str, text: &'a str) -> Result<Metrics<'a>, String> {
+        let mut by_kind: HashMap<Cow<'a, str>, Vec<&'a str>> = HashMap::new();
+        for line in text.lines() {
+            if let Some(ev) = json_field(line, "event") {
+                by_kind.entry(ev).or_default().push(line);
             }
-            "span" => {
-                if let (Some(n), Some(ms)) = (json_field(line, "name"), json_num(line, "wall_ms")) {
-                    d.spans.push((n.to_string(), ms));
-                }
-            }
-            "counters" => {
-                d.counters = json_pairs(line)
-                    .into_iter()
-                    .filter_map(|(k, v)| v.parse().ok().map(|v| (k, v)))
-                    .collect();
-            }
-            "triage" => {
-                for k in [
-                    "root_causes",
-                    "witnesses",
-                    "replays",
-                    "minimize_steps",
-                    "dedup_collapses",
-                    "replay_ms",
-                    "minimize_ms",
-                    "provenance_ms",
-                ] {
-                    if let Some(v) = json_num(line, k) {
-                        d.triage.push((k.to_string(), v));
-                    }
-                }
-            }
-            "summary" => {
-                d.execs = json_num(line, "execs");
-                d.wall_ms = json_num(line, "wall_ms");
-                d.execs_per_sec = json_field(line, "execs_per_sec").and_then(|s| s.parse().ok());
-                d.unique_gadgets = json_num(line, "unique_gadgets");
-                d.ttfg = json_num(line, "time_to_first_gadget_execs");
-            }
-            _ => {}
+        }
+        if !by_kind.contains_key("meta") {
+            return Err(format!(
+                "{path}: no `meta` event found (expected a --metrics JSONL stream)"
+            ));
+        }
+        Ok(Metrics { by_kind })
+    }
+
+    fn all(&self, kind: &str) -> &[&'a str] {
+        self.by_kind.get(kind).map_or(&[], Vec::as_slice)
+    }
+
+    fn last(&self, kind: &str) -> Option<&'a str> {
+        self.all(kind).last().copied()
+    }
+
+    /// A field of the last `meta` event (`?` when absent).
+    fn meta(&self, key: &str) -> Cow<'a, str> {
+        self.last("meta")
+            .and_then(|m| json_field(m, key))
+            .unwrap_or(Cow::Borrowed("?"))
+    }
+
+    fn series(&self) -> Series {
+        let spans = self
+            .all("span")
+            .iter()
+            .filter_map(|l| Some((json_field(l, "name")?.into_owned(), json_num(l, "wall_ms")?)))
+            .collect();
+        // `counters` is flat and all-numeric: split it on commas.
+        let counters = self.last("counters").map_or_else(Vec::new, |l| {
+            l.trim()
+                .trim_start_matches('{')
+                .trim_end_matches('}')
+                .split(',')
+                .filter_map(|kv| {
+                    let (k, v) = kv.split_once(':')?;
+                    let k = k.trim().trim_matches('"');
+                    let v = v.trim().parse().ok()?;
+                    (k != "event").then(|| (k.to_string(), v))
+                })
+                .collect()
+        });
+        let triage = self.last("triage").map_or_else(Vec::new, |l| {
+            TRIAGE_KEYS
+                .iter()
+                .filter_map(|k| Some((k.to_string(), json_num(l, k)?)))
+                .collect()
+        });
+        Series {
+            spans,
+            counters,
+            triage,
         }
     }
-    if !saw_meta {
-        return Err(format!(
-            "{path}: no `meta` event found (expected a --metrics JSONL stream)"
-        ));
-    }
-    Ok(d)
+}
+
+fn read_text(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))
 }
 
 /// One `old -> new  delta` diff row; a side missing the series shows
@@ -579,20 +616,27 @@ fn diff_pairs(
 /// `teapot stats --diff old.jsonl new.jsonl`: signed deltas over phase
 /// timings, VM counters, triage work and the run summary.
 fn stats_diff(old_path: &str, new_path: &str) -> Result<(), String> {
-    let old = digest_metrics(old_path)?;
-    let new = digest_metrics(new_path)?;
+    let (old_text, new_text) = (read_text(old_path)?, read_text(new_path)?);
+    let old = Metrics::parse(old_path, &old_text)?;
+    let new = Metrics::parse(new_path, &new_text)?;
     println!("metrics diff: {old_path} -> {new_path}");
-    println!("  old: {} (models {})", old.binary, old.models);
-    println!("  new: {} (models {})", new.binary, new.models);
+    for (side, m) in [("old", &old), ("new", &new)] {
+        println!(
+            "  {side}: {} (models {})",
+            m.meta("binary"),
+            m.meta("models")
+        );
+    }
+    let (olds, news) = (old.series(), new.series());
 
-    let spans = diff_pairs(&old.spans, &new.spans);
+    let spans = diff_pairs(&olds.spans, &news.spans);
     if !spans.is_empty() {
         println!("\nphase timings (wall ms):");
         for (k, o, n) in &spans {
             println!("  {}", diff_row(k, *o, *n, 12));
         }
     }
-    let counters = diff_pairs(&old.counters, &new.counters);
+    let counters = diff_pairs(&olds.counters, &news.counters);
     if !counters.is_empty() {
         let changed: Vec<_> = counters.iter().filter(|(_, o, n)| o != n).collect();
         println!(
@@ -608,7 +652,7 @@ fn stats_diff(old_path: &str, new_path: &str) -> Result<(), String> {
             println!("  (all identical)");
         }
     }
-    let triage = diff_pairs(&old.triage, &new.triage);
+    let triage = diff_pairs(&olds.triage, &news.triage);
     if !triage.is_empty() {
         println!("\ntriage:");
         for (k, o, n) in &triage {
@@ -617,23 +661,203 @@ fn stats_diff(old_path: &str, new_path: &str) -> Result<(), String> {
     }
     println!("\nsummary:");
     const W: usize = 26;
-    println!("  {}", diff_row("execs", old.execs, new.execs, W));
-    println!("  {}", diff_row("wall_ms", old.wall_ms, new.wall_ms, W));
-    if let (Some(o), Some(n)) = (old.execs_per_sec, new.execs_per_sec) {
+    let (old_sum, new_sum) = (old.last("summary"), new.last("summary"));
+    let num = |s: Option<&str>, k: &str| s.and_then(|s| json_num(s, k));
+    let row = |k: &str| println!("  {}", diff_row(k, num(old_sum, k), num(new_sum, k), W));
+    row("execs");
+    row("wall_ms");
+    let rate =
+        |s: Option<&str>| s.and_then(|s| json_field(s, "execs_per_sec")?.parse::<f64>().ok());
+    if let (Some(o), Some(n)) = (rate(old_sum), rate(new_sum)) {
         println!(
             "  {:<W$} {o:>12.1} -> {n:>12.1}  {:>+12.1}",
             "execs_per_sec",
             n - o
         );
     }
-    println!(
-        "  {}",
-        diff_row("unique_gadgets", old.unique_gadgets, new.unique_gadgets, W)
-    );
-    println!(
-        "  {}",
-        diff_row("time_to_first_gadget_execs", old.ttfg, new.ttfg, W)
-    );
+    row("unique_gadgets");
+    row("time_to_first_gadget_execs");
+    Ok(())
+}
+
+/// `teapot stats metrics.jsonl [--top N]`: the stream as a human run
+/// report.
+fn stats(path: &str, top: usize) -> Result<(), String> {
+    let text = read_text(path)?;
+    let m = Metrics::parse(path, &text)?;
+    let series = m.series();
+    let meta = m.last("meta").expect("parse requires a meta event");
+    let (bin, models) = (m.meta("binary"), m.meta("models"));
+    match (
+        json_num(meta, "seed"),
+        json_num(meta, "shards"),
+        json_num(meta, "epochs"),
+        json_num(meta, "iters_per_epoch"),
+        json_num(meta, "workers"),
+    ) {
+        (Some(seed), Some(shards), Some(eps), Some(iters), Some(workers)) => println!(
+            "{bin}: seed {seed}, {shards} shard(s) x {eps} epoch(s) x \
+             {iters} iters/epoch, models {models}, {workers} worker(s)"
+        ),
+        _ => println!("{bin}: models {models}"),
+    }
+    if let (Some(recs), Some(fused), Some(sites)) = (
+        json_num(meta, "compiled_records"),
+        json_num(meta, "compiled_fused"),
+        json_num(meta, "heuristic_sites"),
+    ) {
+        println!("compiled: {recs} records ({fused} fused), {sites} heuristic sites");
+    }
+    if !series.spans.is_empty() {
+        let spans: Vec<String> = series
+            .spans
+            .iter()
+            .map(|(n, ms)| format!("{n} {ms} ms"))
+            .collect();
+        println!("phases: {}", spans.join(", "));
+    }
+    let epochs = m.all("epoch");
+    if !epochs.is_empty() {
+        println!("\nepoch     execs    corpus   gadgets   wall_ms");
+        for l in epochs {
+            let [e, x, c, g, w] = ["epoch", "execs", "corpus", "unique_gadgets", "wall_ms"]
+                .map(|k| json_num(l, k).unwrap_or(0));
+            println!("{e:>5} {x:>9} {c:>9} {g:>9} {w:>9}");
+        }
+    }
+    if !series.counters.is_empty() {
+        println!("\nvm counters (all shards):");
+        let width = series
+            .counters
+            .iter()
+            .map(|(k, _)| k.len())
+            .max()
+            .unwrap_or(0);
+        for (k, v) in &series.counters {
+            println!("  {k:<width$}  {v:>12}");
+        }
+    }
+    let hot = m.all("hot_block");
+    if !hot.is_empty() {
+        println!(
+            "\nhot blocks (top {} of {}):",
+            top.min(hot.len()),
+            hot.len()
+        );
+        println!(" rank         pc    orig_pc        cost     insts      hits  symbol");
+        for l in hot.iter().take(top) {
+            let [rank, cost, insts, hits] =
+                ["rank", "cost", "insts", "hits"].map(|k| json_num(l, k).unwrap_or(0));
+            let [pc, orig] = ["pc", "orig_pc"].map(|k| json_field(l, k).unwrap_or("?".into()));
+            let sym = json_field(l, "symbol")
+                .filter(|s| s != "null")
+                .unwrap_or("-".into());
+            println!("{rank:>5} {pc:>10} {orig:>10} {cost:>11} {insts:>9} {hits:>9}  {sym}");
+        }
+    }
+    let (mut leases, mut lease_bytes) = (0u64, 0u64);
+    let (mut merges, mut merge_bytes, mut merge_ms) = (0u64, 0u64, 0u64);
+    let mut deaths = Vec::new();
+    let mut chaos_events = Vec::new();
+    let (mut checkpoints, mut checkpoint_faults) = (0u64, 0u64);
+    for &l in m.all("fabric") {
+        let str_of = |k: &str| json_field(l, k).unwrap_or("?".into());
+        let num_of = |k: &str| json_num(l, k).unwrap_or(0);
+        match json_field(l, "op").as_deref() {
+            Some("lease") => {
+                leases += 1;
+                lease_bytes += num_of("bytes");
+            }
+            Some("merge") => {
+                merges += 1;
+                merge_bytes += num_of("bytes");
+                merge_ms += num_of("wall_ms");
+            }
+            Some("worker_dead") => {
+                deaths.push(format!("{} at epoch {}", str_of("worker"), num_of("epoch")));
+            }
+            Some("quarantine") => {
+                chaos_events.push(format!(
+                    "quarantined {}: {}",
+                    str_of("worker"),
+                    str_of("error")
+                ));
+            }
+            Some("rejoin") => chaos_events.push(format!("rejoined {}", str_of("worker"))),
+            Some("checkpoint") => checkpoints += 1,
+            Some("checkpoint_fault") => {
+                checkpoint_faults += 1;
+                chaos_events.push(format!(
+                    "checkpoint fault ({}) at epoch {}",
+                    str_of("kind"),
+                    num_of("epoch")
+                ));
+            }
+            _ => {}
+        }
+    }
+    if leases + merges > 0 || !deaths.is_empty() {
+        println!(
+            "\nfabric: {leases} lease(s) shipping {lease_bytes} bytes, \
+             {merges} barrier merge(s) over {merge_bytes} delta bytes \
+             in {merge_ms} ms, {} worker death(s)",
+            deaths.len()
+        );
+        for d in &deaths {
+            println!("  dead: {d}");
+        }
+        if checkpoints + checkpoint_faults > 0 {
+            println!("  checkpoints: {checkpoints} written, {checkpoint_faults} fault(s)");
+        }
+        for c in &chaos_events {
+            println!("  chaos: {c}");
+        }
+    }
+    let firsts = m.all("gadget_first_seen");
+    if !firsts.is_empty() {
+        println!("\nfirst gadget sightings:");
+        for l in firsts.iter().take(5) {
+            println!(
+                "  exec {} at {} ({}, shard {})",
+                json_num(l, "exec").unwrap_or(0),
+                json_field(l, "pc").unwrap_or("?".into()),
+                json_field(l, "model").unwrap_or("?".into()),
+                json_num(l, "shard").unwrap_or(0),
+            );
+        }
+        if firsts.len() > 5 {
+            println!("  ... and {} more", firsts.len() - 5);
+        }
+    }
+    if m.last("triage").is_some() {
+        let [roots, witnesses, replays, steps, collapses, replay_ms, minimize_ms, prov_ms] =
+            TRIAGE_KEYS.map(|k| {
+                series
+                    .triage
+                    .iter()
+                    .find(|(n, _)| n == k)
+                    .map_or(0, |(_, v)| *v)
+            });
+        println!(
+            "\ntriage: {roots} root cause(s) from {witnesses} witness(es); {replays} replays \
+             for {steps} minimization candidates, {collapses} dedup collapse(s), \
+             {replay_ms} ms replaying ({minimize_ms} ms minimizing), {prov_ms} ms in provenance \
+             replays (thread-time summed over triage threads)"
+        );
+    }
+    if let Some(s) = m.last("summary") {
+        let ttf = json_num(s, "time_to_first_gadget_execs")
+            .map(|n| format!("{n} execs"))
+            .unwrap_or_else(|| "n/a".into());
+        println!(
+            "\nsummary: {} execs in {} ms ({} execs/sec), {} unique \
+             gadget(s), first gadget after {ttf}",
+            json_num(s, "execs").unwrap_or(0),
+            json_num(s, "wall_ms").unwrap_or(0),
+            json_field(s, "execs_per_sec").unwrap_or("?".into()),
+            json_num(s, "unique_gadgets").unwrap_or(0),
+        );
+    }
     Ok(())
 }
 
@@ -720,7 +944,7 @@ fn run_single_host(
     let secs = started.elapsed().as_secs_f64();
     let mut sink = campaign.take_metrics();
     if let Some(s) = &mut sink {
-        emit_vm_metrics(s, &campaign.vm_counters());
+        emit_vm_metrics(s, &campaign);
         emit_cost_hists(s, &campaign.cost_histograms());
         if let Some(p) = campaign.merged_profile() {
             emit_hot_blocks(s, &p, &prog, bin, 32);
@@ -944,8 +1168,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let mut bin = if let Some(w) = find_workload(target) {
                 w.build(&cc_opts).map_err(|e| e.to_string())?
             } else {
-                let src =
-                    std::fs::read_to_string(target).map_err(|e| format!("read {target}: {e}"))?;
+                let src = read_text(target)?;
                 teapot_cc::compile_to_binary(&src, &cc_opts).map_err(|e| e.to_string())?
             };
             if flag(args, "--strip") {
@@ -1392,8 +1615,7 @@ fn run(args: &[String]) -> Result<(), String> {
             // An existing triage JSONL report: re-render the chains it
             // already carries, without executing anything.
             if target.ends_with(".jsonl") {
-                let text =
-                    std::fs::read_to_string(target).map_err(|e| format!("read {target}: {e}"))?;
+                let text = read_text(target)?;
                 let (mut shown, mut total) = (0usize, 0usize);
                 for line in text.lines().filter(|l| l.contains("\"root_cause\":")) {
                     total += 1;
@@ -1409,13 +1631,17 @@ fn run(args: &[String]) -> Result<(), String> {
                     // model keys further right, which must not match.
                     let head = &line[..line.find("\"severity\"").unwrap_or(line.len())];
                     print_explained(
-                        root,
+                        &root,
                         json_num(line, "severity").unwrap_or(0),
-                        json_field(line, "bucket").unwrap_or("?"),
-                        json_field(head, "model"),
-                        json_field(line, "description").unwrap_or("?"),
-                        json_field(line, "minimized_input").filter(|m| *m != "null"),
-                        json_field(line, "leaked_input_bytes").unwrap_or("-"),
+                        json_field(line, "bucket").as_deref().unwrap_or("?"),
+                        json_field(head, "model").as_deref(),
+                        json_field(line, "description").as_deref().unwrap_or("?"),
+                        json_field(line, "minimized_input")
+                            .filter(|m| m != "null")
+                            .as_deref(),
+                        json_field(line, "leaked_input_bytes")
+                            .as_deref()
+                            .unwrap_or("-"),
                         &chain_from_jsonl(line),
                     );
                 }
@@ -1541,214 +1767,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 return Err("--top requires a value".into());
             }
             let top: usize = parse_num(args, "--top", 10_usize)?;
-            let text = std::fs::read_to_string(input).map_err(|e| format!("read {input}: {e}"))?;
-
-            let mut meta = None;
-            let mut spans = Vec::new();
-            let mut epochs = Vec::new();
-            let mut counters = Vec::new();
-            let mut hot = Vec::new();
-            let mut firsts = Vec::new();
-            let mut triage = None;
-            let mut summary = None;
-            let (mut leases, mut lease_bytes) = (0u64, 0u64);
-            let (mut merges, mut merge_bytes, mut merge_ms) = (0u64, 0u64, 0u64);
-            let mut deaths = Vec::new();
-            let mut chaos_events = Vec::new();
-            let (mut checkpoints, mut checkpoint_faults) = (0u64, 0u64);
-            for line in text.lines() {
-                let Some(ev) = json_field(line, "event") else {
-                    continue;
-                };
-                match ev {
-                    "meta" => meta = Some(line),
-                    "span" => {
-                        if let (Some(n), Some(ms)) =
-                            (json_field(line, "name"), json_num(line, "wall_ms"))
-                        {
-                            spans.push(format!("{n} {ms} ms"));
-                        }
-                    }
-                    "epoch" => epochs.push((
-                        json_num(line, "epoch").unwrap_or(0),
-                        json_num(line, "execs").unwrap_or(0),
-                        json_num(line, "corpus").unwrap_or(0),
-                        json_num(line, "unique_gadgets").unwrap_or(0),
-                        json_num(line, "wall_ms").unwrap_or(0),
-                    )),
-                    "counters" => counters = json_pairs(line),
-                    "hot_block" => hot.push((
-                        json_num(line, "rank").unwrap_or(0),
-                        json_field(line, "pc").unwrap_or("?").to_string(),
-                        json_field(line, "orig_pc").unwrap_or("?").to_string(),
-                        json_field(line, "symbol")
-                            .filter(|s| *s != "null")
-                            .unwrap_or("-")
-                            .to_string(),
-                        json_num(line, "cost").unwrap_or(0),
-                        json_num(line, "insts").unwrap_or(0),
-                        json_num(line, "hits").unwrap_or(0),
-                    )),
-                    "gadget_first_seen" => firsts.push(format!(
-                        "exec {} at {} ({}, shard {})",
-                        json_num(line, "exec").unwrap_or(0),
-                        json_field(line, "pc").unwrap_or("?"),
-                        json_field(line, "model").unwrap_or("?"),
-                        json_num(line, "shard").unwrap_or(0),
-                    )),
-                    "triage" => triage = Some(line),
-                    "summary" => summary = Some(line),
-                    "fabric" => match json_field(line, "op") {
-                        Some("lease") => {
-                            leases += 1;
-                            lease_bytes += json_num(line, "bytes").unwrap_or(0);
-                        }
-                        Some("merge") => {
-                            merges += 1;
-                            merge_bytes += json_num(line, "bytes").unwrap_or(0);
-                            merge_ms += json_num(line, "wall_ms").unwrap_or(0);
-                        }
-                        Some("worker_dead") => deaths.push(format!(
-                            "{} at epoch {}",
-                            json_field(line, "worker").unwrap_or("?"),
-                            json_num(line, "epoch").unwrap_or(0),
-                        )),
-                        Some("quarantine") => chaos_events.push(format!(
-                            "quarantined {}: {}",
-                            json_field(line, "worker").unwrap_or("?"),
-                            json_field(line, "error").unwrap_or("?"),
-                        )),
-                        Some("rejoin") => chaos_events.push(format!(
-                            "rejoined {}",
-                            json_field(line, "worker").unwrap_or("?"),
-                        )),
-                        Some("checkpoint") => checkpoints += 1,
-                        Some("checkpoint_fault") => {
-                            checkpoint_faults += 1;
-                            chaos_events.push(format!(
-                                "checkpoint fault ({}) at epoch {}",
-                                json_field(line, "kind").unwrap_or("?"),
-                                json_num(line, "epoch").unwrap_or(0),
-                            ));
-                        }
-                        _ => {}
-                    },
-                    _ => {}
-                }
-            }
-
-            let Some(m) = meta else {
-                return Err(format!(
-                    "{input}: no `meta` event found (expected a --metrics JSONL stream)"
-                ));
-            };
-            let bin = json_field(m, "binary").unwrap_or("?");
-            let models = json_field(m, "models").unwrap_or("?");
-            match (
-                json_num(m, "seed"),
-                json_num(m, "shards"),
-                json_num(m, "epochs"),
-                json_num(m, "iters_per_epoch"),
-                json_num(m, "workers"),
-            ) {
-                (Some(seed), Some(shards), Some(eps), Some(iters), Some(workers)) => println!(
-                    "{bin}: seed {seed}, {shards} shard(s) x {eps} epoch(s) x \
-                     {iters} iters/epoch, models {models}, {workers} worker(s)"
-                ),
-                _ => println!("{bin}: models {models}"),
-            }
-            if let (Some(recs), Some(fused), Some(sites)) = (
-                json_num(m, "compiled_records"),
-                json_num(m, "compiled_fused"),
-                json_num(m, "heuristic_sites"),
-            ) {
-                println!("compiled: {recs} records ({fused} fused), {sites} heuristic sites");
-            }
-            if !spans.is_empty() {
-                println!("phases: {}", spans.join(", "));
-            }
-            if !epochs.is_empty() {
-                println!("\nepoch     execs    corpus   gadgets   wall_ms");
-                for (e, x, c, g, w) in &epochs {
-                    println!("{e:>5} {x:>9} {c:>9} {g:>9} {w:>9}");
-                }
-            }
-            if !counters.is_empty() {
-                println!("\nvm counters (all shards):");
-                let width = counters.iter().map(|(k, _)| k.len()).max().unwrap_or(0);
-                for (k, v) in &counters {
-                    println!("  {k:<width$}  {v:>12}");
-                }
-            }
-            if !hot.is_empty() {
-                println!(
-                    "\nhot blocks (top {} of {}):",
-                    top.min(hot.len()),
-                    hot.len()
-                );
-                println!(" rank         pc    orig_pc        cost     insts      hits  symbol");
-                for (rank, pc, orig, sym, cost, insts, hits) in hot.iter().take(top) {
-                    println!(
-                        "{rank:>5} {pc:>10} {orig:>10} {cost:>11} {insts:>9} {hits:>9}  {sym}"
-                    );
-                }
-            }
-            if leases + merges > 0 || !deaths.is_empty() {
-                println!(
-                    "\nfabric: {leases} lease(s) shipping {lease_bytes} bytes, \
-                     {merges} barrier merge(s) over {merge_bytes} delta bytes \
-                     in {merge_ms} ms, {} worker death(s)",
-                    deaths.len()
-                );
-                for d in &deaths {
-                    println!("  dead: {d}");
-                }
-                if checkpoints + checkpoint_faults > 0 {
-                    println!("  checkpoints: {checkpoints} written, {checkpoint_faults} fault(s)");
-                }
-                for c in &chaos_events {
-                    println!("  chaos: {c}");
-                }
-            }
-            if !firsts.is_empty() {
-                println!("\nfirst gadget sightings:");
-                for f in firsts.iter().take(5) {
-                    println!("  {f}");
-                }
-                if firsts.len() > 5 {
-                    println!("  ... and {} more", firsts.len() - 5);
-                }
-            }
-            if let Some(t) = triage {
-                println!(
-                    "\ntriage: {} root cause(s) from {} witness(es); {} replays \
-                     for {} minimization candidates, {} dedup collapse(s), \
-                     {} ms replaying ({} ms minimizing), {} ms in provenance \
-                     replays (thread-time summed over triage threads)",
-                    json_num(t, "root_causes").unwrap_or(0),
-                    json_num(t, "witnesses").unwrap_or(0),
-                    json_num(t, "replays").unwrap_or(0),
-                    json_num(t, "minimize_steps").unwrap_or(0),
-                    json_num(t, "dedup_collapses").unwrap_or(0),
-                    json_num(t, "replay_ms").unwrap_or(0),
-                    json_num(t, "minimize_ms").unwrap_or(0),
-                    json_num(t, "provenance_ms").unwrap_or(0),
-                );
-            }
-            if let Some(s) = summary {
-                let ttf = json_num(s, "time_to_first_gadget_execs")
-                    .map(|n| format!("{n} execs"))
-                    .unwrap_or_else(|| "n/a".into());
-                println!(
-                    "\nsummary: {} execs in {} ms ({} execs/sec), {} unique \
-                     gadget(s), first gadget after {ttf}",
-                    json_num(s, "execs").unwrap_or(0),
-                    json_num(s, "wall_ms").unwrap_or(0),
-                    json_field(s, "execs_per_sec").unwrap_or("?"),
-                    json_num(s, "unique_gadgets").unwrap_or(0),
-                );
-            }
-            Ok(())
+            stats(input, top)
         }
         "dis" => {
             let input = args.get(1).ok_or("usage: dis <bin.tof>")?;

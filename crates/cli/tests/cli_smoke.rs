@@ -374,3 +374,186 @@ fn bad_flag_values_fail_instead_of_running_something_else() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+fn fixtures() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
+}
+
+/// Runs the CLI in `dir`; returns (success, stdout).
+fn stdout_in(dir: &std::path::Path, args: &[&str]) -> (bool, String) {
+    let out = Command::new(teapot_bin())
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("spawn teapot");
+    (
+        out.status.success(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+    )
+}
+
+/// `metrics_full.jsonl` carries one event of every kind in the
+/// telemetry schema (all seven `fabric` ops among them); the expected
+/// reports beside it pin every line `stats` and `stats --diff` print.
+#[test]
+fn stats_and_stats_diff_render_the_fixture_streams() {
+    let dir = fixtures();
+    for (args, expected) in [
+        (&["stats", "metrics_full.jsonl"][..], "stats_full.txt"),
+        (
+            &["stats", "metrics_full.jsonl", "--top", "2"][..],
+            "stats_full_top2.txt",
+        ),
+        (
+            &[
+                "stats",
+                "--diff",
+                "metrics_base.jsonl",
+                "metrics_full.jsonl",
+            ][..],
+            "stats_diff.txt",
+        ),
+    ] {
+        let (ok, text) = stdout_in(&dir, args);
+        assert!(ok, "{args:?}: {text}");
+        let want = std::fs::read_to_string(dir.join(expected)).unwrap();
+        assert_eq!(text, want, "{args:?}");
+    }
+}
+
+/// Quotes, backslashes and tabs inside JSON strings come back exactly
+/// as written, both from a metrics stream and from a triage JSONL.
+#[test]
+fn stats_and_explain_print_escaped_strings_verbatim() {
+    let dir = std::env::temp_dir().join("teapot-cli-escapes-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(
+        dir.join("m.jsonl"),
+        concat!(
+            r#"{"event":"meta","schema":1,"binary":"we\"ird\\x.tof","models":"pht"}"#,
+            "\n",
+            r#"{"event":"fabric","op":"quarantine","worker":"w\"0","error":"bad \"frame\", len 3"}"#,
+            "\n",
+            r#"{"event":"fabric","op":"merge","epoch":0,"deltas":2,"bytes":9,"wall_ms":0}"#,
+            "\n",
+        ),
+    )
+    .unwrap();
+    let (ok, text) = stdout_in(&dir, &["stats", "m.jsonl"]);
+    assert!(ok, "{text}");
+    assert!(text.starts_with("we\"ird\\x.tof: models pht\n"), "{text}");
+    assert!(
+        text.contains("chaos: quarantined w\"0: bad \"frame\", len 3\n"),
+        "{text}"
+    );
+    let (ok, text) = stdout_in(&dir, &["stats", "--diff", "m.jsonl", "m.jsonl"]);
+    assert!(ok, "{text}");
+    assert!(text.contains("old: we\"ird\\x.tof (models pht)"), "{text}");
+
+    std::fs::write(
+        dir.join("r.jsonl"),
+        concat!(
+            r#"{"root_cause":"f+0x1:User-MDS","bucket":"User-MDS","severity":80,"#,
+            r#""description":"load of \"secret\"\tvia \\ptr","minimized_input":"14","#,
+            r#""leaked_input_bytes":"0-1","chain":[{"role":"mispredict","pc":"0x10","#,
+            r#""symbol":"op\"q","model":"pht","depth":1},{"role":"leak","pc":"0x20","#,
+            r#""symbol":null,"model":"pht","depth":1,"origin":"0-1"}],"locations":[]}"#,
+            "\n",
+        ),
+    )
+    .unwrap();
+    let (ok, text) = stdout_in(&dir, &["explain", "r.jsonl"]);
+    assert!(ok, "{text}");
+    assert!(text.contains("  load of \"secret\"\tvia \\ptr\n"), "{text}");
+    assert!(text.contains("mispredict 0x10 <op\"q>"), "{text}");
+    assert!(text.contains("explained 1 of 1 root cause(s)"), "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A reader that closes stdout early (`teapot stats m.jsonl | head`)
+/// ends the CLI quietly instead of panicking on the next print.
+#[cfg(unix)]
+#[test]
+fn closed_stdout_ends_the_cli_without_a_panic() {
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let out = Command::new(teapot_bin())
+        .args(["stats", "metrics_full.jsonl"])
+        .current_dir(fixtures())
+        .stdout(writer)
+        .output()
+        .expect("spawn teapot");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked"), "{err}");
+}
+
+/// Splits one flat, all-numeric metrics line into `(key, value)` pairs.
+fn numeric_fields(line: &str) -> Vec<(String, u64)> {
+    line.trim_matches(|c| c == '{' || c == '}')
+        .split(',')
+        .filter_map(|kv| {
+            let (k, v) = kv.split_once(':')?;
+            Some((k.trim_matches('"').to_string(), v.parse().ok()?))
+        })
+        .collect()
+}
+
+/// The `counters` event of a real `--metrics` run is the per-key sum
+/// of its per-shard `vm` events, in the same key order.
+#[test]
+fn campaign_counters_event_sums_the_vm_events() {
+    let dir = std::env::temp_dir().join("teapot-cli-counters-test");
+    std::fs::remove_dir_all(&dir).ok();
+    let inst = build_workload(&dir, "spectre-rsb");
+    let metrics = dir.join("m.jsonl");
+    let (ok, text) = run_cli(&[
+        "campaign",
+        inst.to_str().unwrap(),
+        "--shards",
+        "3",
+        "--epochs",
+        "1",
+        "--iters",
+        "10",
+        "--workload",
+        "spectre-rsb",
+        "--spec-models",
+        "pht,rsb",
+        "--no-triage",
+        "--metrics",
+        metrics.to_str().unwrap(),
+    ]);
+    assert!(ok, "{text}");
+    let stream = std::fs::read_to_string(&metrics).unwrap();
+    let vm: Vec<_> = stream
+        .lines()
+        .filter(|l| l.starts_with(r#"{"event":"vm","#))
+        .map(|l| {
+            let mut f = numeric_fields(l);
+            assert_eq!(f.remove(0).0, "shard");
+            f
+        })
+        .collect();
+    assert_eq!(vm.len(), 3);
+    let counters: Vec<_> = stream
+        .lines()
+        .filter(|l| l.starts_with(r#"{"event":"counters","#))
+        .collect();
+    assert_eq!(counters.len(), 1);
+    let counters = numeric_fields(counters[0]);
+    assert_eq!(counters.len(), vm[0].len());
+    for (i, (key, total)) in counters.iter().enumerate() {
+        let sum: u64 = vm
+            .iter()
+            .map(|shard| {
+                assert_eq!(&shard[i].0, key);
+                shard[i].1
+            })
+            .sum();
+        assert_eq!(*total, sum, "{key}");
+    }
+    assert!(counters
+        .iter()
+        .any(|(k, v)| k == "compiled_insts" && *v > 0));
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -72,14 +72,6 @@ impl GFunc {
     pub fn inst_count(&self) -> usize {
         self.blocks.iter().map(|b| b.insts.len()).sum()
     }
-
-    /// Looks up the block starting at `addr`.
-    pub fn block_at(&self, addr: u64) -> Option<&GBlock> {
-        self.blocks
-            .binary_search_by_key(&addr, |b| b.addr)
-            .ok()
-            .map(|i| &self.blocks[i])
-    }
 }
 
 /// A recovered jump table.

@@ -512,12 +512,6 @@ impl<T> Inst<T> {
         )
     }
 
-    /// Whether this instruction is serializing (terminates speculative
-    /// execution on real hardware, hence ends simulation — paper §6.1).
-    pub fn is_serializing(&self) -> bool {
-        matches!(self, Inst::Lfence | Inst::Cpuid)
-    }
-
     /// Whether this is one of the instrumentation opcodes (never present
     /// in COTS input binaries).
     pub fn is_instrumentation(&self) -> bool {

@@ -58,7 +58,6 @@ impl std::error::Error for LinkError {}
 #[derive(Debug, Default)]
 pub struct Linker {
     objects: Vec<Object>,
-    base: Option<u64>,
     flags: BinFlags,
 }
 
@@ -66,12 +65,6 @@ impl Linker {
     /// Creates a linker with the default image base.
     pub fn new() -> Linker {
         Linker::default()
-    }
-
-    /// Overrides the image base address.
-    pub fn image_base(mut self, base: u64) -> Linker {
-        self.base = Some(base);
-        self
     }
 
     /// Sets the feature flags recorded in the output binary.
@@ -101,7 +94,7 @@ impl Linker {
             SectionKind::Data,
             SectionKind::Bss,
         ];
-        let mut va = self.base.unwrap_or(DEFAULT_IMAGE_BASE);
+        let mut va = DEFAULT_IMAGE_BASE;
         let mut placed: HashMap<(usize, usize), u64> = HashMap::new();
         let mut out_sections: Vec<LoadedSection> = Vec::new();
 

@@ -32,8 +32,8 @@
 //! | `shard` | `epoch`, `shard`, `execs` (delta this epoch), `corpus`, `cov_normal`, `cov_spec`, `gadgets` |
 //! | `gadget_first_seen` | `shard`, `exec` (1-based ordinal within the shard), `pc`, `model` |
 //! | `vm` | `shard` + one key per [`VmCounters`] field (see [`VmCounters::for_each`]); the `t_prov_*` trio counts provenance-replay work (origin bytes written, interval folds, leak sites) and is zero on campaign runs |
-//! | `counters` | the merged registry snapshot: one key per registered counter, summed over shards |
-//! | `cost_hist` | `shard`, then `b<k>` = number of runs whose cost had `ilog2 == k` |
+//! | `counters` | the `vm` keys (without `shard`) summed over shards |
+//! | `cost_hist` | `shard`, then `b<k>` = number of runs whose cost had `ilog2 == k - 1` (`b0`: cost 0) |
 //! | `hot_block` | `rank`, `pc`, `end`, `orig_pc`, `symbol` (or `null`), `cost`, `insts`, `hits` |
 //! | `triage` | `replays`, `minimize_steps`, `witnesses`, `replay_failures`, `dedup_collapses`, `root_causes`, `replay_ms`, `minimize_ms`, `provenance_ms` (all three thread-time summed over the triage threads, so they can exceed the triage span's `wall_ms`; `provenance_ms` is not part of `replay_ms`) |
 //! | `fabric` | `op` (`lease` \| `worker_dead` \| `merge` \| `quarantine` \| `rejoin` \| `checkpoint` \| `checkpoint_fault`); for `lease`: `worker`, `shards`, `epoch`, `phase`, `bytes`; for `worker_dead`: `worker` (name), `epoch`; for `merge`: `epoch`, `deltas`, `bytes`, `wall_ms`; for `quarantine` (a connection condemned for a malformed frame): `worker`, `error`; for `rejoin` (a worker reconnecting after the fleet assembled): `worker`; for `checkpoint`: `epoch`; for `checkpoint_fault` (an injected failed/torn `.tcs` write): `kind` (`fail` \| `short`), `epoch` |
@@ -46,7 +46,6 @@
 
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Names of the three speculation models, in [`VmCounters`] array
@@ -70,11 +69,9 @@ pub struct VmCounters {
     pub tlb_misses: u64,
     /// Slab pages materialized (first touch of an absent page).
     pub pages_allocated: u64,
-    /// Live-decode icache hits in the across-runs (read-only) tier.
-    pub icache_ro_hits: u64,
-    /// Live-decode icache hits in the per-run tier.
-    pub icache_run_hits: u64,
-    /// Instructions decoded live (both-tier icache misses).
+    /// Instructions decoded live from guest memory: fetches outside the
+    /// predecoded tables (bytes no table covers) and every fetch under
+    /// `Machine::set_uncached_decode`, the reference decode path.
     pub live_decodes: u64,
     /// Instructions retired through template-compiled record dispatch
     /// (the fastest tier: pre-resolved operands, zero per-pass decode).
@@ -112,8 +109,6 @@ impl VmCounters {
         self.tlb_hits += other.tlb_hits;
         self.tlb_misses += other.tlb_misses;
         self.pages_allocated += other.pages_allocated;
-        self.icache_ro_hits += other.icache_ro_hits;
-        self.icache_run_hits += other.icache_run_hits;
         self.live_decodes += other.live_decodes;
         self.compiled_insts += other.compiled_insts;
         self.compiled_exits += other.compiled_exits;
@@ -131,14 +126,12 @@ impl VmCounters {
     }
 
     /// Visits every counter as a `(name, value)` pair in the one
-    /// canonical order shared by the registry, the `vm` metrics event
+    /// canonical order shared by the `vm` and `counters` metrics events
     /// and `teapot stats` — so the schema cannot drift between them.
     pub fn for_each(&self, mut f: impl FnMut(&str, u64)) {
         f("tlb_hits", self.tlb_hits);
         f("tlb_misses", self.tlb_misses);
         f("pages_allocated", self.pages_allocated);
-        f("icache_ro_hits", self.icache_ro_hits);
-        f("icache_run_hits", self.icache_run_hits);
         f("live_decodes", self.live_decodes);
         f("compiled_insts", self.compiled_insts);
         f("compiled_exits", self.compiled_exits);
@@ -160,109 +153,33 @@ impl VmCounters {
     }
 }
 
-/// Id of a counter registered in a [`Registry`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(usize);
-
-/// A lock-free registry of sharded counters.
-///
-/// Counters are registered once (single-threaded setup), then any
-/// number of threads may [`Registry::add`] to their own shard's cells
-/// concurrently — each `(shard, counter)` pair is an independent
-/// [`AtomicU64`], so there is no contention between shards and no lock
-/// anywhere. [`Registry::snapshot`] sums across shards in registration
-/// order, which makes the snapshot a pure function of the *values
-/// added*, independent of thread interleaving (pinned by a unit test
-/// below).
-pub struct Registry {
-    names: Vec<String>,
-    shards: usize,
-    /// Shard-major: `cells[shard * names.len() + counter]`.
-    cells: Vec<AtomicU64>,
-}
-
-impl Registry {
-    /// A registry with `shards` independent cell banks.
-    pub fn new(shards: usize) -> Registry {
-        Registry {
-            names: Vec::new(),
-            shards: shards.max(1),
-            cells: Vec::new(),
-        }
-    }
-
-    /// Registers a named counter (setup phase, before concurrent use).
-    /// Re-registering a name returns the existing id.
-    pub fn register(&mut self, name: &str) -> CounterId {
-        if let Some(i) = self.names.iter().position(|n| n == name) {
-            return CounterId(i);
-        }
-        self.names.push(name.to_string());
-        self.cells
-            .resize_with(self.names.len() * self.shards, AtomicU64::default);
-        CounterId(self.names.len() - 1)
-    }
-
-    /// Adds `v` to a counter in `shard`'s bank. Relaxed ordering: the
-    /// values are statistics, snapshot consistency comes from reading
-    /// after the writer threads joined.
-    pub fn add(&self, shard: usize, id: CounterId, v: u64) {
-        let w = self.names.len();
-        let cell = &self.cells[(shard % self.shards) * w + id.0];
-        cell.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// `(name, value)` pairs in registration order, each value summed
-    /// over shards.
-    pub fn snapshot(&self) -> Vec<(String, u64)> {
-        let w = self.names.len();
-        self.names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| {
-                let total = (0..self.shards)
-                    .map(|s| self.cells[s * w + i].load(Ordering::Relaxed))
-                    .sum();
-                (n.clone(), total)
-            })
-            .collect()
-    }
-}
-
 /// A log2-bucketed histogram: `buckets[k]` counts samples whose value
-/// has `ilog2 == k` (`buckets[0]` also takes zero). Recording is one
-/// relaxed atomic add, so a shared histogram is safe from any thread.
+/// has `ilog2 == k - 1` (`buckets[0]` takes zero).
 pub struct Histogram {
-    buckets: [AtomicU64; 65],
+    buckets: [u64; 65],
 }
 
 impl Default for Histogram {
     fn default() -> Histogram {
-        Histogram {
-            buckets: [0u64; 65].map(AtomicU64::new),
-        }
+        Histogram { buckets: [0; 65] }
     }
 }
 
 impl Histogram {
     /// Records one sample.
-    pub fn record(&self, v: u64) {
+    pub fn record(&mut self, v: u64) {
         let k = if v == 0 { 0 } else { v.ilog2() as usize + 1 };
-        self.buckets[k].fetch_add(1, Ordering::Relaxed);
+        self.buckets[k] += 1;
     }
 
     /// Bucket counts; index `k > 0` holds samples in `[2^(k-1), 2^k)`.
     pub fn snapshot(&self) -> [u64; 65] {
-        let mut out = [0u64; 65];
-        for (o, b) in out.iter_mut().zip(&self.buckets) {
-            *o = b.load(Ordering::Relaxed);
-        }
-        out
+        self.buckets
     }
 
     /// Total samples recorded.
     pub fn count(&self) -> u64 {
-        self.snapshot().iter().sum()
+        self.buckets.iter().sum()
     }
 }
 
@@ -446,11 +363,6 @@ impl Stopwatch {
     pub fn ms(&self) -> u64 {
         self.0.elapsed().as_millis() as u64
     }
-
-    /// Seconds elapsed.
-    pub fn secs(&self) -> f64 {
-        self.0.elapsed().as_secs_f64()
-    }
 }
 
 /// Builder for one flat metrics event (one JSONL line).
@@ -495,6 +407,16 @@ impl Event {
         self.buf.push('"');
         self.buf.push_str(&escape(v));
         self.buf.push('"');
+        self
+    }
+
+    /// Adds one field per [`VmCounters`] counter, in
+    /// [`VmCounters::for_each`] order.
+    pub fn counters(mut self, c: &VmCounters) -> Event {
+        c.for_each(|name, v| {
+            self.push_key(name);
+            self.buf.push_str(&v.to_string());
+        });
         self
     }
 
@@ -638,31 +560,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_snapshot_is_deterministic_across_interleavings() {
-        // Same per-shard values added in different orders (simulating
-        // different thread schedules) snapshot identically.
-        let build = |order: &[(usize, u64)]| {
-            let mut r = Registry::new(4);
-            let a = r.register("alpha");
-            let b = r.register("beta");
-            for &(shard, v) in order {
-                r.add(shard, a, v);
-                r.add(shard, b, 2 * v);
-            }
-            r.snapshot()
-        };
-        let s1 = build(&[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        let s2 = build(&[(3, 4), (1, 2), (0, 1), (2, 3)]);
-        assert_eq!(s1, s2);
-        assert_eq!(s1[0], ("alpha".to_string(), 10));
-        assert_eq!(s1[1], ("beta".to_string(), 20));
-        // Registration is idempotent.
-        let mut r = Registry::new(1);
-        let x = r.register("x");
-        assert_eq!(r.register("x"), x);
-    }
-
-    #[test]
     fn vm_counters_merge_and_canonical_order() {
         let mut a = VmCounters {
             tlb_hits: 5,
@@ -683,7 +580,7 @@ mod tests {
         let mut names = Vec::new();
         a.for_each(|n, _| names.push(n.to_string()));
         assert_eq!(names[0], "tlb_hits");
-        assert_eq!(names.len(), 11 + 9 + 3);
+        assert_eq!(names.len(), 9 + 9 + 3);
         assert!(names.contains(&"rollbacks_rsb".to_string()));
         assert!(names.contains(&"compiled_insts".to_string()));
         assert!(names.contains(&"t_prov_leaks".to_string()));
@@ -691,7 +588,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_by_log2() {
-        let h = Histogram::default();
+        let mut h = Histogram::default();
         h.record(0);
         h.record(1);
         h.record(2);

@@ -340,11 +340,6 @@ impl SpecHeuristics {
         }
     }
 
-    /// Number of distinct branches seen.
-    pub fn branches_seen(&self) -> usize {
-        self.sites.iter().filter(|s| s.counted).count()
-    }
-
     /// Times the site `pc` has entered simulation under `model`. Sites
     /// are namespaced per model ([`SpecModel::site_key`]): a PHT branch
     /// and an RSB return at the same address keep independent counts

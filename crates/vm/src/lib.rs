@@ -14,10 +14,6 @@
 //!    of uninstrumented binaries, used by the baseline comparisons of
 //!    Figures 1 and 7 and the detection experiments.
 //!
-//! Set the `TEAPOT_TRACE` environment variable to stream simulation
-//! entries, rollbacks, ASan verdicts and gadget reports to stderr while
-//! debugging detection behaviour.
-//!
 //! # Example
 //!
 //! ```

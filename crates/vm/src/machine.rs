@@ -374,17 +374,6 @@ pub struct ExecContext {
     /// memory derives from. A dirty-page reset is only valid against
     /// that image; `reset` rebuilds from scratch on a mismatch.
     for_program: u64,
-    /// Live-decode cache retained **across runs** (keyed by program
-    /// identity: cleared when the context is rebound to a different
-    /// program). Only decodes whose whole fetch window lies in
-    /// read-only pages land here — those bytes are immutable between
-    /// resets (guest stores fault first), so the cached instruction is
-    /// exactly what a fresh context would decode.
-    icache_ro: teapot_rt::FxHashMap<u64, (Inst<u64>, u8)>,
-    /// Live-decode cache for addresses whose bytes are mutable (or
-    /// whose fetch window could gain pages mid-run): valid for one run
-    /// only, cleared on every reset — the seed's per-run icache.
-    icache_run: teapot_rt::FxHashMap<u64, (Inst<u64>, u8)>,
     /// Scratch buffer for live-decode fetches, so `read_for_decode`
     /// stops allocating a fresh `Vec` per fetch.
     decode_scratch: Vec<u8>,
@@ -423,8 +412,6 @@ impl ExecContext {
             record_provenance: false,
             stop_keys: FxHashSet::default(),
             for_program: prog.uid,
-            icache_ro: teapot_rt::FxHashMap::default(),
-            icache_run: teapot_rt::FxHashMap::default(),
             decode_scratch: Vec::new(),
             telemetry: VmCounters::default(),
             profile: None,
@@ -446,8 +433,6 @@ impl ExecContext {
         if self.for_program != prog.uid {
             self.mem = prog.pristine().clone();
             self.for_program = prog.uid;
-            // Rebind: retained decodes belong to the old program's image.
-            self.icache_ro.clear();
             // A profile's block spans belong to the old program too.
             if self.profile.is_some() {
                 self.profile = Some(Box::new(BlockProfile::new(prog.blocks())));
@@ -455,7 +440,6 @@ impl ExecContext {
         } else {
             self.mem.reset_to(prog.pristine());
         }
-        self.icache_run.clear();
         self.asan.reset();
         self.taint.reset();
         self.origin.reset();
@@ -503,11 +487,6 @@ impl ExecContext {
     /// an execution's observable outcome.
     pub fn set_witness_recording(&mut self, on: bool) {
         self.record_witness = on;
-    }
-
-    /// Whether the witness recorder is enabled.
-    pub fn witness_recording(&self) -> bool {
-        self.record_witness
     }
 
     /// Enables or disables the origin (provenance) shadow for
@@ -691,8 +670,6 @@ pub struct Machine<'c> {
     /// execution.
     t_compiled_insts: u64,
     t_compiled_exits: u64,
-    t_icache_ro_hits: u64,
-    t_icache_run_hits: u64,
     t_live_decodes: u64,
     t_checkpoints: [u64; 3],
     t_rollbacks: [u64; 3],
@@ -717,7 +694,6 @@ pub struct Machine<'c> {
     escapes: u64,
     input_pos: usize,
 
-    trace: bool,
     uncached_decode: bool,
     tier: DispatchTier,
 }
@@ -852,8 +828,6 @@ impl<'c> Machine<'c> {
             model_site_entries: teapot_rt::FxHashMap::default(),
             t_compiled_insts: 0,
             t_compiled_exits: 0,
-            t_icache_ro_hits: 0,
-            t_icache_run_hits: 0,
             t_live_decodes: 0,
             t_checkpoints: [0; 3],
             t_rollbacks: [0; 3],
@@ -869,7 +843,6 @@ impl<'c> Machine<'c> {
             rollbacks: 0,
             escapes: 0,
             input_pos: 0,
-            trace: std::env::var_os("TEAPOT_TRACE").is_some(),
             uncached_decode: false,
             tier: forced_tier().unwrap_or_default(),
         }
@@ -975,8 +948,6 @@ impl<'c> Machine<'c> {
             t.compiled_insts += compiled_insts;
             t.compiled_exits += self.t_compiled_exits;
             t.step_insts += run_insts - compiled_insts;
-            t.icache_ro_hits += self.t_icache_ro_hits;
-            t.icache_run_hits += self.t_icache_run_hits;
             t.live_decodes += self.t_live_decodes;
             for m in 0..3 {
                 t.checkpoints[m] += self.t_checkpoints[m];
@@ -1099,9 +1070,6 @@ impl<'c> Machine<'c> {
                 model: self.window_model(),
             };
             if self.ctx.gadget_keys.insert(key) {
-                if self.trace {
-                    eprintln!("[trace] REPORT {channel:?} at {pc:#x}", pc = key.pc);
-                }
                 let branch_pc = self
                     .ctx
                     .checkpoints
@@ -1266,14 +1234,6 @@ impl<'c> Machine<'c> {
             .pop()
             .expect("rollback without checkpoint");
         self.sim_depth -= 1;
-        if self.trace {
-            eprintln!(
-                "[trace] rollback depth {} after {} prog insts, resume {:#x}",
-                self.ctx.checkpoints.len() + 1,
-                self.prog_insts - cp.insts_at_entry,
-                cp.resume_pc
-            );
-        }
         // Replay the memory log in reverse (page-chunked, not per byte;
         // drained in place — a rollback allocates nothing).
         {
@@ -1360,9 +1320,6 @@ impl<'c> Machine<'c> {
     /// handler, §6.1 "Exceptions"), crash outside.
     fn fault(&mut self, f: Fault) -> Step {
         if self.in_sim() {
-            if self.trace {
-                eprintln!("[trace] speculative fault {f:?}");
-            }
             self.rollback();
             Step::Continue
         } else {
@@ -1460,12 +1417,6 @@ impl<'c> Machine<'c> {
         let sid = self.prog.site_id_of(pc);
         if !self.model_gate(SpecModel::Rsb, site_orig, sid, heur) {
             return;
-        }
-        if self.trace {
-            eprintln!(
-                "[trace] rsb mispredict at {pc:#x}: stale {stale:#x} (actual {actual:#x}) depth {}",
-                self.ctx.checkpoints.len() + 1
-            );
         }
         self.charge(cost::RSB_CHECKPOINT);
         // The `ret` completed architecturally (SP popped) before the
@@ -1621,13 +1572,6 @@ impl<'c> Machine<'c> {
         let site_orig = self.orig_pc(pc);
         if !self.model_gate(SpecModel::Stl, site_orig, sid, heur) {
             return false;
-        }
-        if self.trace {
-            eprintln!(
-                "[trace] stl bypass at {pc:#x}: addr {addr:#x} stale {stale_raw:#x} \
-                 (current {cur:#x}) depth {}",
-                self.ctx.checkpoints.len() + 1
-            );
         }
         self.charge(cost::STL_CHECKPOINT);
         // The pending ASan verdict belongs to the architectural
@@ -2147,7 +2091,6 @@ impl<'c> Machine<'c> {
                         tramp,
                         branch_orig,
                         (sid != NO_SITE).then_some(sid),
-                        pc,
                         next_pc,
                         heur,
                     );
@@ -2316,52 +2259,18 @@ impl<'c> Machine<'c> {
         }
     }
 
-    /// Live fetch + decode from guest memory — the seed's lazy icache,
-    /// now reached only for addresses the shared table cannot freeze.
-    /// Returns `None` when the bytes at `pc` do not decode.
-    ///
-    /// The cache is two-tier and lives in the [`ExecContext`], so a
-    /// pooled context stops rebuilding it every run: decodes whose
-    /// whole fetch window is mapped read-only are retained across runs
-    /// (those bytes cannot change between resets — stores fault first,
-    /// and no page in the window can appear mid-run to alter
-    /// truncation), everything else is valid for the current run only.
+    /// Live fetch + decode from guest memory, reached only for
+    /// addresses the shared table cannot freeze and for every fetch
+    /// under [`Machine::set_uncached_decode`]. Returns `None` when the
+    /// bytes at `pc` do not decode.
     fn decode_live(&mut self, pc: u64) -> Option<(Inst<u64>, u8, bool, u64, bool)> {
         let ctx = &mut *self.ctx;
-        let hit = match ctx.icache_ro.get(&pc) {
-            Some(&e) => {
-                self.t_icache_ro_hits += 1;
-                Some(e)
-            }
-            None => match ctx.icache_run.get(&pc) {
-                Some(&e) => {
-                    self.t_icache_run_hits += 1;
-                    Some(e)
-                }
-                None => None,
-            },
-        };
-        let (i, l) = match hit {
-            Some((i, l)) => (i, l),
-            None => {
-                ctx.mem
-                    .read_for_decode_into(pc, INST_MAX_LEN, &mut ctx.decode_scratch);
-                match decode_at(&ctx.decode_scratch, pc) {
-                    Ok((i, l)) => {
-                        self.t_live_decodes += 1;
-                        if ctx.mem.range_readonly(pc, INST_MAX_LEN as u64) {
-                            ctx.icache_ro.insert(pc, (i, l as u8));
-                        } else {
-                            ctx.icache_run.insert(pc, (i, l as u8));
-                        }
-                        (i, l as u8)
-                    }
-                    Err(_) => return None,
-                }
-            }
-        };
+        ctx.mem
+            .read_for_decode_into(pc, INST_MAX_LEN, &mut ctx.decode_scratch);
+        let (i, l) = decode_at(&ctx.decode_scratch, pc).ok()?;
+        self.t_live_decodes += 1;
         let (is_instr, always_charge, cost) = crate::program::inst_meta(&i);
-        Some((i, l, is_instr, cost, always_charge))
+        Some((i, l as u8, is_instr, cost, always_charge))
     }
 
     // --- Hot-arm helpers -------------------------------------------------
@@ -2787,7 +2696,6 @@ impl<'c> Machine<'c> {
         tramp: u64,
         branch_orig: u64,
         sid: Option<u32>,
-        pc: u64,
         next_pc: u64,
         heur: &mut SpecHeuristics,
     ) {
@@ -2809,12 +2717,6 @@ impl<'c> Machine<'c> {
         } else {
             false
         };
-        if self.trace {
-            eprintln!(
-                "[trace] sim.start at {pc:#x} (orig {branch_orig:#x}) depth {depth} -> {}",
-                if enter { "ENTER" } else { "skip" }
-            );
-        }
         if enter {
             self.push_checkpoint(next_pc, branch_orig, false, SpecModel::Pht);
             self.cpu.pc = tramp;
@@ -2831,12 +2733,6 @@ impl<'c> Machine<'c> {
             let addr = self.ea(mem);
             let n = size.bytes();
             let oob = self.ctx.asan.is_poisoned(addr, n) || !self.ctx.mem.is_mapped(addr, n);
-            if self.trace && oob {
-                eprintln!(
-                    "[trace] asan OOB at {pc:#x} addr {addr:#x} depth {}",
-                    self.ctx.checkpoints.len()
-                );
-            }
             self.pending_oob = Some(PendingOob { oob });
             if oob && self.policy == Policy::SpecFuzz {
                 self.report_specfuzz(pc);
@@ -2996,7 +2892,7 @@ impl<'c> Machine<'c> {
             Inst::SimStart { tramp } => {
                 let branch_orig = self.orig_pc(pc);
                 let sid = self.prog.site_id_of(pc);
-                self.exec_sim_start(tramp, branch_orig, sid, pc, next_pc, heur);
+                self.exec_sim_start(tramp, branch_orig, sid, next_pc, heur);
             }
             Inst::SimCheck => self.exec_sim_check(),
             Inst::SimEnd => {

@@ -129,26 +129,6 @@ impl PagedMem {
         (first..=last).all(|p| self.slab.slot_of(p).is_some())
     }
 
-    /// Whether every byte of `[addr, addr+len)` is mapped *read-only* —
-    /// i.e. immutable for the lifetime of this address space's image
-    /// (guest stores fault before touching such pages). Used to decide
-    /// which live-decode results stay valid across runs.
-    pub fn range_readonly(&self, addr: u64, len: u64) -> bool {
-        if len == 0 {
-            return true;
-        }
-        let Some(end) = addr.checked_add(len - 1) else {
-            return false;
-        };
-        let first = addr / PAGE_SIZE;
-        let last = end / PAGE_SIZE;
-        (first..=last).all(|p| {
-            self.slab
-                .slot_of(p)
-                .is_some_and(|s| !self.writable.get(s as usize))
-        })
-    }
-
     /// Number of mapped pages (for diagnostics).
     pub fn mapped_pages(&self) -> usize {
         self.slab.num_slots()
@@ -168,21 +148,6 @@ impl PagedMem {
     /// `(tlb_hits, tlb_misses, pages_allocated)`.
     pub(crate) fn telemetry_counts(&self) -> (u64, u64, u64) {
         self.slab.telemetry_counts()
-    }
-
-    /// Writes bytes without fault checks, mapping pages as needed.
-    /// Used by the loader and runtime (not by guest instructions).
-    pub fn write_forced(&mut self, addr: u64, data: &[u8]) {
-        self.map_region(addr, data.len() as u64, true);
-        let mut done = 0usize;
-        for_page_chunks(addr, data.len() as u64, |a, chunk| {
-            let slot = self.slab.slot_of(a / PAGE_SIZE).expect("mapped");
-            let off = (a % PAGE_SIZE) as usize;
-            self.slab.page_mut(slot)[off..off + chunk].copy_from_slice(&data[done..done + chunk]);
-            self.dirty.set(slot as usize, true);
-            done += chunk;
-            true
-        });
     }
 
     /// Reads one byte.
@@ -411,17 +376,6 @@ impl PagedMem {
         }
     }
 
-    /// Reads `len` bytes into a vector.
-    ///
-    /// # Errors
-    ///
-    /// Faults if any byte is unmapped.
-    pub fn read_bytes(&self, addr: u64, len: u64) -> Result<Vec<u8>, MemFault> {
-        let mut out = vec![0u8; len as usize];
-        self.read_n(addr, &mut out)?;
-        Ok(out)
-    }
-
     /// Appends `len` bytes at `addr` to `out` (no intermediate buffer).
     ///
     /// # Errors
@@ -618,22 +572,10 @@ mod tests {
     }
 
     #[test]
-    fn range_readonly_tracks_permissions() {
-        let mut m = PagedMem::new();
-        m.map_region(0x5000, 0x1000, false);
-        m.map_region(0x6000, 0x1000, true);
-        assert!(m.range_readonly(0x5000, 0x1000));
-        assert!(!m.range_readonly(0x5800, 0x1000)); // crosses into RW
-        assert!(!m.range_readonly(0x7000, 1)); // unmapped
-        m.map_region(0x5000, 0x1000, true); // upgrade
-        assert!(!m.range_readonly(0x5000, 1));
-    }
-
-    #[test]
     fn reset_to_restores_the_pristine_image() {
         let mut pristine = PagedMem::new();
         pristine.map_region(0x1000, 64, true);
-        pristine.write_forced(0x1000, &[1, 2, 3, 4]);
+        pristine.poke_n(0x1000, &[1, 2, 3, 4]);
         pristine.map_region(0x4000, 16, false);
         pristine.poke(0x4000, 0xAA);
         pristine.seal_pristine();
@@ -665,7 +607,7 @@ mod tests {
         // them) must also be dropped, with pristine data intact.
         let mut pristine = PagedMem::new();
         pristine.map_region(0x1000, 8, true);
-        pristine.write_forced(0x1000, &[9]);
+        pristine.poke_n(0x1000, &[9]);
         pristine.map_region(0x8000, 8, false);
         pristine.poke(0x8000, 0xBB);
         pristine.seal_pristine();
@@ -731,7 +673,7 @@ mod tests {
     fn read_for_decode_stops_at_hole() {
         let mut m = PagedMem::new();
         m.map_region(0, PAGE_SIZE, true);
-        m.write_forced(PAGE_SIZE - 2, &[0xAA, 0xBB]);
+        m.poke_n(PAGE_SIZE - 2, &[0xAA, 0xBB]);
         let got = m.read_for_decode(PAGE_SIZE - 2, 12);
         assert_eq!(got, vec![0xAA, 0xBB]);
     }
@@ -745,7 +687,6 @@ mod tests {
         let mut back = vec![0u8; 600];
         m.read_n(PAGE_SIZE - 300, &mut back).unwrap();
         assert_eq!(back, data);
-        assert_eq!(m.read_bytes(PAGE_SIZE - 300, 600).unwrap(), data);
         let mut appended = vec![0xEE];
         m.read_append(PAGE_SIZE - 300, 600, &mut appended).unwrap();
         assert_eq!(&appended[1..], &data[..]);

@@ -85,13 +85,19 @@ pub struct VmCounters {
     pub slice_insts: u64,
     /// Instructions retired one `step()` at a time.
     pub step_insts: u64,
+    /// Of all retired instructions (`compiled_insts + step_insts`), those
+    /// retired inside a speculation window: a compiled window counts
+    /// whole at its entry depth, `step()` per instruction.
+    pub spec_insts: u64,
     /// Speculation checkpoints pushed, per model (see [`MODEL_NAMES`]).
     pub checkpoints: [u64; 3],
     /// Rollbacks executed, per model of the rolled-back window.
     pub rollbacks: [u64; 3],
     /// Windows squashed by the ROB instruction budget, per model.
     pub rob_stops: [u64; 3],
-    /// Memory-log bytes replayed by rollbacks.
+    /// Memory-log bytes replayed by rollbacks: only the entries a
+    /// window actually pushed (a level logs each word's bytes once), not
+    /// every logical entry rollback charges for.
     pub memlog_bytes_replayed: u64,
     /// Origin-shadow bytes written on provenance replays (`t_prov_bytes`;
     /// zero on campaign runs, where the origin shadow is disabled).
@@ -114,6 +120,7 @@ impl VmCounters {
         self.compiled_exits += other.compiled_exits;
         self.slice_insts += other.slice_insts;
         self.step_insts += other.step_insts;
+        self.spec_insts += other.spec_insts;
         for i in 0..3 {
             self.checkpoints[i] += other.checkpoints[i];
             self.rollbacks[i] += other.rollbacks[i];
@@ -137,6 +144,7 @@ impl VmCounters {
         f("compiled_exits", self.compiled_exits);
         f("slice_insts", self.slice_insts);
         f("step_insts", self.step_insts);
+        f("spec_insts", self.spec_insts);
         for (i, m) in MODEL_NAMES.iter().enumerate() {
             f(&format!("checkpoints_{m}"), self.checkpoints[i]);
         }
@@ -580,9 +588,10 @@ mod tests {
         let mut names = Vec::new();
         a.for_each(|n, _| names.push(n.to_string()));
         assert_eq!(names[0], "tlb_hits");
-        assert_eq!(names.len(), 9 + 9 + 3);
+        assert_eq!(names.len(), 10 + 9 + 3);
         assert!(names.contains(&"rollbacks_rsb".to_string()));
         assert!(names.contains(&"compiled_insts".to_string()));
+        assert!(names.contains(&"spec_insts".to_string()));
         assert!(names.contains(&"t_prov_leaks".to_string()));
     }
 

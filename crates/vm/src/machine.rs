@@ -230,6 +230,11 @@ struct Checkpoint {
     reg_origins: [OriginSpan; 16],
     flags_origin: OriginSpan,
     memlog_mark: usize,
+    /// Logical memory-log entries at entry (see [`LogEntry`]): what this
+    /// level's rollback charges `ROLLBACK_PER_LOG` for.
+    logical_mark: usize,
+    /// The enclosing level's log generation, restored on rollback.
+    parent_gen: u64,
     covnote_mark: usize,
     /// Start of the shared speculation window (the reorder buffer is one
     /// resource: nested levels inherit the outermost window's start, so
@@ -264,12 +269,101 @@ struct Checkpoint {
 }
 
 /// One memory-log entry: previous bytes and tags of a store target.
+///
+/// Every store inside simulation whose old bytes read back successfully
+/// is one *logical* entry, and rollback charges
+/// [`cost::ROLLBACK_PER_LOG`] per logical entry. Only stores that touch
+/// a byte their checkpoint level has not logged yet are *replayed*
+/// entries, pushed here: once a level has logged every byte of a store,
+/// the level's earlier entries already hold those bytes' values from
+/// before the level opened, which is what reverse replay leaves behind
+/// ([`LoggedWords`]). So rollback restores exactly what per-store
+/// logging restored and charges exactly what it charged.
 #[derive(Debug, Clone, Copy)]
 struct LogEntry {
     addr: u64,
     len: u8,
     old_bytes: [u8; 8],
     old_tags: [u8; 8],
+}
+
+/// Slots in the [`LoggedWords`] filter (a power of two).
+const LOGGED_WORD_SLOTS: usize = 256;
+
+/// Direct-mapped filter of the aligned 8-byte words the current
+/// checkpoint level has already logged, and which of their bytes.
+///
+/// Each level gets a fresh generation stamp that is never reused within
+/// an [`ExecContext`], so a slot written by a squashed level, by an
+/// enclosing level or by an earlier run simply never matches again: the
+/// filter needs no clearing. A miss (collision, other level, uncovered
+/// bytes) only costs a redundant log entry, never a wrong restore.
+#[derive(Debug)]
+struct LoggedWords {
+    /// Per slot: the word address and `gen << 8 | byte mask`.
+    slots: Box<[(u64, u64); LOGGED_WORD_SLOTS]>,
+    /// Generation of the innermost open level (0 outside simulation).
+    gen: u64,
+    /// Last generation handed out.
+    last_gen: u64,
+}
+
+impl LoggedWords {
+    fn new() -> LoggedWords {
+        LoggedWords {
+            slots: Box::new([(0, 0); LOGGED_WORD_SLOTS]),
+            gen: 0,
+            last_gen: 0,
+        }
+    }
+
+    /// The word address, slot and byte mask of an `n`-byte store at
+    /// `addr`, or `None` when it straddles two words (always logged).
+    #[inline]
+    fn locate(addr: u64, n: u64) -> Option<(u64, usize, u64)> {
+        let off = addr & 7;
+        if off + n > 8 {
+            return None;
+        }
+        let word = addr & !7;
+        let slot = (word >> 3) as usize & (LOGGED_WORD_SLOTS - 1);
+        Some((word, slot, ((1u64 << n) - 1) << off))
+    }
+
+    /// Whether the current level already logged every byte of the
+    /// `n`-byte store at `addr`.
+    #[inline]
+    fn covers(&self, addr: u64, n: u64) -> bool {
+        match Self::locate(addr, n) {
+            Some((word, slot, mask)) => {
+                let (w, stamp) = self.slots[slot];
+                w == word && stamp >> 8 == self.gen && stamp & mask == mask
+            }
+            None => false,
+        }
+    }
+
+    /// Records that the current level logged the store's bytes.
+    #[inline]
+    fn mark(&mut self, addr: u64, n: u64) {
+        if let Some((word, slot, mask)) = Self::locate(addr, n) {
+            let e = &mut self.slots[slot];
+            if e.0 == word && e.1 >> 8 == self.gen {
+                e.1 |= mask;
+            } else {
+                *e = (word, self.gen << 8 | mask);
+            }
+        }
+    }
+
+    /// Opens a level; returns the enclosing level's generation.
+    #[inline]
+    fn open(&mut self) -> u64 {
+        let parent = self.gen;
+        self.last_gen += 1;
+        self.gen = self.last_gen;
+        parent
+    }
 }
 
 /// One provenance-log entry: the previous origin bytes of a store
@@ -345,6 +439,12 @@ pub struct ExecContext {
     /// Provenance twin of `memlog` (1:1 entries while the origin
     /// shadow is on; empty otherwise).
     provlog: Vec<OriginLogEntry>,
+    /// Logical memory-log entries of every open level (see
+    /// [`LogEntry`]); `memlog` holds only the replayed ones.
+    memlog_logical: usize,
+    /// Which words each level already logged. Its generations survive
+    /// [`ExecContext::reset`], so stale slots never match.
+    logged: LoggedWords,
     covnotes: Vec<u32>,
     cov_normal: CovMap,
     cov_spec: CovMap,
@@ -401,6 +501,8 @@ impl ExecContext {
             checkpoints: Vec::new(),
             memlog: Vec::new(),
             provlog: Vec::new(),
+            memlog_logical: 0,
+            logged: LoggedWords::new(),
             covnotes: Vec::new(),
             cov_normal: CovMap::new(),
             cov_spec: CovMap::new(),
@@ -446,6 +548,8 @@ impl ExecContext {
         self.checkpoints.clear();
         self.memlog.clear();
         self.provlog.clear();
+        self.memlog_logical = 0;
+        self.logged.gen = 0;
         self.covnotes.clear();
         self.cov_normal.clear();
         self.cov_spec.clear();
@@ -670,6 +774,7 @@ pub struct Machine<'c> {
     /// execution.
     t_compiled_insts: u64,
     t_compiled_exits: u64,
+    t_spec_insts: u64,
     t_live_decodes: u64,
     t_checkpoints: [u64; 3],
     t_rollbacks: [u64; 3],
@@ -828,6 +933,7 @@ impl<'c> Machine<'c> {
             model_site_entries: teapot_rt::FxHashMap::default(),
             t_compiled_insts: 0,
             t_compiled_exits: 0,
+            t_spec_insts: 0,
             t_live_decodes: 0,
             t_checkpoints: [0; 3],
             t_rollbacks: [0; 3],
@@ -868,6 +974,11 @@ impl<'c> Machine<'c> {
     /// The guest address space (borrowed from the execution context).
     pub fn mem(&self) -> &PagedMem {
         &self.ctx.mem
+    }
+
+    /// The DIFT taint shadow (borrowed from the execution context).
+    pub fn taint(&self) -> &TaintEngine {
+        &self.ctx.taint
     }
 
     /// Runs to completion, threading persistent heuristics state.
@@ -948,6 +1059,7 @@ impl<'c> Machine<'c> {
             t.compiled_insts += compiled_insts;
             t.compiled_exits += self.t_compiled_exits;
             t.step_insts += run_insts - compiled_insts;
+            t.spec_insts += self.t_spec_insts;
             t.live_decodes += self.t_live_decodes;
             for m in 0..3 {
                 t.checkpoints[m] += self.t_checkpoints[m];
@@ -1192,6 +1304,8 @@ impl<'c> Machine<'c> {
             reg_origins: ctx.origin.regs,
             flags_origin: ctx.origin.flags,
             memlog_mark: ctx.memlog.len(),
+            logical_mark: ctx.memlog_logical,
+            parent_gen: ctx.logged.open(),
             covnote_mark: ctx.covnotes.len(),
             insts_at_entry: window_start,
             prog_snapshot: self.prog_insts,
@@ -1235,11 +1349,15 @@ impl<'c> Machine<'c> {
             .expect("rollback without checkpoint");
         self.sim_depth -= 1;
         // Replay the memory log in reverse (page-chunked, not per byte;
-        // drained in place — a rollback allocates nothing).
+        // drained in place — a rollback allocates nothing). The charge
+        // counts logical entries, the replay only the entries pushed.
         {
             let ctx = &mut *self.ctx;
+            let logical = ctx.memlog_logical - cp.logical_mark;
+            ctx.memlog_logical = cp.logical_mark;
+            ctx.logged.gen = cp.parent_gen;
+            self.cost += cost::ROLLBACK_BASE + cost::ROLLBACK_PER_LOG * logical as u64;
             let entries = &ctx.memlog[cp.memlog_mark..];
-            self.cost += cost::ROLLBACK_BASE + cost::ROLLBACK_PER_LOG * entries.len() as u64;
             for (i, e) in entries.iter().enumerate().rev() {
                 self.t_memlog_bytes += e.len as u64;
                 ctx.mem.poke_n(e.addr, &e.old_bytes[..e.len as usize]);
@@ -1788,31 +1906,36 @@ impl<'c> Machine<'c> {
                     ptr_origin,
                 );
             }
-            // Memory log: previous bytes + tags, for rollback (§6.1).
-            let mut old_bytes = [0u8; 8];
-            let mut old_tags = [0u8; 8];
-            self.ctx
-                .mem
-                .read_n(addr, &mut old_bytes[..n as usize])
-                .map_err(Fault::Mem)?;
-            self.ctx.taint.read_tags(addr, &mut old_tags[..n as usize]);
-            self.ctx.memlog.push(LogEntry {
-                addr,
-                len: n as u8,
-                old_bytes,
-                old_tags,
-            });
-            if self.prov_on {
-                // Keep the provenance log 1:1 with the memory log.
-                let mut old_lo = [0u8; 8];
-                let mut old_hi = [0u8; 8];
-                self.ctx.origin.read_raw(
+            // Memory log: previous bytes + tags, for rollback (§6.1),
+            // pushed only for bytes this level has not logged yet. A
+            // covered store's bytes were read back by this level before
+            // (and pages are never unmapped), so it is still a logical
+            // entry.
+            let ctx = &mut *self.ctx;
+            if !ctx.logged.covers(addr, n) {
+                let mut old_bytes = [0u8; 8];
+                let mut old_tags = [0u8; 8];
+                ctx.mem
+                    .read_n(addr, &mut old_bytes[..n as usize])
+                    .map_err(Fault::Mem)?;
+                ctx.taint.read_tags(addr, &mut old_tags[..n as usize]);
+                ctx.memlog.push(LogEntry {
                     addr,
-                    &mut old_lo[..n as usize],
-                    &mut old_hi[..n as usize],
-                );
-                self.ctx.provlog.push(OriginLogEntry { old_lo, old_hi });
+                    len: n as u8,
+                    old_bytes,
+                    old_tags,
+                });
+                if self.prov_on {
+                    // Keep the provenance log 1:1 with the memory log.
+                    let mut old_lo = [0u8; 8];
+                    let mut old_hi = [0u8; 8];
+                    ctx.origin
+                        .read_raw(addr, &mut old_lo[..n as usize], &mut old_hi[..n as usize]);
+                    ctx.provlog.push(OriginLogEntry { old_lo, old_hi });
+                }
+                ctx.logged.mark(addr, n);
             }
+            ctx.memlog_logical += 1;
             let _ = self.pending_oob.take();
         }
         if self.stl_on {
@@ -1904,8 +2027,13 @@ impl<'c> Machine<'c> {
                 }
             }
             let insts0 = self.insts;
+            let spec = self.in_sim();
             let r = self.exec_compiled(region, off, cr.recs, heur);
-            self.t_compiled_insts += self.insts - insts0;
+            let retired = self.insts - insts0;
+            self.t_compiled_insts += retired;
+            if spec {
+                self.t_spec_insts += retired;
+            }
             match r {
                 Step::Continue => {}
                 stop => return stop,
@@ -1957,8 +2085,10 @@ impl<'c> Machine<'c> {
             // By reference: a record is a whole cache line; the match
             // below only reads the payload of the variant it hits.
             let op = &ops[offset];
-            let pc = rstart + offset as u64;
-            let next_pc = pc + op.len as u64;
+            let rec_pc = rstart + offset as u64;
+            let next_pc = rec_pc + op.len as u64;
+            // The op sits behind the marker run folded into the record.
+            let pc = rec_pc + op.lead as u64;
             self.insts += op.insts as u64;
             self.prog_insts += op.prog as u64;
             self.cost += if sim { op.cost_sim } else { op.cost_norm } as u64;
@@ -2108,7 +2238,9 @@ impl<'c> Machine<'c> {
                     self.exec_cov_note(guard);
                     Ok(Step::Continue)
                 }
-                OpKind::Other => self.exec(region.insts[offset], pc, next_pc, heur),
+                OpKind::Other => {
+                    self.exec(region.insts[offset + op.lead as usize], pc, next_pc, heur)
+                }
             };
             match r {
                 Ok(Step::Continue) => {}
@@ -2203,6 +2335,9 @@ impl<'c> Machine<'c> {
 
         let next_pc = pc + len as u64;
         self.insts += 1;
+        if self.in_sim() {
+            self.t_spec_insts += 1;
+        }
         if self.single_copy || !is_instr {
             self.prog_insts += 1;
         }

@@ -48,9 +48,9 @@ pub(crate) const F_ALWAYS_CHARGE: u8 = 4;
 /// here; only the address-derived flags of the entry are valid.
 pub(crate) const F_LIVE: u8 = 8;
 /// Entry flag: executing the instruction is a pure no-op beyond the
-/// standard counters (cost markers and NOPs). The compiled tier fuses
-/// runs of them into `Skip` records that never enter the interpreter's
-/// opcode match at all — in a rewritten binary they are a large share
+/// standard counters (cost markers and NOPs). The compiled tier folds
+/// a run of them into the record that follows it, so they never cost a
+/// dispatch of their own — in a rewritten binary they are a large share
 /// of the stream (`tag.prop`/`memlog` ride along with most
 /// architectural instructions).
 pub(crate) const F_NOP: u8 = 16;
@@ -95,13 +95,19 @@ pub(crate) const NO_SITE: u32 = u32::MAX;
 /// One template-compiled execution record: a per-opcode-shape template
 /// plus fully pre-resolved operands, so the compiled dispatch tier
 /// streams uniform records with zero per-pass decode or operand work.
-/// A record may *fuse* several table slots (a run of pure cost markers,
-/// or an `asan.check` with the access it guards) — its counters then
-/// cover every fused instruction.
+/// A record may *fuse* several table slots (a run of pure cost markers
+/// folded in front of the instruction that follows it, or an
+/// `asan.check` with the access it guards) — its counters then cover
+/// every fused instruction and are charged before the op executes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CompiledOp {
     /// Bytes the record covers (all fused instructions).
     pub len: u8,
+    /// Byte offset of the executed op inside the record: the length of
+    /// the folded marker run in front of it. The op's pc (and its
+    /// `Region::insts` slot) is the record's plus `lead`. A `Skip`
+    /// record executes no op and ignores it.
+    pub lead: u8,
     /// Instructions the record retires.
     pub insts: u8,
     /// Program-instruction increments the record performs. The
@@ -121,8 +127,9 @@ pub(crate) struct CompiledOp {
 /// back to the full interpreter match over `Region::insts`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum OpKind {
-    /// A fused run of pure cost markers and NOPs (`F_NOP` entries):
-    /// nothing executes, the record only advances the counters and PC.
+    /// A run of pure cost markers and NOPs (`F_NOP` entries) that no
+    /// following record could take: nothing executes, the record only
+    /// advances the counters and PC.
     Skip,
     MovRR {
         dst: Reg,
@@ -254,7 +261,7 @@ pub(crate) struct CRun {
 pub struct CompileStats {
     /// Canonical instructions covered by a dispatchable compiled record.
     pub records: usize,
-    /// Records fusing a run of two or more pure cost markers.
+    /// Records folding a run of two or more pure cost markers.
     pub fused_skips: usize,
     /// Fused `asan.check`+access superinstruction records.
     pub fused_checks: usize,
@@ -635,10 +642,11 @@ impl Program {
 /// and keeps [`CRun::insts`]/[`CRun::prog`] in a byte.
 const WINDOW_CAP: u8 = 64;
 
-/// Cap on the pure cost markers one `Skip` record fuses: keeps the
-/// record's byte length well inside a `u8` (16 × `INST_MAX_LEN` = 192)
-/// and its instruction count a small share of a compiled window.
-const SKIP_FUSE_CAP: u8 = 16;
+/// Cap on the pure cost markers one record folds: keeps the record's
+/// byte length well inside a `u8` (16 × `INST_MAX_LEN` = 192, plus at
+/// most a fused check + access) and its instruction count a small
+/// share of a compiled window.
+const MARKER_FOLD_CAP: u8 = 16;
 
 /// Assigns dense heuristic site ids: one per decoded, non-`F_LIVE`
 /// speculation-gate instruction (`sim.start` → PHT, `ret` → RSB, loads
@@ -702,8 +710,9 @@ fn stl_cont_of(
 }
 
 /// The template-compilation pass: builds one [`CompiledOp`] record per
-/// decodable, non-`F_LIVE` slot (fusing `F_NOP` marker runs and
-/// `asan.check`+access pairs when the table proves adjacency), then a
+/// decodable, non-`F_LIVE` slot (folding `F_NOP` marker runs into the
+/// record that follows them and fusing `asan.check`+access pairs when
+/// the table proves adjacency), then a
 /// reverse-DP over *records* producing the per-slot [`CRun`] windows
 /// whose sums back the hoisted fuel/safety-net/ROB checks — so
 /// executing a window record-by-record covers exactly the instructions
@@ -726,6 +735,7 @@ fn compile_region(
     let n = entries.len();
     let nil = CompiledOp {
         len: 0,
+        lead: 0,
         insts: 0,
         prog: 0,
         cost_sim: 0,
@@ -734,6 +744,8 @@ fn compile_region(
     };
     let mut ops = vec![nil; n];
     let mut cruns = vec![CRun::default(); n];
+    // Pure cost markers folded into each slot's record.
+    let mut markers = vec![0u8; n];
     for off in (0..n).rev() {
         let e = &entries[off];
         if e.len == 0 || e.flags & F_LIVE != 0 {
@@ -744,6 +756,7 @@ fn compile_region(
         let (own_prog, own_norm) = op_accounting(e, single_copy);
         let mut op = CompiledOp {
             len: e.len,
+            lead: 0,
             insts: 1,
             prog: own_prog,
             cost_sim: e.cost,
@@ -751,18 +764,23 @@ fn compile_region(
             kind: compile_kind(e, pc, single_copy, meta, shadow_twins, site_id[off]),
         };
         if e.flags & F_NOP != 0 {
-            // Fuse a fall-through run of pure markers into one Skip.
+            // Fold the marker into the record of the next slot (which
+            // holds the rest of the run and the instruction after it).
+            markers[off] = 1;
             if let Some(ne) = entries.get(next_off) {
                 let nop = ops[next_off];
-                if matches!(nop.kind, OpKind::Skip)
-                    && nop.insts < SKIP_FUSE_CAP
+                if nop.len != 0
+                    && markers[next_off] < MARKER_FOLD_CAP
                     && (ne.flags ^ e.flags) & F_IN_REAL == 0
                 {
+                    op.kind = nop.kind;
+                    op.lead = e.len + nop.lead;
                     op.len += nop.len;
                     op.insts += nop.insts;
                     op.prog += nop.prog;
                     op.cost_sim += nop.cost_sim;
                     op.cost_norm += nop.cost_norm;
+                    markers[off] += markers[next_off];
                 }
             }
         } else if let Inst::AsanCheck {
@@ -824,10 +842,16 @@ fn compile_region(
         }
         if canonical[off] {
             stats.records += 1;
-            match op.kind {
-                OpKind::Skip if op.insts >= 2 => stats.fused_skips += 1,
-                OpKind::LoadChecked { .. } | OpKind::StoreChecked { .. } => stats.fused_checks += 1,
-                _ => {}
+            if markers[off] >= 2 {
+                stats.fused_skips += 1;
+            }
+            if markers[off] == 0
+                && matches!(
+                    op.kind,
+                    OpKind::LoadChecked { .. } | OpKind::StoreChecked { .. }
+                )
+            {
+                stats.fused_checks += 1;
             }
         }
         // Window DP over records: extend while the next slot's window

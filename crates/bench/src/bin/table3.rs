@@ -1,4 +1,5 @@
-//! Regenerates Table 3: artificial-gadget detection scores.
+//! Regenerates Table 3: artificial-gadget detection scores. Exits 1
+//! when the rows break the paper's shape (`table3::shape_breaks`).
 fn main() {
     let iters = std::env::args()
         .nth(1)
@@ -7,4 +8,11 @@ fn main() {
     println!("Table 3: artificially injected gadgets ({iters} fuzz iters/tool)\n");
     let rows = teapot_bench::table3::run(iters);
     println!("{}", teapot_bench::table3::render(&rows));
+    let breaks = teapot_bench::table3::shape_breaks(&rows);
+    for b in &breaks {
+        eprintln!("table3: shape broken: {b}");
+    }
+    if !breaks.is_empty() {
+        std::process::exit(1);
+    }
 }

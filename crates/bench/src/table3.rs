@@ -185,3 +185,64 @@ pub fn render(rows: &[Table3Row]) -> String {
         &table_rows,
     )
 }
+
+/// Where the rows break the paper's Table 3 shape, one line per broken
+/// rule and program (empty when the shape holds). The shape: Teapot
+/// reports no false positive, its precision is at least SpecFuzz's and
+/// SpecTaint's, and its recall is at least SpecTaint's.
+pub fn shape_breaks(rows: &[Table3Row]) -> Vec<String> {
+    let mut breaks = Vec::new();
+    for r in rows {
+        let (t, name) = (&r.teapot, &r.name);
+        if t.fp > 0 {
+            breaks.push(format!("{name}: Teapot reports {} false positive(s)", t.fp));
+        }
+        for (tool, other) in [("SpecFuzz", &r.specfuzz), ("SpecTaint", &r.spectaint)] {
+            if t.precision() < other.precision() {
+                breaks.push(format!(
+                    "{name}: Teapot precision {:.2} below {tool}'s {:.2}",
+                    t.precision(),
+                    other.precision()
+                ));
+            }
+        }
+        if t.recall() < r.spectaint.recall() {
+            breaks.push(format!(
+                "{name}: Teapot recall {:.2} below SpecTaint's {:.2}",
+                t.recall(),
+                r.spectaint.recall()
+            ));
+        }
+    }
+    breaks
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(teapot: (usize, usize, usize), specfuzz: (usize, usize, usize)) -> Table3Row {
+        let score = |(tp, fp, fnn)| Score { tp, fp, fnn };
+        Table3Row {
+            name: "p".to_string(),
+            gt: 10,
+            teapot: score(teapot),
+            specfuzz: score(specfuzz),
+            spectaint: score((7, 0, 3)),
+        }
+    }
+
+    #[test]
+    fn shape_breaks_name_each_broken_rule() {
+        assert!(shape_breaks(&[row((8, 0, 2), (8, 12, 2))]).is_empty());
+        assert_eq!(
+            shape_breaks(&[row((6, 1, 4), (6, 0, 4))]),
+            [
+                "p: Teapot reports 1 false positive(s)",
+                "p: Teapot precision 0.86 below SpecFuzz's 1.00",
+                "p: Teapot precision 0.86 below SpecTaint's 1.00",
+                "p: Teapot recall 0.60 below SpecTaint's 0.70",
+            ]
+        );
+    }
+}

@@ -1,115 +1,76 @@
 //! Deterministic JSON rendering of campaign reports.
 //!
-//! Hand-rolled so the workspace stays dependency-free: keys are emitted
-//! in a fixed order, maps are sorted (`BTreeMap`), and nothing
-//! timing- or thread-dependent is included — the bytes are a pure
-//! function of the campaign result, which is what makes the
+//! Spelled through the workspace codec ([`teapot_telemetry::json`]):
+//! keys are emitted in a fixed order, maps are sorted (`BTreeMap`), and
+//! nothing timing- or thread-dependent is included — the bytes are a
+//! pure function of the campaign result, which is what makes the
 //! "`--workers 8` equals `--workers 1`" acceptance check meaningful.
 
 use crate::{CampaignReport, ShardSummary};
 use teapot_rt::{GadgetReport, SpecModel};
-use teapot_telemetry::escape;
+use teapot_telemetry::json::{Hex, Layout, Obj};
 
-fn render_gadget(g: &GadgetReport, out: &mut String) {
+fn render_gadget(o: &mut Obj, g: &GadgetReport) {
+    o.field("pc", Hex(g.key.pc))
+        .field("channel", g.key.channel.to_string())
+        .field("controllability", g.key.controllability.to_string());
     // The model field is emitted only for non-PHT gadgets: default
     // (PHT-only) campaign JSON stays byte-identical to the
     // pre-specmodel pipeline.
-    let model = if g.key.model == SpecModel::Pht {
-        String::new()
-    } else {
-        format!("\"model\":\"{}\",", g.key.model)
-    };
-    out.push_str(&format!(
-        "{{\"pc\":\"{:#x}\",\"channel\":\"{}\",\"controllability\":\"{}\",{model}\
-         \"bucket\":\"{}\",\"branch_pc\":\"{:#x}\",\"access_pc\":\"{:#x}\",\
-         \"depth\":{},\"description\":\"{}\"}}",
-        g.key.pc,
-        g.key.channel,
-        g.key.controllability,
-        g.bucket(),
-        g.branch_pc,
-        g.access_pc,
-        g.depth,
-        escape(&g.description),
-    ));
+    if g.key.model != SpecModel::Pht {
+        o.field("model", g.key.model.to_string());
+    }
+    o.field("bucket", g.bucket())
+        .field("branch_pc", Hex(g.branch_pc))
+        .field("access_pc", Hex(g.access_pc))
+        .field("depth", g.depth)
+        .field("description", &g.description);
 }
 
-fn render_shard(s: &ShardSummary, out: &mut String) {
-    out.push_str(&format!(
-        "{{\"shard\":{},\"iters\":{},\"corpus_len\":{},\"gadgets\":{},\
-         \"crashes\":{},\"total_cost\":{}}}",
-        s.shard, s.iters, s.corpus_len, s.gadgets, s.crashes, s.total_cost,
-    ));
+fn render_shard(o: &mut Obj, s: &ShardSummary) {
+    o.field("shard", s.shard)
+        .field("iters", s.iters)
+        .field("corpus_len", s.corpus_len)
+        .field("gadgets", s.gadgets)
+        .field("crashes", s.crashes)
+        .field("total_cost", s.total_cost);
 }
 
 /// Renders a [`CampaignReport`] as deterministic, pretty-stable JSON.
 pub fn render_report(r: &CampaignReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"seed\": {},\n", r.seed));
-    out.push_str(&format!("  \"shards\": {},\n", r.shards));
-    out.push_str(&format!("  \"epochs\": {},\n", r.epochs));
+    use Layout::{Compact, Lines, Spaced};
+    let mut o = Obj::new(Lines);
+    o.field("seed", r.seed)
+        .field("shards", r.shards)
+        .field("epochs", r.epochs);
     // Emitted only for non-default model sets: default campaign JSON is
     // byte-identical to the pre-specmodel renderer.
     if !r.spec_models.is_default() {
-        out.push_str(&format!("  \"spec_models\": \"{}\",\n", r.spec_models));
+        o.field("spec_models", r.spec_models.to_string());
     }
-    out.push_str(&format!(
-        "  \"decode_cache\": {{\"blocks\": {}, \"insts\": {}, \"bytes\": {}, \
-         \"undecoded_bytes\": {}}},\n",
-        r.decode_stats.blocks,
-        r.decode_stats.insts,
-        r.decode_stats.bytes,
-        r.decode_stats.undecoded_bytes
-    ));
-    out.push_str(&format!("  \"iters\": {},\n", r.iters));
-    out.push_str(&format!("  \"total_cost\": {},\n", r.total_cost));
-    out.push_str(&format!("  \"crashes\": {},\n", r.crashes));
-    out.push_str(&format!("  \"corpus_total\": {},\n", r.corpus_total));
-    out.push_str(&format!(
-        "  \"cov_normal_features\": {},\n",
-        r.cov_normal_features
-    ));
-    out.push_str(&format!(
-        "  \"cov_spec_features\": {},\n",
-        r.cov_spec_features
-    ));
-    out.push_str(&format!("  \"unique_gadgets\": {},\n", r.unique_gadgets()));
-
-    out.push_str("  \"buckets\": {");
-    for (i, (bucket, n)) in r.buckets.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    let d = &r.decode_stats;
+    o.obj("decode_cache", Spaced, |c| {
+        c.field("blocks", d.blocks)
+            .field("insts", d.insts)
+            .field("bytes", d.bytes)
+            .field("undecoded_bytes", d.undecoded_bytes);
+    })
+    .field("iters", r.iters)
+    .field("total_cost", r.total_cost)
+    .field("crashes", r.crashes)
+    .field("corpus_total", r.corpus_total)
+    .field("cov_normal_features", r.cov_normal_features)
+    .field("cov_spec_features", r.cov_spec_features)
+    .field("unique_gadgets", r.unique_gadgets())
+    .obj("buckets", Compact, |b| {
+        for (bucket, n) in &r.buckets {
+            b.field(bucket, n);
         }
-        out.push_str(&format!("\"{}\":{}", escape(bucket), n));
-    }
-    out.push_str("},\n");
-
-    out.push_str("  \"gadgets\": [");
-    for (i, g) in r.gadgets.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        render_gadget(g, &mut out);
-    }
-    if !r.gadgets.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n");
-
-    out.push_str("  \"per_shard\": [");
-    for (i, s) in r.per_shard.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        render_shard(s, &mut out);
-    }
-    if !r.per_shard.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
+    })
+    .list("gadgets", Lines, Compact, &r.gadgets, render_gadget)
+    .list("per_shard", Lines, Compact, &r.per_shard, render_shard);
+    let mut out = o.finish();
+    out.push('\n');
     out
 }
 

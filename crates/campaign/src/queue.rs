@@ -21,6 +21,7 @@ use crate::{Campaign, CampaignConfig, CampaignError, CampaignReport};
 use std::path::{Path, PathBuf};
 use teapot_core::{rewrite, RewriteOptions};
 use teapot_obj::Binary;
+use teapot_telemetry::json::{Layout, Obj, Raw};
 use teapot_vm::{ExecContext, Program};
 
 /// Outcome of one queued binary.
@@ -107,25 +108,14 @@ pub fn run_queue(
 /// Renders queue outcomes as one deterministic JSON document keyed by
 /// file name.
 pub fn render_queue_json(outcomes: &[QueueOutcome]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"queue\": [");
-    for (i, o) in outcomes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    {\"path\": \"");
-        out.push_str(&teapot_telemetry::escape(&o.path.display().to_string()));
-        out.push_str("\", \"instrumented_here\": ");
-        out.push_str(if o.instrumented_here { "true" } else { "false" });
-        out.push_str(", \"report\": ");
-        // Indent the nested report for readability.
-        let nested = o.report.to_json();
-        out.push_str(nested.trim_end().trim_end_matches('\n'));
-        out.push('}');
-    }
-    if !outcomes.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
+    use Layout::{Lines, Spaced};
+    let mut o = Obj::new(Lines);
+    o.list("queue", Lines, Spaced, outcomes, |row, oc| {
+        row.field("path", oc.path.display().to_string())
+            .field("instrumented_here", oc.instrumented_here)
+            .field("report", Raw(oc.report.to_json().trim_end()));
+    });
+    let mut out = o.finish();
+    out.push('\n');
     out
 }

@@ -41,9 +41,9 @@
 //! `--workers`; restrict it with `taskset` or a cgroup. Its JSONL, text
 //! and SARIF are byte-identical for any thread count.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::process::ExitCode;
+use teapot_telemetry::json::{self, Value};
 
 fn main() -> ExitCode {
     // Rust ignores SIGPIPE, so `teapot stats m.jsonl | head` would panic
@@ -325,61 +325,36 @@ fn triage_event(
         .num("provenance_ms", times.provenance_ms)
 }
 
-/// Extracts a top-level field from one flat JSON line: a string value
-/// comes back unescaped, any other value (a number, `null`) as its raw
-/// text. Every `"` inside a written string value is escaped, so the
-/// `"key":` pattern can only match a real key.
-fn json_field<'a>(line: &'a str, key: &str) -> Option<Cow<'a, str>> {
-    let pat = format!("\"{key}\":");
-    let rest = &line[line.find(&pat)? + pat.len()..];
-    if let Some(s) = rest.strip_prefix('"') {
-        // The closing quote is the first one no backslash escapes.
-        let mut end = 0;
-        loop {
-            match s.as_bytes().get(end)? {
-                b'\\' => end += 2,
-                b'"' => break,
-                _ => end += 1,
-            }
-        }
-        Some(unescape(&s[..end]))
-    } else {
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(Cow::Borrowed(&rest[..end]))
-    }
+/// Reads a JSONL file as one parsed object per non-blank line. A line
+/// that is not a JSON object fails the whole read as
+/// `path:line: <JsonError>`.
+fn read_jsonl(path: &str) -> Result<Vec<Value>, String> {
+    read_text(path)?
+        .lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| {
+            json::parse(line)
+                .and_then(|v| match v {
+                    Value::Obj(_) => Ok(v),
+                    _ => Err(json::JsonError {
+                        offset: line.len() - line.trim_start().len(),
+                        expected: "a JSON object",
+                    }),
+                })
+                .map_err(|e| format!("{path}:{}: {e}", i + 1))
+        })
+        .collect()
 }
 
-/// Undoes [`teapot_telemetry::escape`] (plus `\/` and `\uXXXX` in
-/// general); borrows when there is nothing to undo.
-fn unescape(raw: &str) -> Cow<'_, str> {
-    if !raw.contains('\\') {
-        return Cow::Borrowed(raw);
-    }
-    let mut out = String::with_capacity(raw.len());
-    let mut chars = raw.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                let c = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32);
-                out.push(c.unwrap_or(char::REPLACEMENT_CHARACTER));
-            }
-            Some(c) => out.push(c),
-            None => {}
-        }
-    }
-    Cow::Owned(out)
+/// A string member of a parsed JSONL object.
+fn text<'a>(v: &'a Value, key: &str) -> Option<&'a str> {
+    v.get(key).and_then(Value::as_str)
 }
 
-fn json_num(line: &str, key: &str) -> Option<u64> {
-    json_field(line, key)?.parse().ok()
+/// An unsigned integer member of a parsed JSONL object.
+fn num(v: &Value, key: &str) -> Option<u64> {
+    v.get(key).and_then(Value::as_u64)
 }
 
 /// Narrates one explained finding: header, reproducer, then the causal
@@ -433,29 +408,16 @@ fn parse_origin(s: &str) -> teapot_rt::OriginSpan {
     }
 }
 
-fn parse_model(s: &str) -> teapot_vm::SpecModel {
-    match s {
-        "rsb" => teapot_vm::SpecModel::Rsb,
-        "stl" => teapot_vm::SpecModel::Stl,
-        _ => teapot_vm::SpecModel::Pht,
-    }
-}
-
-/// Rebuilds the causal steps from one triage-JSONL finding line. The
-/// `chain` array is the one nested structure in the schema; its step
-/// objects are flat, so [`json_field`] works per fragment.
-fn chain_from_jsonl(line: &str) -> Vec<teapot_triage::CausalStep> {
-    let Some(start) = line.find("\"chain\":[").map(|i| i + "\"chain\":[".len()) else {
-        return Vec::new();
-    };
-    let Some(end) = line[start..].find("],\"locations\"").map(|i| i + start) else {
-        return Vec::new();
-    };
-    line[start..end]
-        .split("},{")
-        .filter_map(|frag| {
+/// Rebuilds the causal steps from one triage-JSONL finding's `chain`
+/// array (empty when the finding has none).
+fn chain_from_jsonl(finding: &Value) -> Vec<teapot_triage::CausalStep> {
+    let steps = finding.get("chain").and_then(Value::as_array);
+    steps
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|step| {
             use teapot_triage::StepRole;
-            let role = match &*json_field(frag, "role")? {
+            let role = match text(step, "role")? {
                 "mispredict" => StepRole::Mispredict,
                 "tainted-load" => StepRole::TaintedLoad,
                 "leak" => StepRole::Leak,
@@ -463,18 +425,20 @@ fn chain_from_jsonl(line: &str) -> Vec<teapot_triage::CausalStep> {
             };
             Some(teapot_triage::CausalStep {
                 role,
-                pc: parse_hex_pc(&json_field(frag, "pc")?)?,
-                symbol: json_field(frag, "symbol")
-                    .filter(|s| s != "null")
-                    .map(Cow::into_owned),
-                model: parse_model(json_field(frag, "model").as_deref().unwrap_or("pht")),
-                depth: json_num(frag, "depth").unwrap_or(0) as u32,
-                addr: json_field(frag, "addr")
-                    .and_then(|a| parse_hex_pc(&a))
+                pc: parse_hex_pc(text(step, "pc")?)?,
+                symbol: text(step, "symbol").map(str::to_string),
+                model: text(step, "model")
+                    .and_then(|m| m.parse().ok())
+                    .unwrap_or(teapot_vm::SpecModel::Pht),
+                depth: num(step, "depth")
+                    .and_then(|d| d.try_into().ok())
                     .unwrap_or(0),
-                width: json_num(frag, "width").unwrap_or(0) as u8,
+                addr: text(step, "addr").and_then(parse_hex_pc).unwrap_or(0),
+                width: num(step, "width")
+                    .and_then(|w| w.try_into().ok())
+                    .unwrap_or(0),
                 tag: 0,
-                origin: parse_origin(json_field(frag, "origin").as_deref().unwrap_or("-")),
+                origin: parse_origin(text(step, "origin").unwrap_or("-")),
             })
         })
         .collect()
@@ -493,10 +457,10 @@ const TRIAGE_KEYS: [&str; 8] = [
     "provenance_ms",
 ];
 
-/// A metrics stream read in one pass: its lines grouped by `event`
+/// A metrics stream read in one pass: its events grouped by `event`
 /// kind, each group in stream order.
-struct Metrics<'a> {
-    by_kind: HashMap<Cow<'a, str>, Vec<&'a str>>,
+struct Metrics {
+    by_kind: HashMap<String, Vec<Value>>,
 }
 
 /// The named numeric series of a stream, each in stream order.
@@ -509,12 +473,12 @@ struct Series {
     triage: Vec<(String, u64)>,
 }
 
-impl<'a> Metrics<'a> {
-    fn parse(path: &str, text: &'a str) -> Result<Metrics<'a>, String> {
-        let mut by_kind: HashMap<Cow<'a, str>, Vec<&'a str>> = HashMap::new();
-        for line in text.lines() {
-            if let Some(ev) = json_field(line, "event") {
-                by_kind.entry(ev).or_default().push(line);
+impl Metrics {
+    fn read(path: &str) -> Result<Metrics, String> {
+        let mut by_kind: HashMap<String, Vec<Value>> = HashMap::new();
+        for v in read_jsonl(path)? {
+            if let Some(ev) = text(&v, "event").map(str::to_string) {
+                by_kind.entry(ev).or_default().push(v);
             }
         }
         if !by_kind.contains_key("meta") {
@@ -525,45 +489,36 @@ impl<'a> Metrics<'a> {
         Ok(Metrics { by_kind })
     }
 
-    fn all(&self, kind: &str) -> &[&'a str] {
+    fn all(&self, kind: &str) -> &[Value] {
         self.by_kind.get(kind).map_or(&[], Vec::as_slice)
     }
 
-    fn last(&self, kind: &str) -> Option<&'a str> {
-        self.all(kind).last().copied()
+    fn last(&self, kind: &str) -> Option<&Value> {
+        self.all(kind).last()
     }
 
-    /// A field of the last `meta` event (`?` when absent).
-    fn meta(&self, key: &str) -> Cow<'a, str> {
-        self.last("meta")
-            .and_then(|m| json_field(m, key))
-            .unwrap_or(Cow::Borrowed("?"))
+    /// A string field of the last `meta` event (`?` when absent).
+    fn meta(&self, key: &str) -> &str {
+        self.last("meta").and_then(|m| text(m, key)).unwrap_or("?")
     }
 
     fn series(&self) -> Series {
         let spans = self
             .all("span")
             .iter()
-            .filter_map(|l| Some((json_field(l, "name")?.into_owned(), json_num(l, "wall_ms")?)))
+            .filter_map(|l| Some((text(l, "name")?.to_string(), num(l, "wall_ms")?)))
             .collect();
-        // `counters` is flat and all-numeric: split it on commas.
-        let counters = self.last("counters").map_or_else(Vec::new, |l| {
-            l.trim()
-                .trim_start_matches('{')
-                .trim_end_matches('}')
-                .split(',')
-                .filter_map(|kv| {
-                    let (k, v) = kv.split_once(':')?;
-                    let k = k.trim().trim_matches('"');
-                    let v = v.trim().parse().ok()?;
-                    (k != "event").then(|| (k.to_string(), v))
-                })
-                .collect()
-        });
+        let counters = self
+            .last("counters")
+            .and_then(Value::members)
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|(k, v)| Some((k.clone(), v.as_u64()?)))
+            .collect();
         let triage = self.last("triage").map_or_else(Vec::new, |l| {
             TRIAGE_KEYS
                 .iter()
-                .filter_map(|k| Some((k.to_string(), json_num(l, k)?)))
+                .filter_map(|k| Some((k.to_string(), num(l, k)?)))
                 .collect()
         });
         Series {
@@ -616,9 +571,7 @@ fn diff_pairs(
 /// `teapot stats --diff old.jsonl new.jsonl`: signed deltas over phase
 /// timings, VM counters, triage work and the run summary.
 fn stats_diff(old_path: &str, new_path: &str) -> Result<(), String> {
-    let (old_text, new_text) = (read_text(old_path)?, read_text(new_path)?);
-    let old = Metrics::parse(old_path, &old_text)?;
-    let new = Metrics::parse(new_path, &new_text)?;
+    let (old, new) = (Metrics::read(old_path)?, Metrics::read(new_path)?);
     println!("metrics diff: {old_path} -> {new_path}");
     for (side, m) in [("old", &old), ("new", &new)] {
         println!(
@@ -662,12 +615,13 @@ fn stats_diff(old_path: &str, new_path: &str) -> Result<(), String> {
     println!("\nsummary:");
     const W: usize = 26;
     let (old_sum, new_sum) = (old.last("summary"), new.last("summary"));
-    let num = |s: Option<&str>, k: &str| s.and_then(|s| json_num(s, k));
-    let row = |k: &str| println!("  {}", diff_row(k, num(old_sum, k), num(new_sum, k), W));
+    let field = |s: Option<&Value>, k: &str| s.and_then(|s| num(s, k));
+    let row = |k: &str| println!("  {}", diff_row(k, field(old_sum, k), field(new_sum, k), W));
     row("execs");
     row("wall_ms");
-    let rate =
-        |s: Option<&str>| s.and_then(|s| json_field(s, "execs_per_sec")?.parse::<f64>().ok());
+    let rate = |s: Option<&Value>| {
+        s.and_then(|s| s.get("execs_per_sec")?.as_number()?.parse::<f64>().ok())
+    };
     if let (Some(o), Some(n)) = (rate(old_sum), rate(new_sum)) {
         println!(
             "  {:<W$} {o:>12.1} -> {n:>12.1}  {:>+12.1}",
@@ -683,17 +637,16 @@ fn stats_diff(old_path: &str, new_path: &str) -> Result<(), String> {
 /// `teapot stats metrics.jsonl [--top N]`: the stream as a human run
 /// report.
 fn stats(path: &str, top: usize) -> Result<(), String> {
-    let text = read_text(path)?;
-    let m = Metrics::parse(path, &text)?;
+    let m = Metrics::read(path)?;
     let series = m.series();
-    let meta = m.last("meta").expect("parse requires a meta event");
+    let meta = m.last("meta").expect("Metrics::read requires a meta event");
     let (bin, models) = (m.meta("binary"), m.meta("models"));
     match (
-        json_num(meta, "seed"),
-        json_num(meta, "shards"),
-        json_num(meta, "epochs"),
-        json_num(meta, "iters_per_epoch"),
-        json_num(meta, "workers"),
+        num(meta, "seed"),
+        num(meta, "shards"),
+        num(meta, "epochs"),
+        num(meta, "iters_per_epoch"),
+        num(meta, "workers"),
     ) {
         (Some(seed), Some(shards), Some(eps), Some(iters), Some(workers)) => println!(
             "{bin}: seed {seed}, {shards} shard(s) x {eps} epoch(s) x \
@@ -702,9 +655,9 @@ fn stats(path: &str, top: usize) -> Result<(), String> {
         _ => println!("{bin}: models {models}"),
     }
     if let (Some(recs), Some(fused), Some(sites)) = (
-        json_num(meta, "compiled_records"),
-        json_num(meta, "compiled_fused"),
-        json_num(meta, "heuristic_sites"),
+        num(meta, "compiled_records"),
+        num(meta, "compiled_fused"),
+        num(meta, "heuristic_sites"),
     ) {
         println!("compiled: {recs} records ({fused} fused), {sites} heuristic sites");
     }
@@ -721,7 +674,7 @@ fn stats(path: &str, top: usize) -> Result<(), String> {
         println!("\nepoch     execs    corpus   gadgets   wall_ms");
         for l in epochs {
             let [e, x, c, g, w] = ["epoch", "execs", "corpus", "unique_gadgets", "wall_ms"]
-                .map(|k| json_num(l, k).unwrap_or(0));
+                .map(|k| num(l, k).unwrap_or(0));
             println!("{e:>5} {x:>9} {c:>9} {g:>9} {w:>9}");
         }
     }
@@ -747,11 +700,9 @@ fn stats(path: &str, top: usize) -> Result<(), String> {
         println!(" rank         pc    orig_pc        cost     insts      hits  symbol");
         for l in hot.iter().take(top) {
             let [rank, cost, insts, hits] =
-                ["rank", "cost", "insts", "hits"].map(|k| json_num(l, k).unwrap_or(0));
-            let [pc, orig] = ["pc", "orig_pc"].map(|k| json_field(l, k).unwrap_or("?".into()));
-            let sym = json_field(l, "symbol")
-                .filter(|s| s != "null")
-                .unwrap_or("-".into());
+                ["rank", "cost", "insts", "hits"].map(|k| num(l, k).unwrap_or(0));
+            let [pc, orig] = ["pc", "orig_pc"].map(|k| text(l, k).unwrap_or("?"));
+            let sym = text(l, "symbol").unwrap_or("-");
             println!("{rank:>5} {pc:>10} {orig:>10} {cost:>11} {insts:>9} {hits:>9}  {sym}");
         }
     }
@@ -760,10 +711,10 @@ fn stats(path: &str, top: usize) -> Result<(), String> {
     let mut deaths = Vec::new();
     let mut chaos_events = Vec::new();
     let (mut checkpoints, mut checkpoint_faults) = (0u64, 0u64);
-    for &l in m.all("fabric") {
-        let str_of = |k: &str| json_field(l, k).unwrap_or("?".into());
-        let num_of = |k: &str| json_num(l, k).unwrap_or(0);
-        match json_field(l, "op").as_deref() {
+    for l in m.all("fabric") {
+        let str_of = |k: &str| text(l, k).unwrap_or("?");
+        let num_of = |k: &str| num(l, k).unwrap_or(0);
+        match text(l, "op") {
             Some("lease") => {
                 leases += 1;
                 lease_bytes += num_of("bytes");
@@ -819,10 +770,10 @@ fn stats(path: &str, top: usize) -> Result<(), String> {
         for l in firsts.iter().take(5) {
             println!(
                 "  exec {} at {} ({}, shard {})",
-                json_num(l, "exec").unwrap_or(0),
-                json_field(l, "pc").unwrap_or("?".into()),
-                json_field(l, "model").unwrap_or("?".into()),
-                json_num(l, "shard").unwrap_or(0),
+                num(l, "exec").unwrap_or(0),
+                text(l, "pc").unwrap_or("?"),
+                text(l, "model").unwrap_or("?"),
+                num(l, "shard").unwrap_or(0),
             );
         }
         if firsts.len() > 5 {
@@ -846,16 +797,18 @@ fn stats(path: &str, top: usize) -> Result<(), String> {
         );
     }
     if let Some(s) = m.last("summary") {
-        let ttf = json_num(s, "time_to_first_gadget_execs")
+        let ttf = num(s, "time_to_first_gadget_execs")
             .map(|n| format!("{n} execs"))
             .unwrap_or_else(|| "n/a".into());
         println!(
             "\nsummary: {} execs in {} ms ({} execs/sec), {} unique \
              gadget(s), first gadget after {ttf}",
-            json_num(s, "execs").unwrap_or(0),
-            json_num(s, "wall_ms").unwrap_or(0),
-            json_field(s, "execs_per_sec").unwrap_or("?".into()),
-            json_num(s, "unique_gadgets").unwrap_or(0),
+            num(s, "execs").unwrap_or(0),
+            num(s, "wall_ms").unwrap_or(0),
+            s.get("execs_per_sec")
+                .and_then(Value::as_number)
+                .unwrap_or("?"),
+            num(s, "unique_gadgets").unwrap_or(0),
         );
     }
     Ok(())
@@ -1615,34 +1568,26 @@ fn run(args: &[String]) -> Result<(), String> {
             // An existing triage JSONL report: re-render the chains it
             // already carries, without executing anything.
             if target.ends_with(".jsonl") {
-                let text = read_text(target)?;
+                let rows = read_jsonl(target)?;
                 let (mut shown, mut total) = (0usize, 0usize);
-                for line in text.lines().filter(|l| l.contains("\"root_cause\":")) {
+                for finding in rows.iter().filter(|v| v.get("root_cause").is_some()) {
                     total += 1;
-                    let Some(root) = json_field(line, "root_cause") else {
+                    let Some(root) = text(finding, "root_cause") else {
                         continue;
                     };
                     if gadget.is_some_and(|k| !root.starts_with(k)) {
                         continue;
                     }
                     shown += 1;
-                    // The top-level model key (absent for PHT) sits
-                    // before "severity"; chain steps carry their own
-                    // model keys further right, which must not match.
-                    let head = &line[..line.find("\"severity\"").unwrap_or(line.len())];
                     print_explained(
-                        &root,
-                        json_num(line, "severity").unwrap_or(0),
-                        json_field(line, "bucket").as_deref().unwrap_or("?"),
-                        json_field(head, "model").as_deref(),
-                        json_field(line, "description").as_deref().unwrap_or("?"),
-                        json_field(line, "minimized_input")
-                            .filter(|m| m != "null")
-                            .as_deref(),
-                        json_field(line, "leaked_input_bytes")
-                            .as_deref()
-                            .unwrap_or("-"),
-                        &chain_from_jsonl(line),
+                        root,
+                        num(finding, "severity").unwrap_or(0),
+                        text(finding, "bucket").unwrap_or("?"),
+                        text(finding, "model"),
+                        text(finding, "description").unwrap_or("?"),
+                        text(finding, "minimized_input"),
+                        text(finding, "leaked_input_bytes").unwrap_or("-"),
+                        &chain_from_jsonl(finding),
                     );
                 }
                 if total == 0 {

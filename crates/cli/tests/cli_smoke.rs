@@ -421,8 +421,9 @@ fn stats_and_stats_diff_render_the_fixture_streams() {
     }
 }
 
-/// Quotes, backslashes and tabs inside JSON strings come back exactly
-/// as written, both from a metrics stream and from a triage JSONL.
+/// Quotes, backslashes, tabs and `},{` inside JSON strings come back
+/// exactly as written, both from a metrics stream and from a triage
+/// JSONL; a malformed line fails the read.
 #[test]
 fn stats_and_explain_print_escaped_strings_verbatim() {
     let dir = std::env::temp_dir().join("teapot-cli-escapes-test");
@@ -459,6 +460,13 @@ fn stats_and_explain_print_escaped_strings_verbatim() {
             r#""symbol":"op\"q","model":"pht","depth":1},{"role":"leak","pc":"0x20","#,
             r#""symbol":null,"model":"pht","depth":1,"origin":"0-1"}],"locations":[]}"#,
             "\n",
+            // A chain symbol holding `},{` must not split the chain.
+            r#"{"root_cause":"g+0x2:User-MDS","bucket":"User-MDS","model":"rsb","severity":70,"#,
+            r#""description":"d","minimized_input":null,"leaked_input_bytes":"0","#,
+            r#""chain":[{"role":"mispredict","pc":"0x30","symbol":"op},{q","model":"rsb","#,
+            r#""depth":1},{"role":"leak","pc":"0x40","symbol":null,"model":"rsb","depth":1,"#,
+            r#""origin":"0"}],"locations":[]}"#,
+            "\n",
         ),
     )
     .unwrap();
@@ -466,7 +474,41 @@ fn stats_and_explain_print_escaped_strings_verbatim() {
     assert!(ok, "{text}");
     assert!(text.contains("  load of \"secret\"\tvia \\ptr\n"), "{text}");
     assert!(text.contains("mispredict 0x10 <op\"q>"), "{text}");
-    assert!(text.contains("explained 1 of 1 root cause(s)"), "{text}");
+    assert!(
+        text.contains("gadget g+0x2:User-MDS [severity 70] User-MDS [via rsb]\n"),
+        "{text}"
+    );
+    assert!(
+        text.contains("1. mispredict 0x30 <op},{q> (via rsb, depth 1)\n"),
+        "{text}"
+    );
+    assert!(text.contains("explained 2 of 2 root cause(s)"), "{text}");
+
+    // A line that is not a JSON object fails `stats`, `stats --diff`
+    // and `explain` with its file, line, byte offset and what was
+    // expected, instead of being skipped or half-read.
+    let meta = r#"{"event":"meta","schema":1,"binary":"b.tof","models":"pht"}"#;
+    let truncated = r#"{"event":"counters","tlb_hits":5,"#;
+    std::fs::write(dir.join("t.jsonl"), format!("{meta}\n{truncated}\n")).unwrap();
+    std::fs::write(dir.join("g.jsonl"), format!("{meta}\ngarbage\n")).unwrap();
+    let t_err = "teapot: t.jsonl:2: expected a string at byte 33\n";
+    let g_err = "teapot: g.jsonl:2: expected a value at byte 0\n";
+    for (args, want) in [
+        (&["stats", "t.jsonl"][..], t_err),
+        (&["stats", "g.jsonl"][..], g_err),
+        (&["stats", "--diff", "m.jsonl", "t.jsonl"][..], t_err),
+        (&["stats", "--diff", "g.jsonl", "m.jsonl"][..], g_err),
+        (&["explain", "t.jsonl"][..], t_err),
+        (&["explain", "g.jsonl"][..], g_err),
+    ] {
+        let out = Command::new(teapot_bin())
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn teapot");
+        assert!(!out.status.success(), "{args:?} succeeded");
+        assert_eq!(String::from_utf8_lossy(&out.stderr), want, "{args:?}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -487,14 +529,13 @@ fn closed_stdout_ends_the_cli_without_a_panic() {
     assert!(!err.contains("panicked"), "{err}");
 }
 
-/// Splits one flat, all-numeric metrics line into `(key, value)` pairs.
+/// The numeric `(key, value)` members of one metrics line, in order.
 fn numeric_fields(line: &str) -> Vec<(String, u64)> {
-    line.trim_matches(|c| c == '{' || c == '}')
-        .split(',')
-        .filter_map(|kv| {
-            let (k, v) = kv.split_once(':')?;
-            Some((k.trim_matches('"').to_string(), v.parse().ok()?))
-        })
+    let v = teapot_telemetry::json::parse(line).unwrap();
+    v.members()
+        .unwrap()
+        .iter()
+        .filter_map(|(k, v)| Some((k.clone(), v.as_u64()?)))
         .collect()
 }
 

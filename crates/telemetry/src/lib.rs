@@ -14,12 +14,18 @@
 //! stderr heartbeat, the per-block profile). Wall-clock time appears
 //! only in telemetry output, never in reports.
 //!
+//! The crate also holds the workspace's one JSON codec, [`json`]: the
+//! one writer behind every report (campaign and queue JSON, triage
+//! JSONL, SARIF, the metrics stream) and the one reader behind `teapot
+//! stats` and `teapot explain`.
+//!
 //! # The metrics JSONL schema
 //!
 //! `teapot campaign --metrics out.jsonl` (and `teapot triage
 //! --metrics`) stream one **flat** JSON object per line — no nested
-//! arrays or objects, so line-oriented tools (and `teapot stats`) can
-//! consume the file without a full JSON parser. Every line carries an
+//! arrays or objects, so line-oriented tools can consume the file
+//! without a full JSON parser (`teapot stats` reads it with
+//! [`json::parse`]). Every line carries an
 //! `"event"` key; the first line is always `meta` with `"schema": 1`.
 //! Wall-clock fields are suffixed `_ms` and are the only
 //! non-deterministic values in the stream.
@@ -47,6 +53,8 @@
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
+
+pub mod json;
 
 /// Names of the three speculation models, in [`VmCounters`] array
 /// index order (the order `teapot-specmodel` assigns model bits).
@@ -373,48 +381,40 @@ impl Stopwatch {
     }
 }
 
-/// Builder for one flat metrics event (one JSONL line).
-pub struct Event {
-    buf: String,
-}
+/// Builder for one flat metrics event (one JSONL line): a
+/// [`Layout::Compact`](json::Layout::Compact) object whose first key
+/// is `event`.
+pub struct Event(json::Obj);
 
 impl Event {
     /// Starts an event of the given kind (`{"event":"<kind>"`).
     pub fn new(kind: &str) -> Event {
-        let mut buf = String::with_capacity(96);
-        buf.push_str("{\"event\":\"");
-        buf.push_str(kind);
-        buf.push('"');
-        Event { buf }
+        let mut obj = json::Obj::append(String::with_capacity(96), json::Layout::Compact);
+        obj.field("event", kind);
+        Event(obj)
     }
 
     /// Adds an unsigned integer field.
     pub fn num(mut self, key: &str, v: u64) -> Event {
-        self.push_key(key);
-        self.buf.push_str(&v.to_string());
+        self.0.field(key, v);
         self
     }
 
     /// Adds a float field (3 decimal places, deterministic format).
     pub fn fnum(mut self, key: &str, v: f64) -> Event {
-        self.push_key(key);
-        self.buf.push_str(&format!("{v:.3}"));
+        self.0.field(key, json::Fixed(v, 3));
         self
     }
 
     /// Adds a hex-rendered address field (as a JSON string).
     pub fn hex(mut self, key: &str, v: u64) -> Event {
-        self.push_key(key);
-        self.buf.push_str(&format!("\"{v:#x}\""));
+        self.0.field(key, json::Hex(v));
         self
     }
 
     /// Adds a string field (escaped).
     pub fn str_field(mut self, key: &str, v: &str) -> Event {
-        self.push_key(key);
-        self.buf.push('"');
-        self.buf.push_str(&escape(v));
-        self.buf.push('"');
+        self.0.field(key, v);
         self
     }
 
@@ -422,66 +422,27 @@ impl Event {
     /// [`VmCounters::for_each`] order.
     pub fn counters(mut self, c: &VmCounters) -> Event {
         c.for_each(|name, v| {
-            self.push_key(name);
-            self.buf.push_str(&v.to_string());
+            self.0.field(name, v);
         });
         self
     }
 
     /// Adds an optional integer field (`null` when absent).
     pub fn opt_num(mut self, key: &str, v: Option<u64>) -> Event {
-        self.push_key(key);
-        match v {
-            Some(v) => self.buf.push_str(&v.to_string()),
-            None => self.buf.push_str("null"),
-        }
+        self.0.field(key, v);
         self
     }
 
     /// Adds an optional string field (`null` when absent).
-    pub fn opt_str(self, key: &str, v: Option<&str>) -> Event {
-        match v {
-            Some(s) => self.str_field(key, s),
-            None => {
-                let mut e = self;
-                e.push_key(key);
-                e.buf.push_str("null");
-                e
-            }
-        }
-    }
-
-    fn push_key(&mut self, key: &str) {
-        self.buf.push_str(",\"");
-        self.buf.push_str(key);
-        self.buf.push_str("\":");
+    pub fn opt_str(mut self, key: &str, v: Option<&str>) -> Event {
+        self.0.field(key, v);
+        self
     }
 
     /// The finished JSON line (no trailing newline).
-    pub fn finish(mut self) -> String {
-        self.buf.push('}');
-        self.buf
+    pub fn finish(self) -> String {
+        self.0.finish()
     }
-}
-
-/// JSON string escaping shared by every JSON writer in the workspace
-/// (campaign JSON, metrics JSONL, triage JSONL and SARIF): quotes,
-/// backslashes and control characters are escaped, everything else is
-/// copied verbatim.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A buffered JSONL metrics stream. Writes are best-effort: an I/O
@@ -560,12 +521,6 @@ pub fn format_decode_cache(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn control_chars_are_u_escaped() {
-        assert_eq!(escape("a\u{1}b"), "a\\u0001b");
-        assert_eq!(escape("t\ta"), "t\\ta");
-    }
 
     #[test]
     fn vm_counters_merge_and_canonical_order() {

@@ -8,9 +8,10 @@
 //! triages to the same bytes as `--workers 1` — the triage extension of
 //! the orchestrator's determinism guarantee.
 
-use crate::provenance::{step_line, CausalChain};
+use crate::provenance::{step_line, CausalChain, CausalStep, StepRole};
 use std::collections::BTreeMap;
 use teapot_rt::{GadgetKey, SpecModel};
+use teapot_telemetry::json::{Hex, Layout::Compact, Obj};
 use teapot_vm::DecodeStats;
 
 /// One observation site of a root cause.
@@ -191,121 +192,61 @@ impl TriageDb {
     /// object per finding, ranked. Byte-deterministic.
     pub fn to_jsonl(&self) -> String {
         debug_assert!(self.finalized, "finalize() before rendering");
-        let mut out = String::new();
-        out.push_str("{\"teapot_triage\":1,\"binaries\":[");
-        for (i, b) in self.binaries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"binary\":\"{}\",\"decode_cache\":{{\"blocks\":{},\"insts\":{},\
-                 \"bytes\":{},\"undecoded_bytes\":{}}},\"iters\":{},\"raw_gadgets\":{}}}",
-                escape(&b.binary),
-                b.decode_stats.blocks,
-                b.decode_stats.insts,
-                b.decode_stats.bytes,
-                b.decode_stats.undecoded_bytes,
-                b.iters,
-                b.raw_gadgets,
-            ));
-        }
-        out.push_str(&format!(
-            "],\"root_causes\":{},\"locations\":{}}}\n",
-            self.entries.len(),
-            self.location_count()
-        ));
+        let mut o = Obj::new(Compact);
+        o.field("teapot_triage", 1u64)
+            .list("binaries", Compact, Compact, &self.binaries, |o, b| {
+                let d = &b.decode_stats;
+                o.field("binary", &b.binary)
+                    .obj("decode_cache", Compact, |c| {
+                        c.field("blocks", d.blocks)
+                            .field("insts", d.insts)
+                            .field("bytes", d.bytes)
+                            .field("undecoded_bytes", d.undecoded_bytes);
+                    })
+                    .field("iters", b.iters)
+                    .field("raw_gadgets", b.raw_gadgets);
+            })
+            .field("root_causes", self.entries.len())
+            .field("locations", self.location_count());
+        let mut out = o.finish();
+        out.push('\n');
         for e in &self.entries {
+            let mut o = Obj::append(out, Compact);
+            o.field("root_cause", &e.root_cause)
+                .field("bucket", &e.bucket);
             // The model key is emitted only for non-PHT findings:
             // default-model JSONL is byte-identical to the
             // pre-specmodel renderer.
-            let model = if e.model == SpecModel::Pht {
-                String::new()
-            } else {
-                format!("\"model\":\"{}\",", e.model)
-            };
-            out.push_str(&format!(
-                "{{\"root_cause\":\"{}\",\"bucket\":\"{}\",{model}\"severity\":{},",
-                escape(&e.root_cause),
-                escape(&e.bucket),
-                e.severity
-            ));
-            out.push_str(&format!(
-                "\"description\":\"{}\",\"access_symbol\":{},\"branch_symbol\":{},",
-                escape(&e.description),
-                json_opt_str(&e.access_symbol),
-                json_opt_str(&e.branch_symbol)
-            ));
-            out.push_str(&format!(
-                "\"min_depth\":{},\"max_tainted_width\":{},\"replayed\":{},\
-                 \"minimize_steps\":{},",
-                e.min_depth,
-                e.max_tainted_width,
-                if e.replayed { "true" } else { "false" },
-                e.minimize_steps
-            ));
-            out.push_str(&format!("\"witness_input\":\"{}\",", hex(&e.witness_input)));
-            match &e.minimized_input {
-                Some(m) => out.push_str(&format!("\"minimized_input\":\"{}\",", hex(m))),
-                None => out.push_str("\"minimized_input\":null,"),
+            if e.model != SpecModel::Pht {
+                o.field("model", e.model.to_string());
             }
+            o.field("severity", e.severity)
+                .field("description", &e.description)
+                .field("access_symbol", &e.access_symbol)
+                .field("branch_symbol", &e.branch_symbol)
+                .field("min_depth", e.min_depth)
+                .field("max_tainted_width", e.max_tainted_width)
+                .field("replayed", e.replayed)
+                .field("minimize_steps", e.minimize_steps)
+                .field("witness_input", hex(&e.witness_input))
+                .field("minimized_input", e.minimized_input.as_deref().map(hex));
             // Causal-chain keys appear only on provenance-replayed
             // findings: provenance-off JSONL is byte-identical to the
             // pre-provenance renderer.
             if let Some(chain) = &e.chain {
-                out.push_str(&format!(
-                    "\"leaked_input_bytes\":\"{}\",\"chain\":[",
-                    chain.origin
-                ));
-                for (i, s) in chain.steps.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!(
-                        "{{\"role\":\"{}\",\"pc\":\"{:#x}\",\"symbol\":{}",
-                        s.role.label(),
-                        s.pc,
-                        json_opt_str(&s.symbol)
-                    ));
-                    match s.role {
-                        crate::provenance::StepRole::Mispredict => {
-                            out.push_str(&format!(
-                                ",\"model\":\"{}\",\"depth\":{}}}",
-                                s.model, s.depth
-                            ));
-                        }
-                        crate::provenance::StepRole::TaintedLoad => {
-                            out.push_str(&format!(
-                                ",\"addr\":\"{:#x}\",\"width\":{},\"origin\":\"{}\"}}",
-                                s.addr, s.width, s.origin
-                            ));
-                        }
-                        crate::provenance::StepRole::Leak => {
-                            out.push_str(&format!(
-                                ",\"model\":\"{}\",\"depth\":{},\"origin\":\"{}\"}}",
-                                s.model, s.depth, s.origin
-                            ));
-                        }
-                    }
-                }
-                out.push_str("],");
+                o.field("leaked_input_bytes", chain.origin.to_string())
+                    .list("chain", Compact, Compact, &chain.steps, write_step);
             }
-            out.push_str("\"locations\":[");
-            for (i, l) in e.locations.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"binary\":\"{}\",\"shard\":{},\"pc\":\"{:#x}\",\
-                     \"branch_pc\":\"{:#x}\",\"access_pc\":\"{:#x}\",\"depth\":{}}}",
-                    escape(&l.binary),
-                    l.shard,
-                    l.key.pc,
-                    l.branch_pc,
-                    l.access_pc,
-                    l.depth
-                ));
-            }
-            out.push_str("]}\n");
+            o.list("locations", Compact, Compact, &e.locations, |o, l| {
+                o.field("binary", &l.binary)
+                    .field("shard", l.shard)
+                    .field("pc", Hex(l.key.pc))
+                    .field("branch_pc", Hex(l.branch_pc))
+                    .field("access_pc", Hex(l.access_pc))
+                    .field("depth", l.depth);
+            });
+            out = o.finish();
+            out.push('\n');
         }
         out
     }
@@ -414,15 +355,27 @@ pub fn hex(bytes: &[u8]) -> String {
     out
 }
 
-/// JSON string escaping — the one workspace escaper, re-exported so the
-/// campaign JSON, the metrics stream and the triage JSONL/SARIF can
-/// never diverge on how they encode identical strings.
-pub use teapot_telemetry::escape;
-
-fn json_opt_str(v: &Option<String>) -> String {
-    match v {
-        Some(s) => format!("\"{}\"", escape(s)),
-        None => "null".to_string(),
+/// One causal-chain step as a JSONL object: role, pc and symbol, then
+/// the fields its role carries.
+fn write_step(o: &mut Obj, s: &CausalStep) {
+    o.field("role", s.role.label())
+        .field("pc", Hex(s.pc))
+        .field("symbol", &s.symbol);
+    match s.role {
+        StepRole::Mispredict => {
+            o.field("model", s.model.to_string())
+                .field("depth", s.depth);
+        }
+        StepRole::TaintedLoad => {
+            o.field("addr", Hex(s.addr))
+                .field("width", s.width)
+                .field("origin", s.origin.to_string());
+        }
+        StepRole::Leak => {
+            o.field("model", s.model.to_string())
+                .field("depth", s.depth)
+                .field("origin", s.origin.to_string());
+        }
     }
 }
 
@@ -509,9 +462,8 @@ mod tests {
     }
 
     #[test]
-    fn hex_and_escape() {
+    fn hex_renders_lower_case_pairs() {
         assert_eq!(hex(&[0, 255, 16]), "00ff10");
-        assert_eq!(escape("a\"b\n"), "a\\\"b\\n");
     }
 
     #[test]

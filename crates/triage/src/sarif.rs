@@ -19,9 +19,10 @@
 //! else a minimal branch → access → transmit flow synthesized from the
 //! first location — so SARIF viewers always get a navigable flow.
 
-use crate::db::{escape, hex, TriageDb};
+use crate::db::{hex, TriageDb};
 use crate::provenance::step_line;
 use crate::TriageEntry;
+use teapot_telemetry::json::{Fixed, Layout, Obj};
 
 /// SARIF severity level for a 0–100 triage severity.
 fn level(severity: u32) -> &'static str {
@@ -34,113 +35,82 @@ fn level(severity: u32) -> &'static str {
 
 /// Renders the database as a SARIF 2.1.0 document.
 pub fn render(db: &TriageDb) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n");
-    out.push_str("  \"version\": \"2.1.0\",\n");
-    out.push_str("  \"runs\": [\n    {\n");
-    out.push_str("      \"tool\": {\n        \"driver\": {\n");
-    out.push_str("          \"name\": \"teapot-triage\",\n");
-    out.push_str("          \"version\": \"0.1.0\",\n");
-    out.push_str(
-        "          \"informationUri\": \"https://github.com/teapot/teapot\",\n          \"rules\": [",
-    );
+    use Layout::{Lines, Spaced};
     // One rule per bucket and model, in sorted (BTreeMap) order.
     let rules = db.rule_counts();
-    for (i, rule) in rules.keys().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n            {{\"id\": \"{b}\", \"shortDescription\": \
-             {{\"text\": \"Spectre gadget ({b})\"}}}}",
-            b = escape(rule)
-        ));
-    }
-    if !rules.is_empty() {
-        out.push_str("\n          ");
-    }
-    out.push_str("]\n        }\n      },\n");
-    out.push_str("      \"results\": [");
-    for (i, e) in db.entries().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n        {\n");
-        out.push_str(&format!(
-            "          \"ruleId\": \"{}\",\n",
-            escape(&e.rule_id())
-        ));
-        out.push_str(&format!(
-            "          \"level\": \"{}\",\n",
-            level(e.severity)
-        ));
-        out.push_str(&format!(
-            "          \"rank\": {:.1},\n",
-            f64::from(e.severity)
-        ));
-        out.push_str(&format!(
-            "          \"message\": {{\"text\": \"{}\"}},\n",
-            escape(&format!(
-                "[severity {}] {} — {} (root cause {})",
-                e.severity, e.bucket, e.description, e.root_cause
-            ))
-        ));
-        out.push_str("          \"locations\": [");
-        for (j, l) in e.locations.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n            {{\"physicalLocation\": {{\"artifactLocation\": \
-                 {{\"uri\": \"{}\"}}, \"address\": {{\"absoluteAddress\": {}}}}}, \
-                 \"logicalLocations\": [{{\"name\": \"shard {}\"}}]}}",
-                escape(&l.binary),
-                l.key.pc,
-                l.shard
-            ));
-        }
-        if !e.locations.is_empty() {
-            out.push_str("\n          ");
-        }
-        out.push_str("],\n");
-        push_code_flows(&mut out, e);
-        out.push_str("          \"properties\": {\n");
-        out.push_str(&format!(
-            "            \"rootCause\": \"{}\",\n",
-            escape(&e.root_cause)
-        ));
-        out.push_str(&format!(
-            "            \"replayed\": {},\n",
-            if e.replayed { "true" } else { "false" }
-        ));
-        out.push_str(&format!(
-            "            \"minDepth\": {},\n            \"maxTaintedWidth\": {},\n",
-            e.min_depth, e.max_tainted_width
-        ));
-        if let Some(chain) = &e.chain {
-            out.push_str(&format!(
-                "            \"leakedInputBytes\": \"{}\",\n",
-                chain.origin
-            ));
-        }
-        match &e.minimized_input {
-            Some(m) => out.push_str(&format!("            \"minimizedInput\": \"{}\"\n", hex(m))),
-            None => out.push_str("            \"minimizedInput\": null\n"),
-        }
-        out.push_str("          }\n        }");
-    }
-    if !db.entries().is_empty() {
-        out.push_str("\n      ");
-    }
-    out.push_str("]\n    }\n  ]\n}\n");
+    let mut o = Obj::new(Lines);
+    o.field("$schema", "https://json.schemastore.org/sarif-2.1.0.json")
+        .field("version", "2.1.0")
+        .list("runs", Lines, Lines, [db], |run, db| {
+            run.obj("tool", Lines, |tool| {
+                tool.obj("driver", Lines, |d| {
+                    d.field("name", "teapot-triage")
+                        .field("version", "0.1.0")
+                        .field("informationUri", "https://github.com/teapot/teapot")
+                        .list("rules", Lines, Spaced, rules.keys(), |r, rule| {
+                            r.field("id", rule).obj("shortDescription", Spaced, |t| {
+                                t.field("text", format!("Spectre gadget ({rule})"));
+                            });
+                        });
+                });
+            })
+            .list("results", Lines, Lines, db.entries(), write_result);
+        });
+    let mut out = o.finish();
+    out.push('\n');
     out
+}
+
+/// One result: rule, level, rank, message, locations, code flows and
+/// the triage properties.
+fn write_result(r: &mut Obj, e: &TriageEntry) {
+    use Layout::{Lines, Spaced};
+    let message = format!(
+        "[severity {}] {} — {} (root cause {})",
+        e.severity, e.bucket, e.description, e.root_cause
+    );
+    r.field("ruleId", e.rule_id())
+        .field("level", level(e.severity))
+        .field("rank", Fixed(f64::from(e.severity), 1))
+        .obj("message", Spaced, |m| {
+            m.field("text", &message);
+        })
+        .list("locations", Lines, Spaced, &e.locations, |loc, l| {
+            loc.obj("physicalLocation", Spaced, |p| {
+                physical(p, &l.binary, l.key.pc)
+            })
+            .list("logicalLocations", Spaced, Spaced, [l.shard], |n, shard| {
+                n.field("name", format!("shard {shard}"));
+            });
+        });
+    write_code_flows(r, e);
+    r.obj("properties", Lines, |p| {
+        p.field("rootCause", &e.root_cause)
+            .field("replayed", e.replayed)
+            .field("minDepth", e.min_depth)
+            .field("maxTaintedWidth", e.max_tainted_width);
+        if let Some(chain) = &e.chain {
+            p.field("leakedInputBytes", chain.origin.to_string());
+        }
+        p.field("minimizedInput", e.minimized_input.as_deref().map(hex));
+    });
+}
+
+/// A SARIF `physicalLocation` body: the binary and an absolute address.
+fn physical(p: &mut Obj, uri: &str, pc: u64) {
+    p.obj("artifactLocation", Layout::Spaced, |a| {
+        a.field("uri", uri);
+    })
+    .obj("address", Layout::Spaced, |a| {
+        a.field("absoluteAddress", pc);
+    });
 }
 
 /// Emits the result's `codeFlows` array: one thread flow walking the
 /// causal chain (or, chain-less, a synthesized branch → access →
 /// transmit flow over the first location's PCs).
-fn push_code_flows(out: &mut String, e: &TriageEntry) {
+fn write_code_flows(r: &mut Obj, e: &TriageEntry) {
+    use Layout::{Lines, Spaced};
     let uri = e
         .locations
         .first()
@@ -165,25 +135,18 @@ fn push_code_flows(out: &mut String, e: &TriageEntry) {
             ]
         }
     };
-    out.push_str("          \"codeFlows\": [\n");
-    out.push_str("            {\"threadFlows\": [\n");
-    out.push_str("              {\"locations\": [");
-    for (i, (pc, msg)) in steps.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n                {{\"location\": {{\"physicalLocation\": \
-             {{\"artifactLocation\": {{\"uri\": \"{}\"}}, \"address\": \
-             {{\"absoluteAddress\": {}}}}}, \"message\": {{\"text\": \"{}\"}}}}}}",
-            escape(uri),
-            pc,
-            escape(msg)
-        ));
-    }
-    out.push_str("\n              ]}\n");
-    out.push_str("            ]}\n");
-    out.push_str("          ],\n");
+    r.list("codeFlows", Lines, Spaced, [()], |flow, ()| {
+        flow.list("threadFlows", Lines, Spaced, [()], |thread, ()| {
+            thread.list("locations", Lines, Spaced, &steps, |step, (pc, msg)| {
+                step.obj("location", Spaced, |loc| {
+                    loc.obj("physicalLocation", Spaced, |p| physical(p, uri, *pc))
+                        .obj("message", Spaced, |m| {
+                            m.field("text", msg);
+                        });
+                });
+            });
+        });
+    });
 }
 
 #[cfg(test)]

@@ -662,7 +662,21 @@ mod tests {
 
     #[test]
     fn a_flipped_payload_byte_fails_the_crc_and_names_the_frame() {
-        for frame in sample_frames() {
+        // One copy of every frame kind per flipped byte. The CRC rejects
+        // a frame before its body is decoded, so the lease's shard state
+        // may carry short coverage maps: the full-size ones (two 64 KiB
+        // maps, as in the round-trip tests) would make this quadratic in
+        // 131 k bytes without reaching any other code.
+        let mut frames = sample_frames();
+        for frame in &mut frames {
+            if let Frame::Lease(lease) = frame {
+                for shard in &mut lease.shards {
+                    shard.state.cov_normal.truncate(16);
+                    shard.state.cov_spec.truncate(16);
+                }
+            }
+        }
+        for frame in frames {
             let clean = encode_frame(&frame);
             // Flip every payload/trailer byte in turn; each one must be
             // caught (by the CRC, or — for trailer flips — by the CRC

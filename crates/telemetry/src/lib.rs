@@ -75,7 +75,9 @@ pub struct VmCounters {
     pub tlb_hits: u64,
     /// Software-TLB misses (region-table walks).
     pub tlb_misses: u64,
-    /// Slab pages materialized (first touch of an absent page).
+    /// Slab pages materialized (first touch of an absent page),
+    /// including the guest-stack pages each run writes for the first
+    /// time since its context was reset.
     pub pages_allocated: u64,
     /// Instructions decoded live from guest memory: fetches outside the
     /// predecoded tables (bytes no table covers) and every fetch under

@@ -491,7 +491,8 @@ pub struct ExecContext {
 
 impl ExecContext {
     /// Creates a context for `prog`: clones the pristine memory image
-    /// once and allocates the run buffers.
+    /// (the loaded sections; stack pages get slots as runs write them)
+    /// and allocates the run buffers.
     pub fn new(prog: &Program) -> ExecContext {
         ExecContext {
             mem: prog.pristine().clone(),

@@ -5,6 +5,13 @@
 //! the heap at `0x6000_0000_0000` and the input staging area at
 //! `0x7000_0000_0000` cost only the pages actually touched.
 //!
+//! The guest stack is a **zero-on-write** range ([`PagedMem::map_lazy`]),
+//! as a native process's stack is mapped on first touch: its 4 MiB are
+//! mapped and writable, but a page gets a slab slot only when it is
+//! first written. Until then it reads as zeroes. The lazy case lives
+//! only on the slot-lookup miss path every accessor already has, so
+//! accesses to pages that have slots are unchanged.
+//!
 //! Access control is page-granular (like a real MMU): loads and stores to
 //! unmapped pages fault, and stores to read-only pages fault. Byte-accurate
 //! out-of-bounds detection is ASan's job, not the MMU's.
@@ -42,7 +49,13 @@ pub struct PagedMem {
     /// context restore only the pages a run touched instead of
     /// rebuilding the whole image.
     dirty: BitVec,
+    /// Zero-on-write ranges as inclusive `(first_page, last_page)`
+    /// pairs (see [`PagedMem::map_lazy`]).
+    lazy: Vec<(u64, u64)>,
 }
+
+/// What a lazy page without a slot reads as.
+static ZERO_PAGE: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
 
 impl std::fmt::Debug for PagedMem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -66,7 +79,7 @@ impl PagedMem {
         }
         let first = start / PAGE_SIZE;
         let last = (start + size - 1) / PAGE_SIZE;
-        // One exact reservation for the whole run (a 4 MiB stack must
+        // One exact reservation for the whole run (a large mapping must
         // not double the slab page by page).
         self.slab
             .reserve_pages(self.slab.missing_pages(first, last) as usize);
@@ -81,16 +94,99 @@ impl PagedMem {
         }
     }
 
+    /// Maps `[start, start+size)` writable and zero-filled without
+    /// giving its pages slab slots: a page gets its slot on its first
+    /// write or poke, so an address space costs only the pages its runs
+    /// write. Until then the page reads as zeroes and counts as mapped.
+    /// Pages of the range that already have slots keep them, with their
+    /// bytes and permissions.
+    pub fn map_lazy(&mut self, start: u64, size: u64) {
+        if size > 0 {
+            self.lazy
+                .push((start / PAGE_SIZE, (start + size - 1) / PAGE_SIZE));
+        }
+    }
+
+    /// Whether `page` lies in a zero-on-write range.
+    fn is_lazy(&self, page: u64) -> bool {
+        self.lazy.iter().any(|&(f, l)| (f..=l).contains(&page))
+    }
+
+    /// The bytes of the page holding `addr`, for a read: its slot, or
+    /// the shared zero page for a lazy page without one.
+    #[inline(always)]
+    fn read_page(&self, addr: u64) -> Result<&[u8], MemFault> {
+        match self.slab.slot_of(addr / PAGE_SIZE) {
+            Some(slot) => Ok(self.slab.page(slot)),
+            None => self.read_miss(addr),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn read_miss(&self, addr: u64) -> Result<&'static [u8], MemFault> {
+        if self.is_lazy(addr / PAGE_SIZE) {
+            Ok(&ZERO_PAGE)
+        } else {
+            Err(MemFault::Unmapped { addr })
+        }
+    }
+
+    /// The slot of the page holding `addr`, for a guest store: a lazy
+    /// page without a slot gets one first.
+    ///
+    /// # Errors
+    ///
+    /// Faults if the page is unmapped or read-only.
+    #[inline(always)]
+    fn write_slot(&mut self, addr: u64) -> Result<u32, MemFault> {
+        let slot = match self.slab.slot_of(addr / PAGE_SIZE) {
+            Some(slot) => slot,
+            None => self.write_miss(addr)?,
+        };
+        if !self.writable.get(slot as usize) {
+            return Err(MemFault::ReadOnly { addr });
+        }
+        Ok(slot)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn write_miss(&mut self, addr: u64) -> Result<u32, MemFault> {
+        let page = addr / PAGE_SIZE;
+        if !self.is_lazy(page) {
+            return Err(MemFault::Unmapped { addr });
+        }
+        Ok(self.poke_slot(page))
+    }
+
+    /// The slot of `page` for a permission-bypassing write, marked
+    /// dirty. An unmapped page is created zero-filled: writable inside a
+    /// lazy range, read-only elsewhere.
+    fn poke_slot(&mut self, page: u64) -> u32 {
+        let (slot, created) = self.slab.ensure(page);
+        if created {
+            self.writable.insert(slot as usize, self.is_lazy(page));
+            self.dirty.insert(slot as usize, true);
+        } else {
+            self.dirty.set(slot as usize, true);
+        }
+        slot
+    }
+
     /// Marks the current contents as the pristine baseline: clears every
-    /// dirty flag. Called once after the loader builds the initial image.
+    /// dirty flag and trims the slab's spare capacity (the image never
+    /// grows again). Called once after the loader builds the initial
+    /// image.
     pub fn seal_pristine(&mut self) {
         self.dirty.zero();
+        self.slab.trim();
     }
 
     /// Restores this address space to `pristine` in place, reusing the
     /// slab allocation: pages the last run wrote are byte-copied back
-    /// from `pristine`, pages the run created (heap) are dropped,
-    /// untouched pages are left alone.
+    /// from `pristine`, pages the run created (heap, and lazy pages it
+    /// wrote) are dropped, untouched pages are left alone.
     ///
     /// `self` must have started as a clone of `pristine` (pages are never
     /// unmapped during a run, so `self`'s page set is always a superset).
@@ -109,6 +205,7 @@ impl PagedMem {
         self.dirty = dirty;
         self.dirty.truncate(kept);
         self.dirty.zero();
+        self.lazy.clone_from(&pristine.lazy);
     }
 
     /// Whether every byte of `[addr, addr+len)` is mapped.
@@ -119,17 +216,19 @@ impl PagedMem {
         }
         if len <= PAGE_SIZE - addr % PAGE_SIZE {
             // Fast path: one page (every ≤8-byte `asan.check`).
-            return self.slab.slot_of(addr / PAGE_SIZE).is_some();
+            let page = addr / PAGE_SIZE;
+            return self.slab.slot_of(page).is_some() || self.is_lazy(page);
         }
         let Some(end) = addr.checked_add(len - 1) else {
             return false;
         };
         let first = addr / PAGE_SIZE;
         let last = end / PAGE_SIZE;
-        (first..=last).all(|p| self.slab.slot_of(p).is_some())
+        (first..=last).all(|p| self.slab.slot_of(p).is_some() || self.is_lazy(p))
     }
 
-    /// Number of mapped pages (for diagnostics).
+    /// Number of pages with slab slots (for diagnostics): lazy pages
+    /// count once written.
     pub fn mapped_pages(&self) -> usize {
         self.slab.num_slots()
     }
@@ -157,11 +256,7 @@ impl PagedMem {
     /// Faults if the page is unmapped.
     #[inline]
     pub fn read_u8(&self, addr: u64) -> Result<u8, MemFault> {
-        let slot = self
-            .slab
-            .slot_of(addr / PAGE_SIZE)
-            .ok_or(MemFault::Unmapped { addr })?;
-        Ok(self.slab.page(slot)[(addr % PAGE_SIZE) as usize])
+        Ok(self.read_page(addr)?[(addr % PAGE_SIZE) as usize])
     }
 
     /// Writes one byte.
@@ -171,13 +266,7 @@ impl PagedMem {
     /// Faults if the page is unmapped or read-only.
     #[inline]
     pub fn write_u8(&mut self, addr: u64, value: u8) -> Result<(), MemFault> {
-        let slot = self
-            .slab
-            .slot_of(addr / PAGE_SIZE)
-            .ok_or(MemFault::Unmapped { addr })?;
-        if !self.writable.get(slot as usize) {
-            return Err(MemFault::ReadOnly { addr });
-        }
+        let slot = self.write_slot(addr)?;
         self.slab.page_mut(slot)[(addr % PAGE_SIZE) as usize] = value;
         self.dirty.set(slot as usize, true);
         Ok(())
@@ -199,11 +288,7 @@ impl PagedMem {
             // call for runtime lengths). Kept small and `inline(always)`
             // so the load folds into the interpreter loops; the edge
             // cases live out of line.
-            let slot = self
-                .slab
-                .slot_of(addr / PAGE_SIZE)
-                .ok_or(MemFault::Unmapped { addr })?;
-            let w: [u8; 8] = self.slab.page(slot)[off..off + 8]
+            let w: [u8; 8] = self.read_page(addr)?[off..off + 8]
                 .try_into()
                 .expect("8-byte window");
             return Ok(u64::from_le_bytes(w) & lane_mask(n));
@@ -220,11 +305,7 @@ impl PagedMem {
         let mut buf = [0u8; 8];
         if off + n as usize <= PAGE_SIZE as usize {
             // Near the page edge but still on one page.
-            let slot = self
-                .slab
-                .slot_of(addr / PAGE_SIZE)
-                .ok_or(MemFault::Unmapped { addr })?;
-            buf[..n as usize].copy_from_slice(&self.slab.page(slot)[off..off + n as usize]);
+            buf[..n as usize].copy_from_slice(&self.read_page(addr)?[off..off + n as usize]);
         } else {
             self.read_n(addr, &mut buf[..n as usize])?;
         }
@@ -249,13 +330,7 @@ impl PagedMem {
             // (single-threaded machine, same page, same dirty bit) and
             // avoids a length-dependent copy. Kept small and
             // `inline(always)`; the edge cases live out of line.
-            let slot = self
-                .slab
-                .slot_of(addr / PAGE_SIZE)
-                .ok_or(MemFault::Unmapped { addr })?;
-            if !self.writable.get(slot as usize) {
-                return Err(MemFault::ReadOnly { addr });
-            }
+            let slot = self.write_slot(addr)?;
             let win = &mut self.slab.page_mut(slot)[off..off + 8];
             let old = u64::from_le_bytes(win.try_into().expect("8-byte window"));
             let mask = lane_mask(n);
@@ -275,13 +350,7 @@ impl PagedMem {
         let off = (addr % PAGE_SIZE) as usize;
         if off + n as usize <= PAGE_SIZE as usize {
             // Near the page edge but still on one page.
-            let slot = self
-                .slab
-                .slot_of(addr / PAGE_SIZE)
-                .ok_or(MemFault::Unmapped { addr })?;
-            if !self.writable.get(slot as usize) {
-                return Err(MemFault::ReadOnly { addr });
-            }
+            let slot = self.write_slot(addr)?;
             self.slab.page_mut(slot)[off..off + n as usize].copy_from_slice(&bytes[..n as usize]);
             self.dirty.set(slot as usize, true);
             return Ok(());
@@ -303,22 +372,21 @@ impl PagedMem {
         let off = (addr % PAGE_SIZE) as usize;
         if out.len() <= PAGE_SIZE as usize - off {
             // Fast path: one page (memory-log capture, ≤8-byte loads).
-            let slot = self
-                .slab
-                .slot_of(addr / PAGE_SIZE)
-                .ok_or(MemFault::Unmapped { addr })?;
-            out.copy_from_slice(&self.slab.page(slot)[off..off + out.len()]);
+            out.copy_from_slice(&self.read_page(addr)?[off..off + out.len()]);
             return Ok(());
         }
         let mut done = 0usize;
         let mut fault = None;
         for_page_chunks(addr, out.len() as u64, |a, chunk| {
-            let Some(slot) = self.slab.slot_of(a / PAGE_SIZE) else {
-                fault = Some(MemFault::Unmapped { addr: a });
-                return false;
+            let page = match self.read_page(a) {
+                Ok(page) => page,
+                Err(f) => {
+                    fault = Some(f);
+                    return false;
+                }
             };
             let off = (a % PAGE_SIZE) as usize;
-            out[done..done + chunk].copy_from_slice(&self.slab.page(slot)[off..off + chunk]);
+            out[done..done + chunk].copy_from_slice(&page[off..off + chunk]);
             done += chunk;
             true
         });
@@ -342,13 +410,7 @@ impl PagedMem {
         let off = (addr % PAGE_SIZE) as usize;
         if data.len() <= PAGE_SIZE as usize - off {
             // Fast path: one page (≤8-byte stores).
-            let slot = self
-                .slab
-                .slot_of(addr / PAGE_SIZE)
-                .ok_or(MemFault::Unmapped { addr })?;
-            if !self.writable.get(slot as usize) {
-                return Err(MemFault::ReadOnly { addr });
-            }
+            let slot = self.write_slot(addr)?;
             self.slab.page_mut(slot)[off..off + data.len()].copy_from_slice(data);
             self.dirty.set(slot as usize, true);
             return Ok(());
@@ -356,14 +418,13 @@ impl PagedMem {
         let mut done = 0usize;
         let mut fault = None;
         for_page_chunks(addr, data.len() as u64, |a, chunk| {
-            let Some(slot) = self.slab.slot_of(a / PAGE_SIZE) else {
-                fault = Some(MemFault::Unmapped { addr: a });
-                return false;
+            let slot = match self.write_slot(a) {
+                Ok(slot) => slot,
+                Err(f) => {
+                    fault = Some(f);
+                    return false;
+                }
             };
-            if !self.writable.get(slot as usize) {
-                fault = Some(MemFault::ReadOnly { addr: a });
-                return false;
-            }
             let off = (a % PAGE_SIZE) as usize;
             self.slab.page_mut(slot)[off..off + chunk].copy_from_slice(&data[done..done + chunk]);
             self.dirty.set(slot as usize, true);
@@ -395,20 +456,15 @@ impl PagedMem {
 
     /// Writes one byte bypassing write permissions. Used by the loader
     /// (read-only section images) and by rollback replay; never by guest
-    /// instructions. Creates the page (non-writable) if unmapped.
+    /// instructions. Creates the page if unmapped: non-writable, unless
+    /// it lies in a lazy range.
     pub fn poke(&mut self, addr: u64, value: u8) {
-        let (slot, created) = self.slab.ensure(addr / PAGE_SIZE);
-        if created {
-            self.writable.insert(slot as usize, false);
-            self.dirty.insert(slot as usize, true);
-        } else {
-            self.dirty.set(slot as usize, true);
-        }
+        let slot = self.poke_slot(addr / PAGE_SIZE);
         self.slab.page_mut(slot)[(addr % PAGE_SIZE) as usize] = value;
     }
 
     /// Bulk [`PagedMem::poke`]: writes `data` at `addr` bypassing write
-    /// permissions, creating pages (non-writable) as needed.
+    /// permissions, creating pages as [`PagedMem::poke`] does.
     pub fn poke_n(&mut self, addr: u64, data: &[u8]) {
         let off = (addr % PAGE_SIZE) as usize;
         if data.len() <= PAGE_SIZE as usize - off {
@@ -421,13 +477,7 @@ impl PagedMem {
         }
         let mut done = 0usize;
         for_page_chunks(addr, data.len() as u64, |a, chunk| {
-            let (slot, created) = self.slab.ensure(a / PAGE_SIZE);
-            if created {
-                self.writable.insert(slot as usize, false);
-                self.dirty.insert(slot as usize, true);
-            } else {
-                self.dirty.set(slot as usize, true);
-            }
+            let slot = self.poke_slot(a / PAGE_SIZE);
             let off = (a % PAGE_SIZE) as usize;
             self.slab.page_mut(slot)[off..off + chunk].copy_from_slice(&data[done..done + chunk]);
             done += chunk;
@@ -436,17 +486,11 @@ impl PagedMem {
     }
 
     /// Fills `[addr, addr+len)` with `value`, bypassing write
-    /// permissions and creating pages (non-writable) as needed — the
+    /// permissions and creating pages as [`PagedMem::poke`] does — the
     /// bulk twin of [`PagedMem::poke`] for runtime pattern fills.
     pub fn poke_fill(&mut self, addr: u64, len: u64, value: u8) {
         for_page_chunks(addr, len, |a, chunk| {
-            let (slot, created) = self.slab.ensure(a / PAGE_SIZE);
-            if created {
-                self.writable.insert(slot as usize, false);
-                self.dirty.insert(slot as usize, true);
-            } else {
-                self.dirty.set(slot as usize, true);
-            }
+            let slot = self.poke_slot(a / PAGE_SIZE);
             let off = (a % PAGE_SIZE) as usize;
             self.slab.page_mut(slot)[off..off + chunk].fill(value);
             true
@@ -466,11 +510,11 @@ impl PagedMem {
     pub fn read_for_decode_into(&self, addr: u64, max: usize, out: &mut Vec<u8>) {
         out.clear();
         for_page_chunks(addr, max as u64, |a, chunk| {
-            let Some(slot) = self.slab.slot_of(a / PAGE_SIZE) else {
+            let Ok(page) = self.read_page(a) else {
                 return false;
             };
             let off = (a % PAGE_SIZE) as usize;
-            out.extend_from_slice(&self.slab.page(slot)[off..off + chunk]);
+            out.extend_from_slice(&page[off..off + chunk]);
             true
         });
     }
@@ -624,23 +668,94 @@ mod tests {
     }
 
     #[test]
-    fn mapping_the_stack_reserves_exactly() {
-        use teapot_rt::layout::{STACK_LIMIT, STACK_TOP};
+    fn a_large_mapping_reserves_exactly() {
+        const SIZE: u64 = 1023 * PAGE_SIZE;
+        let base = 0x7000_0000;
         let mut m = PagedMem::new();
-        m.map_region(STACK_TOP - STACK_LIMIT, STACK_LIMIT, true);
+        m.map_region(base, SIZE, true);
         let (len, cap) = m.slab_bytes();
-        assert_eq!(len as u64, STACK_LIMIT);
+        assert_eq!(len as u64, SIZE);
         assert_eq!(cap, len);
-        // Behind a few loader sections, as `Program::new` maps it.
+        // Behind a few loader sections.
         let mut m = PagedMem::new();
         m.map_region(0x1000, 3 * PAGE_SIZE, false);
         m.map_region(0x10_0000, 100, true);
-        m.map_region(STACK_TOP - STACK_LIMIT, STACK_LIMIT, true);
+        m.map_region(base, SIZE, true);
         let (len, cap) = m.slab_bytes();
         assert_eq!(cap, len);
         // Re-mapping mapped pages reserves nothing.
-        m.map_region(STACK_TOP - STACK_LIMIT, STACK_LIMIT, true);
+        m.map_region(base, SIZE, true);
         assert_eq!(m.slab_bytes(), (len, cap));
+    }
+
+    #[test]
+    fn a_lazy_range_costs_only_the_pages_written() {
+        let base = 0x10_0000;
+        let mut pristine = PagedMem::new();
+        pristine.map_region(0x1000, PAGE_SIZE, false);
+        pristine.map_lazy(base, 4 * PAGE_SIZE);
+        pristine.seal_pristine();
+        assert_eq!(pristine.mapped_pages(), 1);
+        assert_eq!(
+            pristine.slab_bytes(),
+            (PAGE_SIZE as usize, PAGE_SIZE as usize)
+        );
+
+        // Unwritten: mapped, reads as zeroes, takes no slot.
+        let mut live = pristine.clone();
+        assert!(live.is_mapped(base, 4 * PAGE_SIZE));
+        assert!(!live.is_mapped(base - 1, 2));
+        assert!(!live.is_mapped(base + 4 * PAGE_SIZE - 1, 2));
+        assert_eq!(live.read_uint(base + 8, 8), Ok(0));
+        let mut out = [0xEEu8; 24];
+        live.read_n(base + PAGE_SIZE - 12, &mut out).unwrap();
+        assert_eq!(out, [0; 24]);
+        assert_eq!(live.read_for_decode(base + 4 * PAGE_SIZE - 2, 8), [0, 0]);
+        assert_eq!(live.mapped_pages(), 1);
+
+        // A store gives its page a writable slot; the next page stays
+        // lazy.
+        live.write_uint(base + PAGE_SIZE + 8, 0x1122_3344, 4)
+            .unwrap();
+        assert_eq!(live.mapped_pages(), 2);
+        assert_eq!(live.read_uint(base + PAGE_SIZE + 8, 8), Ok(0x1122_3344));
+        assert_eq!(live.read_u8(base + PAGE_SIZE + 7), Ok(0));
+        assert_eq!(live.read_u8(base + 2 * PAGE_SIZE), Ok(0));
+        live.write_u8(base + PAGE_SIZE, 9).unwrap();
+        assert_eq!(live.mapped_pages(), 2);
+        // So does a poke, writable like the rest of the range.
+        live.poke(base, 1);
+        assert_eq!(live.write_u8(base + 1, 2), Ok(()));
+        assert_eq!(live.mapped_pages(), 3);
+
+        // A store from the top page, once written, across into the
+        // unmapped page above writes its first part, then faults at the
+        // boundary.
+        let top = base + 4 * PAGE_SIZE;
+        live.write_u8(top - 8, 7).unwrap();
+        assert_eq!(live.mapped_pages(), 4);
+        assert_eq!(
+            live.write_uint(top - 2, u64::MAX, 4),
+            Err(MemFault::Unmapped { addr: top })
+        );
+        assert_eq!(live.read_uint(top - 2, 2), Ok(0xFFFF));
+        assert_eq!(live.mapped_pages(), 4);
+        // Below the range is unmapped, as before.
+        assert_eq!(
+            live.write_u8(base - 1, 1),
+            Err(MemFault::Unmapped { addr: base - 1 })
+        );
+
+        // Reset drops every written page: the range reads zero again,
+        // and the next run's stores find it writable.
+        live.reset_to(&pristine);
+        assert_eq!(live.mapped_pages(), 1);
+        for a in [base, base + PAGE_SIZE + 8, top - 2] {
+            assert_eq!(live.read_uint(a, 2), Ok(0), "{a:#x}");
+        }
+        assert!(live.is_mapped(base, 4 * PAGE_SIZE));
+        live.write_u8(base + 3 * PAGE_SIZE, 5).unwrap();
+        assert_eq!(live.read_u8(base + 3 * PAGE_SIZE), Ok(5));
     }
 
     #[test]
@@ -648,13 +763,15 @@ mod tests {
         use teapot_rt::layout::{HEAP_BASE, STACK_LIMIT, STACK_TOP};
         let mut pristine = PagedMem::new();
         pristine.map_region(0x1000, PAGE_SIZE, true);
-        pristine.map_region(STACK_TOP - STACK_LIMIT, STACK_LIMIT, true);
+        pristine.map_lazy(STACK_TOP - STACK_LIMIT, STACK_LIMIT);
         pristine.seal_pristine();
         let mut live = pristine.clone();
-        // A run mallocs page after page, as the runtime's MALLOC does;
-        // the first one checks the growth bound after every page.
+        // A run mallocs page after page, as the runtime's MALLOC does,
+        // between stores to the stack; the first one checks the growth
+        // bound after every page.
         let run = |m: &mut PagedMem, check: bool| {
             for i in 0..300 {
+                m.write_u8(STACK_TOP - 1 - (i % 40) * PAGE_SIZE, 1).unwrap();
                 m.map_region(HEAP_BASE + i * PAGE_SIZE, 64, true);
                 m.write_u8(HEAP_BASE + i * PAGE_SIZE, 1).unwrap();
                 let (len, cap) = m.slab_bytes();

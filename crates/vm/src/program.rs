@@ -12,7 +12,8 @@
 //! every campaign shard and worker thread shares one decode pass.
 //!
 //! A `Program` also owns the **pristine memory image** of the binary
-//! (loadable sections plus the stack mapping). A fresh run no longer
+//! (loadable sections plus the zero-on-write stack range, whose pages
+//! get slots only when a run writes them). A fresh run no longer
 //! re-pokes every section byte into a new address space; it clones the
 //! image once per [`ExecContext`](crate::ExecContext) and thereafter
 //! restores only the dirty pages between runs.
@@ -359,9 +360,10 @@ impl Program {
     /// `.teapot.meta` section (a rewriter bug, not a runtime input) —
     /// the same contract the per-run loader had.
     pub fn new(binary: &Binary) -> Program {
-        // The initial address space, exactly as the per-run loader built
-        // it: loadable sections (bytes poked over zero-filled pages),
-        // then the stack mapping.
+        // The initial address space: loadable sections (bytes poked
+        // over zero-filled pages), then the stack as a zero-on-write
+        // range — it reads as the zero-filled stack the per-run loader
+        // mapped, but a page costs memory only once a run writes it.
         let mut mem = PagedMem::new();
         for sec in &binary.sections {
             if !sec.kind.is_loadable() {
@@ -370,7 +372,7 @@ impl Program {
             mem.map_region(sec.vaddr, sec.mem_size.max(1), sec.kind.is_writable());
             mem.poke_n(sec.vaddr, &sec.bytes);
         }
-        mem.map_region(STACK_TOP - STACK_LIMIT, STACK_LIMIT, true);
+        mem.map_lazy(STACK_TOP - STACK_LIMIT, STACK_LIMIT);
         mem.seal_pristine();
 
         let meta = binary
@@ -581,7 +583,7 @@ impl Program {
         &self.block_spans
     }
 
-    /// The pristine initial memory image (sections + stack).
+    /// The pristine initial memory image (sections + the lazy stack).
     pub(crate) fn pristine(&self) -> &PagedMem {
         &self.pristine
     }

@@ -21,13 +21,15 @@
 //! load is one TLB probe and one 8-byte copy, and `memcpy`-style guest
 //! loops move whole page slices at a time.
 //!
-//! The slab never grows by doubling: a doubled 4 MiB stack mapping
-//! would leave megabytes of unused capacity in every program image and
-//! every context cloned from it. Growth reserves exactly
-//! `max(run, GROW_MIN_PAGES pages, len/8)`: a large mapping (the stack)
+//! The slab never grows by doubling: doubled capacity would be copied
+//! into every context cloned from a program image. Growth reserves
+//! exactly `max(run, GROW_MIN_PAGES pages, len/8)`: a large mapping
 //! reserves its whole run once and leaves no slack, while page-by-page
-//! growth (the heap, sanitizer shadows) stays amortized with its slack
-//! bounded by an eighth of the slab.
+//! growth (the heap, stack pages written for the first time, sanitizer
+//! shadows) stays amortized with its slack bounded by an eighth of the
+//! slab. [`PageSlab::trim`] drops the slack of a sealed program image.
+//! The 4 MiB guest stack holds no slots until it is written (see
+//! [`PagedMem::map_lazy`](crate::mem::PagedMem::map_lazy)).
 //!
 //! [`ShadowMem`] layers zero-default semantics over a `PageSlab` for
 //! the two sanitizer shadows: an absent page reads as zeroes, writing
@@ -239,6 +241,12 @@ impl PageSlab {
             self.bytes
                 .reserve_exact(need.max(GROW_MIN_PAGES * PAGE).max(len / 8));
         }
+    }
+
+    /// Drops the spare capacity (a sealed program image keeps no
+    /// slack).
+    pub(crate) fn trim(&mut self) {
+        self.bytes.shrink_to_fit();
     }
 
     pub(crate) fn invalidate_tlb(&self) {

@@ -6,8 +6,12 @@
 use teapot_asm::Assembler;
 use teapot_isa::{sys, AccessSize, AluOp, Cc, Inst, MemRef, Operand, Reg};
 use teapot_obj::{BinFlags, Binary, Linker};
+use teapot_rt::layout::{STACK_LIMIT, STACK_TOP};
 use teapot_rt::{Channel, Controllability, TeapotMeta};
-use teapot_vm::{EmuStyle, ExitStatus, Fault, Machine, MemFault, RunOptions, SpecHeuristics};
+use teapot_vm::{
+    DispatchTier, EmuStyle, ExecContext, ExitStatus, Fault, Machine, MemFault, Program, RunOptions,
+    SpecHeuristics, PAGE_SIZE,
+};
 
 fn run(bin: &Binary, opts: RunOptions) -> teapot_vm::RunOutcome {
     let mut heur = SpecHeuristics::default();
@@ -795,4 +799,117 @@ fn coverage_maps_distinguish_normal_and_speculative() {
     assert_eq!(out.cov_normal.get(1), 1);
     assert_eq!(out.cov_spec.get(2), 1, "lazy note flushed at rollback");
     assert_eq!(out.cov_normal.get(2), 0);
+}
+
+/// Lowest address of the guest stack.
+const STACK_BOTTOM: u64 = STACK_TOP - STACK_LIMIT;
+
+fn load8(f: &mut teapot_asm::FuncAsm, dst: Reg, base: Reg, disp: i32) {
+    f.ins(Inst::Load {
+        dst,
+        mem: MemRef::base_disp(base, disp),
+        size: AccessSize::B8,
+        sext: false,
+    });
+}
+
+/// Reads the lowest stack word, then an untouched word on the page
+/// above it, stores 90 to the lowest word and exits with the sum of the
+/// three loads: 90 only if both first loads read zero.
+fn stack_bottom_program() -> Binary {
+    let mut asm = Assembler::new("t");
+    let mut f = asm.func("_start");
+    f.ins(Inst::MovRI {
+        dst: Reg::R6,
+        imm: STACK_BOTTOM as i64,
+    });
+    load8(&mut f, Reg::R8, Reg::R6, 0);
+    load8(&mut f, Reg::R9, Reg::R6, PAGE_SIZE as i32 + 16);
+    f.ins(Inst::StoreI {
+        imm: 90,
+        mem: MemRef::base(Reg::R6),
+        size: AccessSize::B8,
+    });
+    load8(&mut f, Reg::R7, Reg::R6, 0);
+    for r in [Reg::R8, Reg::R9] {
+        f.ins(Inst::Alu {
+            op: AluOp::Add,
+            dst: Reg::R7,
+            src: Operand::Reg(r),
+        });
+    }
+    exit_with(&mut f, Reg::R7);
+    asm.finish_func(f).unwrap();
+    Linker::new()
+        .add_object(asm.finish())
+        .link("_start")
+        .unwrap()
+}
+
+/// Stores 8 bytes at `addr`, then exits 0.
+fn store_program(addr: u64) -> Binary {
+    let mut asm = Assembler::new("t");
+    let mut f = asm.func("_start");
+    f.ins(Inst::MovRI {
+        dst: Reg::R6,
+        imm: addr as i64,
+    });
+    f.ins(Inst::StoreI {
+        imm: -1,
+        mem: MemRef::base(Reg::R6),
+        size: AccessSize::B8,
+    });
+    f.ins(Inst::MovRI {
+        dst: Reg::R1,
+        imm: 0,
+    });
+    f.ins(Inst::Syscall { num: sys::EXIT });
+    asm.finish_func(f).unwrap();
+    Linker::new()
+        .add_object(asm.finish())
+        .link("_start")
+        .unwrap()
+}
+
+/// Runs `bin` twice on one reused context, on `tier`.
+fn run_twice(bin: &Binary, tier: DispatchTier) -> [ExitStatus; 2] {
+    let prog = Program::shared(bin);
+    let mut ctx = ExecContext::new(&prog);
+    std::array::from_fn(|_| {
+        let mut m = Machine::with_context(&prog, &mut ctx, RunOptions::default());
+        m.set_dispatch_tier(tier);
+        m.run_stats(&mut SpecHeuristics::default()).status
+    })
+}
+
+#[test]
+fn the_whole_stack_is_mapped_zeroed_and_writable_on_every_run() {
+    let unmapped = |addr| ExitStatus::Fault(Fault::Mem(MemFault::Unmapped { addr }));
+    for tier in [DispatchTier::Compiled, DispatchTier::Step] {
+        // The reused context's second run reads zero where the first
+        // one stored.
+        assert_eq!(
+            run_twice(&stack_bottom_program(), tier),
+            [ExitStatus::Exit(90); 2],
+            "{tier:?}"
+        );
+        // One page below the stack is unmapped.
+        assert_eq!(
+            run_twice(&store_program(STACK_BOTTOM - PAGE_SIZE), tier),
+            [unmapped(STACK_BOTTOM - PAGE_SIZE); 2],
+            "{tier:?}"
+        );
+        // A store straddling the bottom faults at its first byte; one
+        // straddling the top lands its low half, then faults at the top.
+        assert_eq!(
+            run_twice(&store_program(STACK_BOTTOM - 4), tier),
+            [unmapped(STACK_BOTTOM - 4); 2],
+            "{tier:?}"
+        );
+        assert_eq!(
+            run_twice(&store_program(STACK_TOP - 4), tier),
+            [unmapped(STACK_TOP); 2],
+            "{tier:?}"
+        );
+    }
 }

@@ -7,20 +7,22 @@
 //! per byte — the old code's semantics transcribed) through the same
 //! random operation sequence and compares every outcome: read values,
 //! fault kinds and addresses, partial cross-page writes, permission
-//! upgrades, poison verdicts, tag folds, and the reset-equals-fresh
-//! contract after a dirty-page restore.
+//! upgrades, zero-on-write (lazy) ranges, poison verdicts, tag folds,
+//! and the reset-equals-fresh contract after a dirty-page restore.
 
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use teapot_rt::layout::{HEAP_BASE, INPUT_STAGING};
 use teapot_rt::Tag;
 use teapot_vm::{AsanEngine, MemFault, PagedMem, TaintEngine, PAGE_SIZE};
 
 /// The seed's paged memory, transcribed: byte-per-byte operations over
-/// a `BTreeMap` of whole pages.
+/// a `BTreeMap` of whole pages, plus a set of zero-on-write pages that
+/// read as zero until their first write or poke creates them writable.
 #[derive(Clone, Default)]
 struct RefMem {
     pages: BTreeMap<u64, (Vec<u8>, bool, bool)>, // bytes, writable, dirty
+    lazy: BTreeSet<u64>,
 }
 
 impl RefMem {
@@ -37,6 +39,22 @@ impl RefMem {
                 .or_insert_with(|| (vec![0; PAGE_SIZE as usize], writable, true));
             e.1 |= writable;
         }
+    }
+
+    fn map_lazy(&mut self, start: u64, size: u64) {
+        if size == 0 {
+            return;
+        }
+        self.lazy
+            .extend(start / PAGE_SIZE..=(start + size - 1) / PAGE_SIZE);
+    }
+
+    /// Creates absent page `p` as the first write to it would.
+    fn page_entry(&mut self, p: u64) -> &mut (Vec<u8>, bool, bool) {
+        let writable = self.lazy.contains(&p);
+        self.pages
+            .entry(p)
+            .or_insert_with(|| (vec![0; PAGE_SIZE as usize], writable, true))
     }
 
     fn seal_pristine(&mut self) {
@@ -62,17 +80,23 @@ impl RefMem {
             }
             dst.1 = src.1;
         }
+        self.lazy.clone_from(&pristine.lazy);
     }
 
     fn read_u8(&self, addr: u64) -> Result<u8, MemFault> {
         match self.pages.get(&(addr / PAGE_SIZE)) {
             Some(p) => Ok(p.0[(addr % PAGE_SIZE) as usize]),
+            None if self.lazy.contains(&(addr / PAGE_SIZE)) => Ok(0),
             None => Err(MemFault::Unmapped { addr }),
         }
     }
 
     fn write_u8(&mut self, addr: u64, v: u8) -> Result<(), MemFault> {
-        match self.pages.get_mut(&(addr / PAGE_SIZE)) {
+        let page = addr / PAGE_SIZE;
+        if self.lazy.contains(&page) {
+            self.page_entry(page);
+        }
+        match self.pages.get_mut(&page) {
             Some(p) => {
                 if !p.1 {
                     return Err(MemFault::ReadOnly { addr });
@@ -101,10 +125,7 @@ impl RefMem {
     }
 
     fn poke(&mut self, addr: u64, v: u8) {
-        let e = self
-            .pages
-            .entry(addr / PAGE_SIZE)
-            .or_insert_with(|| (vec![0; PAGE_SIZE as usize], false, true));
+        let e = self.page_entry(addr / PAGE_SIZE);
         e.0[(addr % PAGE_SIZE) as usize] = v;
         e.2 = true;
     }
@@ -116,7 +137,8 @@ impl RefMem {
         let Some(end) = addr.checked_add(len - 1) else {
             return false;
         };
-        (addr / PAGE_SIZE..=end / PAGE_SIZE).all(|p| self.pages.contains_key(&p))
+        (addr / PAGE_SIZE..=end / PAGE_SIZE)
+            .all(|p| self.pages.contains_key(&p) || self.lazy.contains(&p))
     }
 
     fn read_for_decode(&self, addr: u64, max: usize) -> Vec<u8> {
@@ -168,6 +190,7 @@ enum Op {
     WriteN(u64, Vec<u8>),
     PokeFill(u64, u64, u8),
     MapRegion(u64, u64, bool),
+    MapLazy(u64, u64),
 }
 
 fn addr_strategy() -> impl Strategy<Value = u64> {
@@ -195,7 +218,22 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (addr_strategy(), 0u64..600, any::<u8>()).prop_map(|(a, l, v)| Op::PokeFill(a, l, v)),
         (addr_strategy(), 1u64..2 * PAGE_SIZE, any::<bool>())
             .prop_map(|(a, l, w)| Op::MapRegion(a, l, w)),
+        (addr_strategy(), 1u64..2 * PAGE_SIZE).prop_map(|(a, l)| Op::MapLazy(a, l)),
     ]
+}
+
+/// An optional zero-on-write range of the initial layout, as the loader
+/// maps the stack.
+fn lazy_strategy() -> impl Strategy<Value = (bool, u64, u64)> {
+    (any::<bool>(), addr_strategy(), 1u64..4 * PAGE_SIZE)
+}
+
+/// Maps the optional lazy range `lazy` in both.
+fn map_lazy_both(real: &mut PagedMem, model: &mut RefMem, &(on, start, len): &(bool, u64, u64)) {
+    if on {
+        real.map_lazy(start, len);
+        model.map_lazy(start, len);
+    }
 }
 
 /// Applies `op` to both; asserts identical outcomes (including fault
@@ -235,6 +273,10 @@ fn apply_both(real: &mut PagedMem, model: &mut RefMem, op: &Op) {
         Op::MapRegion(a, l, w) => {
             real.map_region(*a, *l, *w);
             model.map_region(*a, *l, *w);
+        }
+        Op::MapLazy(a, l) => {
+            real.map_lazy(*a, *l);
+            model.map_lazy(*a, *l);
         }
     }
 }
@@ -286,6 +328,7 @@ proptest! {
     #[test]
     fn paged_mem_matches_reference_model(
         layout in layout_strategy(),
+        lazy in lazy_strategy(),
         ops in proptest::collection::vec(op_strategy(), 1..40),
         probes in proptest::collection::vec(addr_strategy(), 8..20),
     ) {
@@ -295,6 +338,7 @@ proptest! {
             real.map_region(*start, *len, *w);
             model.map_region(*start, *len, *w);
         }
+        map_lazy_both(&mut real, &mut model, &lazy);
         for op in &ops {
             apply_both(&mut real, &mut model, op);
         }
@@ -305,6 +349,7 @@ proptest! {
     #[test]
     fn reset_equals_fresh_after_dirty_restore(
         layout in layout_strategy(),
+        lazy in lazy_strategy(),
         image in proptest::collection::vec((addr_strategy(), any::<u8>()), 1..30),
         run1 in proptest::collection::vec(op_strategy(), 1..30),
         run2 in proptest::collection::vec(op_strategy(), 1..30),
@@ -319,6 +364,7 @@ proptest! {
             pristine.map_region(*start, *len, *w);
             model_pristine.map_region(*start, *len, *w);
         }
+        map_lazy_both(&mut pristine, &mut model_pristine, &lazy);
         for (a, v) in &image {
             pristine.poke(*a, *v);
             model_pristine.poke(*a, *v);

@@ -1071,7 +1071,7 @@ fn report_campaign(
     }
     if !flag(args, "--no-triage") {
         let triage_watch = teapot_telemetry::Stopwatch::new();
-        let (db, stats, times) = teapot_triage::triage_report_timed(
+        let (db, stats, times) = teapot_triage::triage_report(
             &file_label(target),
             bin,
             campaign.config(),
@@ -1290,7 +1290,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 // root causes across the whole queue.
                 if !flag(args, "--no-triage") && !outcomes.is_empty() {
                     let triage_opts = teapot_triage::TriageOptions::default();
-                    let (db, stats) = teapot_triage::triage_queue(&outcomes, &cfg, &triage_opts);
+                    let (db, stats, _) = teapot_triage::triage_queue(&outcomes, &cfg, &triage_opts);
                     emit_triage(&db, &stats, opt(args, "--triage"), opt(args, "--sarif"))?;
                 }
                 return Ok(());
@@ -1470,7 +1470,7 @@ fn run(args: &[String]) -> Result<(), String> {
                     println!("no .tof binaries found in {target}");
                     return Ok(());
                 }
-                teapot_triage::triage_queue_timed(&outcomes, &cfg, &opts)
+                teapot_triage::triage_queue(&outcomes, &cfg, &opts)
             } else if target.ends_with(".tcs") {
                 // A finished campaign snapshot: triage its recorded
                 // witnesses without re-fuzzing. The binary it was taken
@@ -1506,7 +1506,7 @@ fn run(args: &[String]) -> Result<(), String> {
                     .map_err(|e| resume_error(target, bin_path, e))?;
                 let report = campaign.report();
                 models_label = campaign.config().models.to_string();
-                teapot_triage::triage_report_timed(
+                teapot_triage::triage_report(
                     &file_label(bin_path),
                     &bin,
                     campaign.config(),
@@ -1523,7 +1523,7 @@ fn run(args: &[String]) -> Result<(), String> {
                     report.iters,
                     report.unique_gadgets()
                 );
-                teapot_triage::triage_report_timed(&file_label(target), &bin, &cfg, &report, &opts)
+                teapot_triage::triage_report(&file_label(target), &bin, &cfg, &report, &opts)
             };
             if let Some(mp) = opt(args, "--metrics") {
                 let mut sink = teapot_telemetry::MetricsSink::create(std::path::Path::new(mp))
@@ -1617,7 +1617,7 @@ fn run(args: &[String]) -> Result<(), String> {
                     .map_err(|e| resume_error(target, bin_path, e))?;
                 let report = campaign.report();
                 let models = campaign.config().models.to_string();
-                let (db, stats, times) = teapot_triage::triage_report_timed(
+                let (db, stats, times) = teapot_triage::triage_report(
                     &file_label(bin_path),
                     &bin,
                     campaign.config(),
@@ -1634,13 +1634,8 @@ fn run(args: &[String]) -> Result<(), String> {
                     report.iters,
                     report.unique_gadgets()
                 );
-                let (db, stats, times) = teapot_triage::triage_report_timed(
-                    &file_label(target),
-                    &bin,
-                    &cfg,
-                    &report,
-                    &opts,
-                );
+                let (db, stats, times) =
+                    teapot_triage::triage_report(&file_label(target), &bin, &cfg, &report, &opts);
                 (db, stats, times, cfg.models.to_string())
             };
             if let Some(mp) = opt(args, "--metrics") {

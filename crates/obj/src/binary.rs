@@ -232,7 +232,10 @@ impl Binary {
         if nsec > 1 << 20 || nsym > 1 << 24 {
             return Err(FormatError::Corrupt("absurd counts"));
         }
-        let mut sections = Vec::with_capacity(nsec);
+        // Reserve no more entries than the remaining bytes can encode
+        // (a section is at least 29 bytes, a symbol 21), so a hostile
+        // count fails `Truncated` before it allocates.
+        let mut sections = Vec::with_capacity(nsec.min(r.remaining() / 29));
         for _ in 0..nsec {
             let name = r.string()?;
             let kind = kind_from_byte(r.u8()?).ok_or(FormatError::Corrupt("section kind"))?;
@@ -248,7 +251,7 @@ impl Binary {
                 mem_size,
             });
         }
-        let mut symbols = Vec::with_capacity(nsym);
+        let mut symbols = Vec::with_capacity(nsym.min(r.remaining() / 21));
         for _ in 0..nsym {
             let name = r.string()?;
             let kind = match r.u8()? {
@@ -306,6 +309,9 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
     fn take(&mut self, n: usize) -> Result<&'a [u8], FormatError> {
         let s = self
             .bytes

@@ -150,7 +150,9 @@ impl TeapotMeta {
         if ni > 1 << 24 || na > 1 << 26 {
             return Err(MetaError);
         }
-        let mut pairs = Vec::with_capacity(ni + na);
+        // A pair is 16 bytes: reserve no more than the rest can hold, so
+        // a hostile count fails before it allocates.
+        let mut pairs = Vec::with_capacity((ni + na).min((bytes.len() - pos) / 16));
         for _ in 0..ni + na {
             let a = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
             let b = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());

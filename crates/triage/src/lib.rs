@@ -62,7 +62,7 @@
 //! let cfg = CampaignConfig { shards: 2, epochs: 2, iters_per_epoch: 40,
 //!                            max_input_len: 16, ..CampaignConfig::default() };
 //! let report = run_campaign(&bin, &[], &cfg).unwrap();
-//! let (db, stats) = triage_report("victim.tof", &bin, &cfg, &report,
+//! let (db, stats, _) = triage_report("victim.tof", &bin, &cfg, &report,
 //!                                 &TriageOptions::default());
 //!
 //! // Every finding replayed, carries a minimized reproducer, and the
@@ -180,20 +180,9 @@ pub struct TriageInput<'a> {
     pub report: &'a CampaignReport,
 }
 
-/// Triages one campaign report against its binary.
+/// Triages one campaign report against its binary. The
+/// [`TriagePhaseTimes`] are wall-clock telemetry only.
 pub fn triage_report(
-    label: &str,
-    bin: &Binary,
-    config: &CampaignConfig,
-    report: &CampaignReport,
-    opts: &TriageOptions,
-) -> (TriageDb, TriageStats) {
-    let (db, stats, _) = triage_report_timed(label, bin, config, report, opts);
-    (db, stats)
-}
-
-/// [`triage_report`] plus wall-clock phase timing for telemetry.
-pub fn triage_report_timed(
     label: &str,
     bin: &Binary,
     config: &CampaignConfig,
@@ -214,18 +203,9 @@ pub fn triage_report_timed(
 /// Triages a whole queue run, folding every outcome into one
 /// cross-binary database. Replays run against the instrumented binary
 /// each [`QueueOutcome`] already carries — nothing is re-read or
-/// re-instrumented.
+/// re-instrumented. The [`TriagePhaseTimes`] are wall-clock telemetry
+/// only.
 pub fn triage_queue(
-    outcomes: &[QueueOutcome],
-    config: &CampaignConfig,
-    opts: &TriageOptions,
-) -> (TriageDb, TriageStats) {
-    let (db, stats, _) = triage_queue_timed(outcomes, config, opts);
-    (db, stats)
-}
-
-/// [`triage_queue`] plus wall-clock phase timing for telemetry.
-pub fn triage_queue_timed(
     outcomes: &[QueueOutcome],
     config: &CampaignConfig,
     opts: &TriageOptions,

@@ -80,7 +80,7 @@ fn triage_is_byte_identical_across_worker_counts() {
             let cfg = config(w);
             let mut c = Campaign::new(cfg.clone()).unwrap();
             let report = c.run_shared(&prog, &[]);
-            let (db, stats) =
+            let (db, stats, _) =
                 triage_report("target.tof", &bin, &cfg, &report, &TriageOptions::default());
             assert_eq!(stats.replay_failures, 0, "all witnesses replay");
             (db.to_jsonl(), db.to_text(), sarif::render(&db))
@@ -102,7 +102,8 @@ fn every_gadget_carries_a_minimized_replaying_witness() {
     assert!(!report.gadgets.is_empty(), "campaign found gadgets");
     assert_eq!(report.gadgets.len(), report.witnesses.len());
 
-    let (db, stats) = triage_report("target.tof", &bin, &cfg, &report, &TriageOptions::default());
+    let (db, stats, _) =
+        triage_report("target.tof", &bin, &cfg, &report, &TriageOptions::default());
     assert_eq!(stats.replay_failures, 0);
     assert!(stats.replays > 0);
     assert!(!db.entries().is_empty());
@@ -142,7 +143,7 @@ fn severity_ranking_is_monotone_and_entries_deduplicate_shards() {
     let cfg = config(2);
     let mut c = Campaign::new(cfg.clone()).unwrap();
     let report = c.run_shared(&prog, &[]);
-    let (db, _) = triage_report("target.tof", &bin, &cfg, &report, &TriageOptions::default());
+    let (db, _, _) = triage_report("target.tof", &bin, &cfg, &report, &TriageOptions::default());
 
     let severities: Vec<u32> = db.entries().iter().map(|e| e.severity).collect();
     let mut sorted = severities.clone();
@@ -178,7 +179,7 @@ fn queue_mode_dedups_the_shared_gadget_across_binaries() {
     assert_eq!(outcomes.len(), 2);
     assert!(!outcomes[0].report.gadgets.is_empty());
 
-    let (db, stats) = triage_queue(&outcomes, &cfg, &TriageOptions::default());
+    let (db, stats, _) = triage_queue(&outcomes, &cfg, &TriageOptions::default());
     assert_eq!(stats.replay_failures, 0);
 
     // The shared gadget collapses to one root cause with both binaries
@@ -280,7 +281,7 @@ fn relocated_globals_dedup_across_binaries() {
         ..CampaignConfig::default()
     };
     let outcomes = queue::run_queue(&dir, &cfg, &[]).unwrap();
-    let (db, stats) = triage_queue(&outcomes, &cfg, &TriageOptions::default());
+    let (db, stats, _) = triage_queue(&outcomes, &cfg, &TriageOptions::default());
     assert_eq!(stats.replay_failures, 0);
 
     // At least one root cause merges across both binaries, and no
@@ -327,7 +328,7 @@ fn queue_triage_is_byte_identical_across_worker_counts() {
                 ..CampaignConfig::default()
             };
             let outcomes = queue::run_queue(&dir, &cfg, &[]).unwrap();
-            let (db, _) = triage_queue(&outcomes, &cfg, &TriageOptions::default());
+            let (db, _, _) = triage_queue(&outcomes, &cfg, &TriageOptions::default());
             (db.to_jsonl(), sarif::render(&db))
         })
         .collect();

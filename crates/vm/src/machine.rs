@@ -600,11 +600,10 @@ impl ExecContext {
     /// events resolve their origin spans, and each first-seen gadget
     /// report appends a [`TraceEvent::LeakSite`] to the witness trace.
     /// Intended for triage provenance replays only: a machine assembled
-    /// with provenance on stays on its dispatch tier, but the compiled
-    /// tier then runs the full memory-access templates (the slim
-    /// normal-mode ones skip origin propagation). Origins are
-    /// observation-only metadata — the architectural outcome of a run
-    /// is unchanged.
+    /// with provenance on stays on its dispatch tier and runs the same
+    /// exec helpers, whose `prov_on` branches carry the origins.
+    /// Origins are observation-only metadata — the architectural
+    /// outcome of a run is unchanged.
     pub fn set_provenance(&mut self, on: bool) {
         self.record_provenance = on;
     }
@@ -724,8 +723,7 @@ pub struct Machine<'c> {
     /// the context's `record_provenance` flag, resolved once at
     /// assembly and requiring DIFT (origins without tags are
     /// meaningless). Off on the campaign hot path — every `prov_on`
-    /// branch below is dead there, and compiled windows outside
-    /// simulation use the slim memory-access templates.
+    /// branch below is dead there.
     prov_on: bool,
     /// Stop-set keys not yet reported this run (the context's
     /// `stop_keys` count at assembly). Reaching 0 from above empties
@@ -2077,11 +2075,6 @@ impl<'c> Machine<'c> {
         // Divergence exits the window before the next record, so the
         // entry depth decides sim-vs-normal cost for every record here.
         let sim = depth > 0;
-        // The slim normal-mode memory templates skip origin propagation,
-        // so a provenance run takes the full templates everywhere (they
-        // are observably identical out of simulation). Cost still
-        // follows `sim`.
-        let full = sim || self.prov_on;
         for _ in 0..recs {
             // By reference: a record is a whole cache line; the match
             // below only reads the payload of the variant it hits.
@@ -2116,13 +2109,8 @@ impl<'c> Machine<'c> {
                         cont: stl_cont,
                         sid,
                     };
-                    if full {
-                        self.exec_load_at(dst, &mem, size, sext, pc, pre, heur)
-                            .map(|_| Step::Continue)
-                    } else {
-                        self.exec_load_norm(dst, &mem, size, sext, pc, pre, heur)
-                            .map(|()| Step::Continue)
-                    }
+                    self.exec_load(dst, &mem, size, sext, pc, pre, heur)
+                        .map(|_| Step::Continue)
                 }
                 OpKind::LoadChecked {
                     chk,
@@ -2140,26 +2128,16 @@ impl<'c> Machine<'c> {
                         sid,
                     };
                     let apc = pc + acc_off as u64;
-                    if full {
-                        // Fused superinstruction: probe with the check's
-                        // pc, access with its own — the same fault,
-                        // report and STL ordering as the two-record slow
-                        // path.
-                        self.asan_probe(&chk, chk_size, pc);
-                        self.exec_load_at(dst, &mem, size, sext, apc, pre, heur)
-                            .map(|_| Step::Continue)
-                    } else {
-                        // asan_probe is a no-op outside simulation.
-                        self.exec_load_norm(dst, &mem, size, sext, apc, pre, heur)
-                            .map(|()| Step::Continue)
-                    }
+                    // Fused superinstruction: probe with the check's pc,
+                    // access with its own — the same fault, report and
+                    // STL ordering as the two-record slow path.
+                    self.asan_probe(&chk, chk_size, pc);
+                    self.exec_load(dst, &mem, size, sext, apc, pre, heur)
+                        .map(|_| Step::Continue)
                 }
-                OpKind::Store { src, mem, size } => if full {
-                    self.exec_store(src, &mem, size, pc)
-                } else {
-                    self.exec_store_norm(src, &mem, size, pc)
-                }
-                .map(|()| Step::Continue),
+                OpKind::Store { src, mem, size } => self
+                    .exec_store(src, &mem, size, pc)
+                    .map(|()| Step::Continue),
                 OpKind::StoreChecked {
                     chk,
                     chk_size,
@@ -2168,31 +2146,18 @@ impl<'c> Machine<'c> {
                     mem,
                     size,
                 } => {
-                    let apc = pc + acc_off as u64;
-                    if full {
-                        self.asan_probe(&chk, chk_size, pc);
-                        self.exec_store(src, &mem, size, apc)
-                    } else {
-                        self.exec_store_norm(src, &mem, size, apc)
-                    }
-                    .map(|()| Step::Continue)
+                    self.asan_probe(&chk, chk_size, pc);
+                    self.exec_store(src, &mem, size, pc + acc_off as u64)
+                        .map(|()| Step::Continue)
                 }
-                OpKind::StoreI { imm, mem, size } => if full {
-                    self.exec_storei(imm, &mem, size, pc)
-                } else {
-                    self.exec_storei_norm(imm, &mem, size, pc)
-                }
-                .map(|()| Step::Continue),
+                OpKind::StoreI { imm, mem, size } => self
+                    .exec_storei(imm, &mem, size, pc)
+                    .map(|()| Step::Continue),
                 OpKind::Lea { dst, mem } => {
                     self.exec_lea(dst, &mem);
                     Ok(Step::Continue)
                 }
-                OpKind::Push { src } => if full {
-                    self.exec_push(src, pc)
-                } else {
-                    self.exec_push_norm(src)
-                }
-                .map(|()| Step::Continue),
+                OpKind::Push { src } => self.exec_push(src, pc).map(|()| Step::Continue),
                 OpKind::Pop { dst } => self.exec_pop(dst).map(|()| Step::Continue),
                 OpKind::Alu { op, dst, src } => {
                     self.exec_alu(op, dst, src, pc).map(|()| Step::Continue)
@@ -2439,25 +2404,13 @@ impl<'c> Machine<'c> {
         }
     }
 
-    #[inline]
-    fn exec_load(
-        &mut self,
-        dst: Reg,
-        mem: &MemRef,
-        size: AccessSize,
-        sext: bool,
-        pc: u64,
-        heur: &mut SpecHeuristics,
-    ) -> Result<bool, Fault> {
-        self.exec_load_at(dst, mem, size, sext, pc, StlPre::Runtime, heur)
-    }
-
-    /// [`Machine::exec_load`] with the STL-bypass prerequisites supplied
-    /// by the caller — the compiled tier passes the values baked into
-    /// the load's record.
+    /// Load into `dst`, or enter a store-to-load bypass (`Ok(true)`).
+    /// `pre` supplies the STL-bypass prerequisites: the compiled tier
+    /// passes the values baked into the load's record, the interpreter
+    /// [`StlPre::Runtime`].
     #[inline]
     #[allow(clippy::too_many_arguments)]
-    fn exec_load_at(
+    fn exec_load(
         &mut self,
         dst: Reg,
         mem: &MemRef,
@@ -2482,97 +2435,6 @@ impl<'c> Machine<'c> {
             self.ctx.origin.set_reg(dst, o);
         }
         Ok(false)
-    }
-
-    /// Slim load template for compiled windows entered *outside*
-    /// simulation with provenance off: every `do_load` branch that is
-    /// conditional on `in_sim()` is statically dead there (a window
-    /// exits before the record after any depth change), so this inlines
-    /// the remaining straight line — STL probe, EA, slab read,
-    /// sign-extend, tag fold, register writeback — with no policy,
-    /// witness or origin work. Observably identical to
-    /// [`Machine::exec_load_at`] out of simulation without provenance.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn exec_load_norm(
-        &mut self,
-        dst: Reg,
-        mem: &MemRef,
-        size: AccessSize,
-        sext: bool,
-        pc: u64,
-        pre: StlPre,
-        heur: &mut SpecHeuristics,
-    ) -> Result<(), Fault> {
-        if self.stl_on && self.try_stl_bypass(dst, mem, size, sext, pc, pre, heur) {
-            return Ok(());
-        }
-        let addr = self.ea(mem);
-        let n = size.bytes();
-        let raw = self.ctx.mem.read_uint(addr, n).map_err(Fault::Mem)?;
-        let value = apply_sext(raw, size, sext);
-        self.pending_oob = None;
-        self.cpu.set(dst, value);
-        if self.dift_on {
-            let t = self.ctx.taint.mem_range_tag(addr, n);
-            self.ctx.taint.set_reg(dst, t);
-        }
-        Ok(())
-    }
-
-    /// Slim store template for compiled windows entered outside
-    /// simulation with provenance off — the memory-log capture,
-    /// address-tag policy and origin writes of [`Machine::store_at`]
-    /// are dead there. Observably identical to [`Machine::exec_store`]
-    /// out of simulation without provenance.
-    #[inline(always)]
-    fn exec_store_norm(
-        &mut self,
-        src: Reg,
-        mem: &MemRef,
-        size: AccessSize,
-        _pc: u64,
-    ) -> Result<(), Fault> {
-        let addr = self.ea(mem);
-        let n = size.bytes();
-        if self.stl_on {
-            self.stl_record_store(addr, n);
-        }
-        self.ctx
-            .mem
-            .write_uint(addr, self.cpu.get(src), n)
-            .map_err(Fault::Mem)?;
-        if self.dift_on {
-            let tag = self.ctx.taint.reg(src);
-            self.ctx.taint.set_mem_range(addr, n, tag);
-        }
-        Ok(())
-    }
-
-    /// [`Machine::exec_store_norm`] with an immediate payload
-    /// (observably identical to [`Machine::exec_storei`] out of
-    /// simulation: an immediate stores `Tag::CLEAN`).
-    #[inline(always)]
-    fn exec_storei_norm(
-        &mut self,
-        imm: i32,
-        mem: &MemRef,
-        size: AccessSize,
-        _pc: u64,
-    ) -> Result<(), Fault> {
-        let addr = self.ea(mem);
-        let n = size.bytes();
-        if self.stl_on {
-            self.stl_record_store(addr, n);
-        }
-        self.ctx
-            .mem
-            .write_uint(addr, imm as i64 as u64, n)
-            .map_err(Fault::Mem)?;
-        if self.dift_on {
-            self.ctx.taint.set_mem_range(addr, n, Tag::CLEAN);
-        }
-        Ok(())
     }
 
     #[inline]
@@ -2619,29 +2481,6 @@ impl<'c> Machine<'c> {
             origin,
             OriginSpan::NONE,
         )?;
-        self.cpu.set(Reg::SP, sp);
-        Ok(())
-    }
-
-    /// Slim push template for compiled windows entered outside
-    /// simulation with provenance off (the memory-log and origin
-    /// branches of [`Machine::store_at`] are dead there). Observably
-    /// identical to [`Machine::exec_push`] out of simulation without
-    /// provenance.
-    #[inline(always)]
-    fn exec_push_norm(&mut self, src: Reg) -> Result<(), Fault> {
-        let sp = self.cpu.get(Reg::SP).wrapping_sub(8);
-        if self.stl_on {
-            self.stl_record_store(sp, 8);
-        }
-        self.ctx
-            .mem
-            .write_uint(sp, self.cpu.get(src), 8)
-            .map_err(Fault::Mem)?;
-        if self.dift_on {
-            let tag = self.ctx.taint.reg(src);
-            self.ctx.taint.set_mem_range(sp, 8, tag);
-        }
         self.cpu.set(Reg::SP, sp);
         Ok(())
     }
@@ -2894,7 +2733,7 @@ impl<'c> Machine<'c> {
                 size,
                 sext,
             } => {
-                if self.exec_load(dst, &mem, size, sext, pc, heur)? {
+                if self.exec_load(dst, &mem, size, sext, pc, StlPre::Runtime, heur)? {
                     return Ok(Step::Continue);
                 }
             }

@@ -39,7 +39,7 @@ fn pipeline_output(w: &Workload) -> String {
         max_minimize_steps: 32,
         ..TriageOptions::default()
     };
-    let (db, _stats) = triage_report(&format!("{}.tof", w.name), &bin, &cfg, &report, &opts);
+    let (db, _stats, _) = triage_report(&format!("{}.tof", w.name), &bin, &cfg, &report, &opts);
     format!(
         "== campaign json ==\n{}== triage jsonl ==\n{}",
         report.to_json(),

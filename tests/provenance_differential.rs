@@ -56,7 +56,7 @@ fn pipeline_outputs(
     };
     let mut campaign = Campaign::new(cfg).expect("valid config");
     let report = campaign.run_shared(&prog, &w.seeds);
-    let (db, _stats) = triage_report(
+    let (db, _stats, _) = triage_report(
         "bin.tof",
         bin,
         campaign.config(),

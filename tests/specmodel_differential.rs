@@ -88,7 +88,7 @@ fn pipeline_output(w: &Workload) -> String {
         max_minimize_steps: 64,
         provenance: false,
     };
-    let (db, _stats) = triage_report(&format!("{}.tof", w.name), &bin, &cfg, &report, &opts);
+    let (db, _stats, _) = triage_report(&format!("{}.tof", w.name), &bin, &cfg, &report, &opts);
     format!(
         "== campaign json ==\n{}== triage jsonl ==\n{}== triage text ==\n{}== sarif ==\n{}",
         report.to_json(),

@@ -59,7 +59,7 @@ fn each_model_finds_its_planted_gadget_exactly_when_enabled() {
         );
         // Witnesses captured for the model-attributed gadgets replay
         // through triage: every finding validated, none lost.
-        let (db, stats) = triage_report(
+        let (db, stats, _) = triage_report(
             &format!("{}.tof", wl.name),
             &bin,
             &cfg(with_model, 1),
@@ -91,8 +91,8 @@ fn worker_count_never_changes_output_for_any_model_set() {
             );
             let opts = TriageOptions::default();
             let label = format!("{}.tof", wl.name);
-            let (db1, _) = triage_report(&label, &bin, &cfg(models, 1), &r1, &opts);
-            let (db8, _) = triage_report(&label, &bin, &cfg(models, 8), &r8, &opts);
+            let (db1, _, _) = triage_report(&label, &bin, &cfg(models, 1), &r1, &opts);
+            let (db8, _, _) = triage_report(&label, &bin, &cfg(models, 8), &r8, &opts);
             assert_eq!(
                 db1.to_jsonl(),
                 db8.to_jsonl(),

@@ -65,7 +65,7 @@ fn pipeline_outputs(
         metrics_path = Some(p);
     }
     let report = campaign.run_shared(&prog, &w.seeds);
-    let (db, _stats) = triage_report(
+    let (db, _stats, _) = triage_report(
         "bin.tof",
         bin,
         campaign.config(),

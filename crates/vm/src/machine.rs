@@ -29,7 +29,7 @@ use crate::cpu::{alu, cmp_flags, test_flags, Cpu, Flags};
 use crate::heuristics::SpecHeuristics;
 use crate::mem::{MemFault, PagedMem};
 use crate::program::{
-    OpKind, Program, Region, F_ALWAYS_CHARGE, F_INSTR, F_IN_REAL, F_LIVE, NO_SITE, STL_NO_CONT,
+    OpKind, Program, Region, F_ALWAYS_CHARGE, F_INSTR, F_IN_REAL, NO_SITE, STL_NO_CONT,
 };
 use crate::taint::{OriginEngine, TaintEngine};
 use std::sync::Arc;
@@ -1090,8 +1090,8 @@ impl<'c> Machine<'c> {
     }
 
     /// Maps a rewritten PC back to original-binary coordinates
-    /// (precomputed per predecoded byte; the binary search remains only
-    /// for addresses outside every executable region).
+    /// (precomputed per walked instruction; the binary search remains
+    /// only for addresses no walked instruction starts at).
     fn orig_pc(&self, pc: u64) -> u64 {
         if self.prog.meta().is_none() {
             return pc;
@@ -1999,19 +1999,18 @@ impl<'c> Machine<'c> {
         if self.opts.emu != EmuStyle::Native || self.uncached_decode {
             return self.step(heur);
         }
-        let pc = self.cpu.pc;
-        let Some((region, mut off)) = Program::region_of(regions, pc) else {
+        let Some((region, mut i)) = Program::region_of(regions, self.cpu.pc) else {
             return self.step(heur);
         };
         loop {
-            let cr = region.cruns[off];
+            let cr = region.cruns[i];
             if cr.insts < 2 || self.cost + cr.cost as u64 >= self.opts.fuel {
                 return self.step(heur);
             }
             if self.in_sim() {
                 // Windows are F_IN_REAL-homogeneous, so one escape check
                 // covers the run; the ROB window must fit it whole.
-                if !self.single_copy && region.hot[off].flags & F_IN_REAL != 0 {
+                if !self.single_copy && region.hot[i].flags & F_IN_REAL != 0 {
                     return self.step(heur);
                 }
                 let frame = self.ctx.checkpoints.last().expect("in_sim");
@@ -2027,7 +2026,7 @@ impl<'c> Machine<'c> {
             }
             let insts0 = self.insts;
             let spec = self.in_sim();
-            let r = self.exec_compiled(region, off, cr.recs, heur);
+            let r = self.exec_compiled(region, i, cr.recs, heur);
             let retired = self.insts - insts0;
             self.t_compiled_insts += retired;
             if spec {
@@ -2042,20 +2041,18 @@ impl<'c> Machine<'c> {
             }
             // Hot loops land the next window in the same region: re-enter
             // the window guard directly, skipping the region search.
-            let Some(o) = self.cpu.pc.checked_sub(region.start) else {
+            let Some(next) = region.index(self.cpu.pc) else {
                 return Step::Continue;
             };
-            if o as usize >= region.cruns.len() {
-                return Step::Continue;
-            }
-            off = o as usize;
+            i = next;
         }
     }
 
-    /// Streams the `recs`-record compiled window at `offset` of
-    /// `region`: uniform [`CompiledOp`] records with pre-resolved
-    /// operands dispatched straight to the single-source exec helpers —
-    /// zero per-pass decode or operand work. Exits (counted in
+    /// Streams the `recs`-record compiled window at entry `i` of
+    /// `region` (the instruction at the current PC): uniform
+    /// [`CompiledOp`] records with pre-resolved operands dispatched
+    /// straight to the single-source exec helpers — zero per-pass
+    /// decode or operand work. Exits (counted in
     /// `t_compiled_exits`) the moment execution leaves the fall-through
     /// straight line or the simulation state the hoisted checks were
     /// computed against, after which the outer loop re-enters with full
@@ -2065,12 +2062,12 @@ impl<'c> Machine<'c> {
     fn exec_compiled(
         &mut self,
         region: &Region,
-        mut offset: usize,
+        mut i: usize,
         recs: u8,
         heur: &mut SpecHeuristics,
     ) -> Step {
-        let rstart = region.start;
         let ops = &region.ops[..];
+        let mut rec_pc = self.cpu.pc;
         let depth = self.sim_depth;
         // Divergence exits the window before the next record, so the
         // entry depth decides sim-vs-normal cost for every record here.
@@ -2078,8 +2075,7 @@ impl<'c> Machine<'c> {
         for _ in 0..recs {
             // By reference: a record is a whole cache line; the match
             // below only reads the payload of the variant it hits.
-            let op = &ops[offset];
-            let rec_pc = rstart + offset as u64;
+            let op = &ops[i];
             let next_pc = rec_pc + op.len as u64;
             // The op sits behind the marker run folded into the record.
             let pc = rec_pc + op.lead as u64;
@@ -2205,7 +2201,7 @@ impl<'c> Machine<'c> {
                     Ok(Step::Continue)
                 }
                 OpKind::Other => {
-                    self.exec(region.insts[offset + op.lead as usize], pc, next_pc, heur)
+                    self.exec(region.insts[i + op.insts as usize - 1], pc, next_pc, heur)
                 }
             };
             match r {
@@ -2220,7 +2216,8 @@ impl<'c> Machine<'c> {
                 self.t_compiled_exits += 1;
                 return Step::Continue;
             }
-            offset += op.len as usize;
+            i += op.insts as usize;
+            rec_pc = next_pc;
         }
         Step::Continue
     }
@@ -2234,9 +2231,10 @@ impl<'c> Machine<'c> {
         // Fetch from the predecoded table (one index into an immutable,
         // Arc-shared structure built once per binary — side-effect-free,
         // so it can precede the safety-net and ROB checks). The live
-        // decoder remains for addresses outside executable sections —
-        // wild speculative control flow into data or the stack — and for
-        // the differential-test fallback.
+        // decoder remains for every address no walked instruction starts
+        // at — wild speculative control flow into the middle of an
+        // instruction, a data island, data or the stack — and for the
+        // differential-test fallback.
         let fetched = if self.uncached_decode {
             None
         } else {
@@ -2280,12 +2278,7 @@ impl<'c> Machine<'c> {
             }
         }
 
-        // Entries flagged F_LIVE froze only address metadata (their
-        // bytes border writable pages): decode those live, like
-        // addresses outside the table.
-        let fetched = fetched.filter(|(_, h)| h.flags & F_LIVE == 0);
         let (inst, len, is_instr, base_cost, always_charge) = match fetched {
-            Some((_, h)) if h.len == 0 => return self.fault(Fault::BadInst { pc }),
             Some((inst, h)) => (
                 inst,
                 h.len,
@@ -2361,7 +2354,7 @@ impl<'c> Machine<'c> {
     }
 
     /// Live fetch + decode from guest memory, reached only for
-    /// addresses the shared table cannot freeze and for every fetch
+    /// addresses no walked instruction starts at and for every fetch
     /// under [`Machine::set_uncached_decode`]. Returns `None` when the
     /// bytes at `pc` do not decode.
     fn decode_live(&mut self, pc: u64) -> Option<(Inst<u64>, u8, bool, u64, bool)> {

@@ -4,12 +4,19 @@
 //! `HashMap<u64, (Inst, u8)>` instruction cache that was rebuilt for
 //! every `Machine` — once per fuzz input. A [`Program`] hoists that work
 //! to **once per binary**: every executable section is decoded up front
-//! (via `teapot-isa`'s block walk, plus an exhaustive per-byte sweep so
-//! even wild speculative control flow that lands mid-instruction hits
-//! the table), each instruction carries its precomputed metadata
-//! (length, instrumentation class, cost class, Real-Copy membership),
-//! and the whole structure is immutable — wrap it in an [`Arc`] and
-//! every campaign shard and worker thread shares one decode pass.
+//! by `teapot-isa`'s linear block walk, each walked instruction carries
+//! its precomputed metadata (length, instrumentation class, cost class,
+//! Real-Copy membership, template-compiled record), and the whole
+//! structure is immutable — wrap it in an [`Arc`] and every campaign
+//! shard and worker thread shares one decode pass.
+//!
+//! The tables hold **one entry per walked instruction**: a per-byte
+//! index maps the offset an instruction starts at to its dense entry
+//! and every other offset (mid-instruction bytes, data islands) to
+//! [`NO_IDX`]. Control flow that lands on such an offset — wild
+//! speculative jumps, mostly — takes the VM's live decoder, whose
+//! answer over the immutable code pages is the one a frozen entry would
+//! have held.
 //!
 //! A `Program` also owns the **pristine memory image** of the binary
 //! (loadable sections plus the zero-on-write stack range, whose pages
@@ -20,17 +27,15 @@
 //!
 //! Correctness note: predecoding is semantically transparent because
 //! code pages are read-only in the VM (stores to them fault before the
-//! memory log records anything), so `decode_at` over the pristine image
-//! at address `pc` is exactly what the seed's lazy per-run decode
-//! computed. The `teapot` facade crate carries a differential test that
-//! replays the full workload suite through both the predecoded and the
-//! uncached path and asserts identical outcomes.
+//! memory log records anything), so the walk's decode at address `pc`
+//! is exactly what the seed's lazy per-run decode computed. The
+//! `teapot` facade crate carries a differential test that replays the
+//! full workload suite through both the predecoded and the uncached
+//! path and asserts identical outcomes.
 
 use crate::mem::PagedMem;
 use std::sync::Arc;
-use teapot_isa::{
-    decode_at, walk_blocks, AccessSize, AluOp, Cc, Inst, MemRef, Operand, Reg, INST_MAX_LEN,
-};
+use teapot_isa::{walk_blocks, AccessSize, AluOp, Cc, Inst, MemRef, Operand, Reg, WalkedInst};
 use teapot_obj::{BinFlags, Binary};
 use teapot_rt::layout::{STACK_LIMIT, STACK_TOP};
 use teapot_rt::{cost, TeapotMeta};
@@ -43,43 +48,24 @@ pub(crate) const F_IN_REAL: u8 = 2;
 /// (`guard`/`sim.start`/`cov.trace` — the always-on overhead of the
 /// SpecFuzz-style layout, paper Listing 3).
 pub(crate) const F_ALWAYS_CHARGE: u8 = 4;
-/// Entry flag: the decode at this address consumed (or its failure may
-/// depend on) bytes beyond the executable section — bytes that are not
-/// guaranteed immutable at run time. The VM must use the live decoder
-/// here; only the address-derived flags of the entry are valid.
-pub(crate) const F_LIVE: u8 = 8;
 /// Entry flag: executing the instruction is a pure no-op beyond the
 /// standard counters (cost markers and NOPs). The compiled tier folds
 /// a run of them into the record that follows it, so they never cost a
 /// dispatch of their own — in a rewritten binary they are a large share
 /// of the stream (`tag.prop`/`memlog` ride along with most
 /// architectural instructions).
-pub(crate) const F_NOP: u8 = 16;
+pub(crate) const F_NOP: u8 = 8;
 
-/// One predecoded table slot: the instruction starting at an address.
-/// Build-time representation — the final [`Region`] splits it
-/// structure-of-arrays so the dispatch loop streams a compact hot
-/// record per slot instead of pulling the whole ~48-byte entry (and
-/// its cache lines) for every retired instruction.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Entry {
-    pub inst: Inst<u64>,
-    /// Encoded length; `0` marks an address where decoding fails (the
-    /// VM raises the same invalid-instruction fault the live decoder
-    /// would).
-    pub len: u8,
-    pub flags: u8,
-    /// Native-execution cost class (`teapot-rt::cost`).
-    pub cost: u32,
-}
+/// Index sentinel: no walked instruction starts at this byte.
+const NO_IDX: u32 = u32::MAX;
 
-/// The per-slot fields every dispatched instruction touches, packed to
-/// 8 bytes so per-instruction fetch streams a few slots per cache
-/// line (the instruction payload and compiled records live in parallel
-/// arrays, read only when actually needed).
+/// The per-instruction fields every dispatched instruction touches,
+/// packed to 8 bytes so per-instruction fetch streams a few entries per
+/// cache line (the instruction payload and compiled records live in
+/// parallel arrays, read only when actually needed).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct HotEntry {
-    /// Encoded length; `0` marks an address where decoding fails.
+    /// Encoded length.
     pub len: u8,
     pub flags: u8,
     /// Native-execution cost class (`teapot-rt::cost`).
@@ -90,14 +76,14 @@ pub(crate) struct HotEntry {
 /// continuation: the bypass cannot be simulated at this site.
 pub(crate) const STL_NO_CONT: u64 = u64::MAX;
 
-/// Sentinel for "no dense heuristic site at this slot".
+/// Sentinel for "no dense heuristic site at this entry".
 pub(crate) const NO_SITE: u32 = u32::MAX;
 
 /// One template-compiled execution record: a per-opcode-shape template
 /// plus fully pre-resolved operands, so the compiled dispatch tier
 /// streams uniform records with zero per-pass decode or operand work.
-/// A record may *fuse* several table slots (a run of pure cost markers
-/// folded in front of the instruction that follows it, or an
+/// A record may *fuse* several consecutive entries (a run of pure cost
+/// markers folded in front of the instruction that follows it, or an
 /// `asan.check` with the access it guards) — its counters then cover
 /// every fused instruction and are charged before the op executes.
 #[derive(Debug, Clone, Copy)]
@@ -105,9 +91,9 @@ pub(crate) struct CompiledOp {
     /// Bytes the record covers (all fused instructions).
     pub len: u8,
     /// Byte offset of the executed op inside the record: the length of
-    /// the folded marker run in front of it. The op's pc (and its
-    /// `Region::insts` slot) is the record's plus `lead`. A `Skip`
-    /// record executes no op and ignores it.
+    /// the folded marker run in front of it. The op's pc is the
+    /// record's plus `lead`. A `Skip` record executes no op and ignores
+    /// it.
     pub lead: u8,
     /// Instructions the record retires.
     pub insts: u8,
@@ -232,17 +218,18 @@ pub(crate) enum OpKind {
     CovNote {
         guard: u32,
     },
-    /// Everything else: execute `Region::insts[offset]` through the
-    /// full interpreter match (control flow, syscalls, rare opcodes).
+    /// Everything else: execute the record's last instruction
+    /// (`Region::insts[idx + insts - 1]`) through the full interpreter
+    /// match (control flow, syscalls, rare opcodes).
     Other,
 }
 
-/// Per-slot compiled-window metadata, read once at compiled-dispatch
+/// Per-entry compiled-window metadata, read once at compiled-dispatch
 /// entry: how many records the fall-through window holds and the
 /// conservative sums backing the hoisted fuel/ROB checks.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct CRun {
-    /// Records in the window (`0`: the compiled tier must not dispatch).
+    /// Records in the window (≥ 1).
     pub recs: u8,
     /// Instructions the window retires (≤ [`WINDOW_CAP`]).
     pub insts: u8,
@@ -260,7 +247,7 @@ pub(crate) struct CRun {
 /// [`DecodeStats`], whose layout is frozen into campaign snapshots.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompileStats {
-    /// Canonical instructions covered by a dispatchable compiled record.
+    /// Canonical instructions covered by a compiled record.
     pub records: usize,
     /// Records folding a run of two or more pure cost markers.
     pub fused_skips: usize,
@@ -270,28 +257,45 @@ pub struct CompileStats {
     pub sites: usize,
 }
 
-/// A predecoded executable region (one `.text`-kind section),
-/// structure-of-arrays: one slot per byte offset in
-/// `[start, start + hot.len())`.
+/// A predecoded executable region (one `.text`-kind section):
+/// structure-of-arrays tables with one entry per instruction of the
+/// linear walk, in address order, behind a per-byte index.
 pub(crate) struct Region {
-    pub(crate) start: u64,
-    /// Hot dispatch record per slot (length / flags / cost).
+    start: u64,
+    /// Per byte offset in `[start, start + idx.len())`: the entry of the
+    /// walked instruction starting there, [`NO_IDX`] elsewhere.
+    idx: Vec<u32>,
+    /// Hot dispatch record per entry (length / flags / cost).
     pub(crate) hot: Vec<HotEntry>,
-    /// Decoded instruction per slot (read only when executed).
+    /// Decoded instruction per entry (read only when executed).
     pub(crate) insts: Vec<Inst<u64>>,
-    /// Template-compiled record per slot (the compiled dispatch tier).
+    /// Template-compiled record per entry (the compiled dispatch tier).
+    /// A record covering `k` instructions spans entries `i..i + k`.
     pub(crate) ops: Vec<CompiledOp>,
-    /// Compiled-window metadata per slot (read once per window entry).
+    /// Compiled-window metadata per entry (read once per window entry).
     pub(crate) cruns: Vec<CRun>,
-    /// Dense heuristic site id per slot ([`NO_SITE`] when the slot is
+    /// Dense heuristic site id per entry ([`NO_SITE`] when the entry is
     /// not a speculation gate): replaces the per-decision `pc → index`
     /// hash probe in the persistent heuristics with an array read.
-    pub(crate) site_id: Vec<u32>,
-    /// Precomputed `TeapotMeta::to_original(va).unwrap_or(va)` per byte
-    /// offset (empty for uninstrumented binaries): turns the
-    /// rewritten→original translation on every `sim.start`, gadget
-    /// report and model gate from a binary search into an array read.
+    site_id: Vec<u32>,
+    /// Precomputed `TeapotMeta::to_original(va).unwrap_or(va)` per entry
+    /// (empty for uninstrumented binaries): turns the rewritten→original
+    /// translation on every `sim.start`, gadget report and model gate
+    /// from a binary search into an array read.
     orig: Vec<u64>,
+}
+
+impl Region {
+    /// Entry of the walked instruction starting at `pc`, or `None` when
+    /// `pc` is outside the region or starts no walked instruction.
+    #[inline]
+    pub(crate) fn index(&self, pc: u64) -> Option<usize> {
+        let off = usize::try_from(pc.checked_sub(self.start)?).ok()?;
+        match self.idx.get(off) {
+            Some(&i) if i != NO_IDX => Some(i as usize),
+            _ => None,
+        }
+    }
 }
 
 /// What one decode pass covered — reported by the campaign tooling so
@@ -302,7 +306,7 @@ pub struct DecodeStats {
     pub blocks: usize,
     /// Instructions in the canonical (linear-walk) stream.
     pub insts: usize,
-    /// Executable bytes predecoded (table slots).
+    /// Executable bytes the per-byte index covers.
     pub bytes: usize,
     /// Bytes the linear walk could not decode (data islands).
     pub undecoded_bytes: usize,
@@ -351,7 +355,7 @@ impl std::fmt::Debug for Program {
 
 impl Program {
     /// Decodes `binary` once: builds the pristine memory image, the
-    /// per-byte instruction tables for every executable section and the
+    /// per-instruction tables for every executable section and the
     /// basic-block statistics.
     ///
     /// # Panics
@@ -404,11 +408,11 @@ impl Program {
             let start = sec.vaddr;
             let span = sec.mem_size.max(1) as usize;
 
-            // Canonical instruction stream + block structure. The walk's
-            // decodes are reused directly as table entries below — an
-            // instruction the walk recovered saw exactly the bytes the
-            // live decoder would (a decode that would straddle the
-            // section end comes back truncated and is not reused).
+            // Canonical instruction stream + block structure. Each walked
+            // instruction saw exactly the bytes the live decoder would (a
+            // decode that would straddle the section end fails the walk),
+            // so it becomes a table entry as is. Every other offset maps
+            // to `NO_IDX` and is decoded live if control ever lands there.
             let image = mem.read_for_decode(start, span);
             let walk = walk_blocks(&image, start);
             stats.blocks += walk.blocks.len();
@@ -417,89 +421,41 @@ impl Program {
             stats.undecoded_bytes += walk.undecoded_bytes;
             block_spans.extend(walk.blocks.iter().map(|b| (b.start, b.end)));
 
-            // Exhaustive per-byte table: start from the walk's canonical
-            // stream, then decode the remaining offsets (mid-instruction
-            // addresses, data islands) against the pristine image, so
-            // even wild speculative control flow hits the table with the
-            // live decoder's answer.
-            //
-            // Trust boundary: an entry is only frozen into the table if
-            // every byte its decode consumed — or, for a failed decode,
-            // every byte its verdict may depend on — lies inside this
-            // section, whose pages are immutable at run time. Entries in
-            // the section's last few bytes may read into an adjacent
-            // *writable* page; those are marked `F_LIVE` and the VM
-            // decodes them from current guest memory instead (the seed
-            // semantics for mutable bytes).
-            let bad = |va: u64| Entry {
-                inst: Inst::Nop,
-                len: 0,
-                flags: addr_flags(meta.as_ref(), va),
-                cost: 0,
-            };
-            let mut entries: Vec<Entry> = (0..span).map(|off| bad(start + off as u64)).collect();
-            let mut decoded = vec![false; span];
-            for wi in &walk.insts {
-                let off = (wi.va - start) as usize;
-                entries[off] = Entry {
+            let insts = walk.insts;
+            let mut idx = vec![NO_IDX; span];
+            for (i, wi) in insts.iter().enumerate() {
+                idx[(wi.va - start) as usize] = i as u32;
+            }
+            let hot: Vec<HotEntry> = insts
+                .iter()
+                .map(|wi| HotEntry {
+                    len: wi.len,
                     flags: entry_flags(&wi.inst, meta.as_ref(), wi.va),
                     cost: inst_cost(&wi.inst) as u32,
-                    inst: wi.inst,
-                    len: wi.len,
-                };
-                decoded[off] = true;
-            }
-            for off in 0..span {
-                if decoded[off] {
-                    continue;
-                }
-                let va = start + off as u64;
-                let bytes = mem.read_for_decode(va, INST_MAX_LEN);
-                match decode_at(&bytes, va) {
-                    Ok((inst, len)) if off + len <= span => {
-                        entries[off] = Entry {
-                            flags: entry_flags(&inst, meta.as_ref(), va),
-                            cost: inst_cost(&inst) as u32,
-                            inst,
-                            len: len as u8,
-                        };
-                    }
-                    Ok(_) => entries[off].flags |= F_LIVE,
-                    Err(_) if off + INST_MAX_LEN > span => entries[off].flags |= F_LIVE,
-                    Err(_) => {}
-                }
-            }
-            let site_id = assign_sites(&entries, &mut n_sites);
+                })
+                .collect();
+            let site_id = assign_sites(&insts, &mut n_sites);
             let (ops, cruns) = compile_region(
-                &entries,
-                start,
+                &insts,
+                &hot,
                 binary.flags.single_copy,
                 meta.as_ref(),
                 &shadow_twins,
                 &site_id,
-                &decoded,
                 &mut compile_stats,
             );
             let orig = match &meta {
-                Some(m) => (0..span)
-                    .map(|off| {
-                        let va = start + off as u64;
-                        m.to_original(va).unwrap_or(va)
-                    })
+                Some(m) => insts
+                    .iter()
+                    .map(|wi| m.to_original(wi.va).unwrap_or(wi.va))
                     .collect(),
                 None => Vec::new(),
             };
             regions.push(Region {
                 start,
-                hot: entries
-                    .iter()
-                    .map(|e| HotEntry {
-                        len: e.len,
-                        flags: e.flags,
-                        cost: e.cost,
-                    })
-                    .collect(),
-                insts: entries.iter().map(|e| e.inst).collect(),
+                idx,
+                hot,
+                insts: insts.iter().map(|wi| wi.inst).collect(),
                 ops,
                 cruns,
                 site_id,
@@ -561,20 +517,14 @@ impl Program {
         self.n_sites
     }
 
-    /// Dense heuristic site id of the gate instruction at `pc`, when
-    /// `pc` lies in a predecoded region and the slot is a gate.
+    /// Dense heuristic site id of the gate instruction at `pc`, when a
+    /// walked instruction starts at `pc` and it is a gate (other gates
+    /// take the heuristics' hash-keyed path).
     #[inline]
     pub(crate) fn site_id_of(&self, pc: u64) -> Option<u32> {
-        for r in self.regions.iter() {
-            if pc >= r.start {
-                let off = (pc - r.start) as usize;
-                if off < r.site_id.len() {
-                    let id = r.site_id[off];
-                    return (id != NO_SITE).then_some(id);
-                }
-            }
-        }
-        None
+        let (r, i) = Program::region_of(&self.regions, pc)?;
+        let id = r.site_id[i];
+        (id != NO_SITE).then_some(id)
     }
 
     /// `(start, end)` address spans of the basic blocks the linear walk
@@ -588,20 +538,13 @@ impl Program {
         &self.pristine
     }
 
-    /// Predecoded slot at `pc` (instruction + hot record), or `None`
-    /// when `pc` is outside every executable section (the VM then falls
-    /// back to live decoding, the seed behavior for such addresses).
+    /// Predecoded entry at `pc` (instruction + hot record), or `None`
+    /// when no walked instruction starts at `pc` (the VM then falls back
+    /// to live decoding, the seed behavior for such addresses).
     #[inline]
     pub(crate) fn fetch(&self, pc: u64) -> Option<(Inst<u64>, HotEntry)> {
-        for r in self.regions.iter() {
-            if pc >= r.start {
-                let off = (pc - r.start) as usize;
-                if off < r.hot.len() {
-                    return Some((r.insts[off], r.hot[off]));
-                }
-            }
-        }
-        None
+        let (r, i) = Program::region_of(&self.regions, pc)?;
+        Some((r.insts[i], r.hot[i]))
     }
 
     /// The shared region tables. The dispatch loop clones this `Arc`
@@ -614,28 +557,18 @@ impl Program {
     }
 
     /// Precomputed original-binary coordinate of `pc`
-    /// (`meta.to_original(pc).unwrap_or(pc)`), when `pc` lies in a
-    /// predecoded region of an instrumented binary.
+    /// (`meta.to_original(pc).unwrap_or(pc)`), when a walked instruction
+    /// of an instrumented binary starts at `pc`.
     #[inline]
     pub(crate) fn orig_of(&self, pc: u64) -> Option<u64> {
-        for r in self.regions.iter() {
-            if pc >= r.start {
-                let off = (pc - r.start) as usize;
-                if off < r.orig.len() {
-                    return Some(r.orig[off]);
-                }
-            }
-        }
-        None
+        let (r, i) = Program::region_of(&self.regions, pc)?;
+        r.orig.get(i).copied()
     }
 
-    /// Shorthand for [`Region`] membership of `pc`.
+    /// The region and entry of the walked instruction starting at `pc`.
     #[inline]
     pub(crate) fn region_of(regions: &[Region], pc: u64) -> Option<(&Region, usize)> {
-        regions
-            .iter()
-            .find(|r| pc >= r.start && ((pc - r.start) as usize) < r.hot.len())
-            .map(|r| (r, (pc - r.start) as usize))
+        regions.iter().find_map(|r| Some((r, r.index(pc)?)))
     }
 }
 
@@ -650,27 +583,22 @@ const WINDOW_CAP: u8 = 64;
 /// share of a compiled window.
 const MARKER_FOLD_CAP: u8 = 16;
 
-/// Assigns dense heuristic site ids: one per decoded, non-`F_LIVE`
-/// speculation-gate instruction (`sim.start` → PHT, `ret` → RSB, loads
-/// → STL, conditional branches → SpecTaint-emulation PHT). Ids are
-/// sequential across regions in address order; the key a gate consults
-/// the heuristics under is a pure function of the slot's address and
-/// frozen opcode, so one id always stands for one site key.
-fn assign_sites(entries: &[Entry], next: &mut u32) -> Vec<u32> {
-    entries
+/// Assigns dense heuristic site ids: one per walked speculation-gate
+/// instruction (`sim.start` → PHT, `ret` → RSB, loads → STL,
+/// conditional branches → SpecTaint-emulation PHT). Ids are sequential
+/// across regions in address order; the key a gate consults the
+/// heuristics under is a pure function of the instruction's address
+/// and frozen opcode, so one id always stands for one site key.
+fn assign_sites(insts: &[WalkedInst], next: &mut u32) -> Vec<u32> {
+    insts
         .iter()
-        .map(|e| {
-            if e.len == 0 || e.flags & F_LIVE != 0 {
-                return NO_SITE;
+        .map(|wi| match wi.inst {
+            Inst::SimStart { .. } | Inst::Ret | Inst::Load { .. } | Inst::Jcc { .. } => {
+                let id = *next;
+                *next += 1;
+                id
             }
-            match e.inst {
-                Inst::SimStart { .. } | Inst::Ret | Inst::Load { .. } | Inst::Jcc { .. } => {
-                    let id = *next;
-                    *next += 1;
-                    id
-                }
-                _ => NO_SITE,
-            }
+            _ => NO_SITE,
         })
         .collect()
 }
@@ -679,13 +607,13 @@ fn assign_sites(entries: &[Entry], next: &mut u32) -> Vec<u32> {
 /// normal-mode cost with the single-copy zeroing rule baked in (the
 /// in-simulation cost is always the full charge).
 #[inline]
-fn op_accounting(e: &Entry, single_copy: bool) -> (u8, u32) {
-    let is_instr = e.flags & F_INSTR != 0;
+fn op_accounting(h: &HotEntry, single_copy: bool) -> (u8, u32) {
+    let is_instr = h.flags & F_INSTR != 0;
     let prog = u8::from(single_copy || !is_instr);
-    let cost_norm = if single_copy && is_instr && e.flags & F_ALWAYS_CHARGE == 0 {
+    let cost_norm = if single_copy && is_instr && h.flags & F_ALWAYS_CHARGE == 0 {
         0
     } else {
-        e.cost
+        h.cost
     };
     (prog, cost_norm)
 }
@@ -711,30 +639,45 @@ fn stl_cont_of(
     }
 }
 
+/// Appends record `next`, which starts where `op` ends, to `op`'s
+/// counters.
+fn absorb(op: &mut CompiledOp, next: &CompiledOp) {
+    op.len += next.len;
+    op.insts += next.insts;
+    op.prog += next.prog;
+    op.cost_sim += next.cost_sim;
+    op.cost_norm += next.cost_norm;
+}
+
 /// The template-compilation pass: builds one [`CompiledOp`] record per
-/// decodable, non-`F_LIVE` slot (folding `F_NOP` marker runs into the
-/// record that follows them and fusing `asan.check`+access pairs when
-/// the table proves adjacency), then a
-/// reverse-DP over *records* producing the per-slot [`CRun`] windows
-/// whose sums back the hoisted fuel/safety-net/ROB checks — so
-/// executing a window record-by-record covers exactly the instructions
-/// the hoisted checks were computed against. Fusion never crosses an
-/// `F_IN_REAL` boundary (one hoisted escape check covers a window) and
-/// every slot keeps its own record, so control flow entering *between*
-/// the halves of a fused pair (an STL squash resuming at the guarded
-/// load) dispatches the plain record at that slot.
-#[allow(clippy::too_many_arguments)]
+/// walked instruction (folding `F_NOP` marker runs into the record that
+/// follows them and fusing each `asan.check` with the load or store
+/// record after it), then a reverse-DP over *records* producing the
+/// per-entry [`CRun`] windows whose sums back the hoisted
+/// fuel/safety-net/ROB checks — so executing a window record-by-record
+/// covers exactly the instructions the hoisted checks were computed
+/// against. A record folds, fuses or chains only into the entry that
+/// starts exactly at its end byte (a gap in the walk, such as a data
+/// island, ends it) and never across an `F_IN_REAL` boundary (one
+/// hoisted escape check covers a window). Every entry keeps its own
+/// record, so control flow entering *between* the halves of a fused
+/// pair (an STL squash resuming at the guarded load) dispatches the
+/// plain record there.
 fn compile_region(
-    entries: &[Entry],
-    start: u64,
+    insts: &[WalkedInst],
+    hot: &[HotEntry],
     single_copy: bool,
     meta: Option<&TeapotMeta>,
     shadow_twins: &teapot_rt::FxHashMap<u64, u64>,
     site_id: &[u32],
-    canonical: &[bool],
     stats: &mut CompileStats,
 ) -> (Vec<CompiledOp>, Vec<CRun>) {
-    let n = entries.len();
+    let n = insts.len();
+    // Entry `j` starts at byte `end` with entry `i`'s Real-Copy
+    // membership: the only entry `i`'s record may continue into.
+    let joins = |i: usize, j: usize, end: u64| {
+        j < n && insts[j].va == end && (hot[j].flags ^ hot[i].flags) & F_IN_REAL == 0
+    };
     let nil = CompiledOp {
         len: 0,
         lead: 0,
@@ -746,125 +689,107 @@ fn compile_region(
     };
     let mut ops = vec![nil; n];
     let mut cruns = vec![CRun::default(); n];
-    // Pure cost markers folded into each slot's record.
+    // Pure cost markers folded into each entry's record (a fused
+    // check's included), bounded by `MARKER_FOLD_CAP`.
     let mut markers = vec![0u8; n];
-    for off in (0..n).rev() {
-        let e = &entries[off];
-        if e.len == 0 || e.flags & F_LIVE != 0 {
-            continue; // recs stays 0: the compiled tier must not dispatch
-        }
-        let pc = start + off as u64;
-        let next_off = off + e.len as usize;
-        let (own_prog, own_norm) = op_accounting(e, single_copy);
+    for i in (0..n).rev() {
+        let (wi, h) = (&insts[i], &hot[i]);
+        let (own_prog, own_norm) = op_accounting(h, single_copy);
         let mut op = CompiledOp {
-            len: e.len,
+            len: wi.len,
             lead: 0,
             insts: 1,
             prog: own_prog,
-            cost_sim: e.cost,
+            cost_sim: h.cost,
             cost_norm: own_norm,
-            kind: compile_kind(e, pc, single_copy, meta, shadow_twins, site_id[off]),
+            kind: compile_kind(wi, h, single_copy, meta, shadow_twins, site_id[i]),
         };
-        if e.flags & F_NOP != 0 {
-            // Fold the marker into the record of the next slot (which
-            // holds the rest of the run and the instruction after it).
-            markers[off] = 1;
-            if let Some(ne) = entries.get(next_off) {
-                let nop = ops[next_off];
-                if nop.len != 0
-                    && markers[next_off] < MARKER_FOLD_CAP
-                    && (ne.flags ^ e.flags) & F_IN_REAL == 0
-                {
-                    op.kind = nop.kind;
-                    op.lead = e.len + nop.lead;
-                    op.len += nop.len;
-                    op.insts += nop.insts;
-                    op.prog += nop.prog;
-                    op.cost_sim += nop.cost_sim;
-                    op.cost_norm += nop.cost_norm;
-                    markers[off] += markers[next_off];
-                }
+        let adjacent = joins(i, i + 1, wi.va + wi.len as u64);
+        // Whether the record folds a run of two or more markers.
+        let mut folds_run = false;
+        if h.flags & F_NOP != 0 {
+            // Fold the marker into the next entry's record (which holds
+            // the rest of the run and the instruction after it).
+            markers[i] = 1;
+            if adjacent && markers[i + 1] < MARKER_FOLD_CAP {
+                let next = ops[i + 1];
+                absorb(&mut op, &next);
+                op.kind = next.kind;
+                op.lead = wi.len + next.lead;
+                markers[i] += markers[i + 1];
+                folds_run = hot[i + 1].flags & F_NOP != 0;
             }
         } else if let Inst::AsanCheck {
             mem: chk,
             size: chk_size,
             is_write: _,
-        } = e.inst
+        } = wi.inst
         {
             // Fuse the check with the access it guards when the next
-            // table slot is that access (decodable, immutable, same
-            // Real-Copy membership).
-            if let Some(ne) = entries.get(next_off) {
-                if ne.len != 0 && ne.flags & F_LIVE == 0 && (ne.flags ^ e.flags) & F_IN_REAL == 0 {
-                    let acc_pc = pc + e.len as u64;
-                    let (acc_prog, acc_norm) = op_accounting(ne, single_copy);
-                    let fused = match ne.inst {
-                        Inst::Load {
-                            dst,
-                            mem,
-                            size,
-                            sext,
-                        } => Some(OpKind::LoadChecked {
-                            chk,
-                            chk_size,
-                            acc_off: e.len,
-                            dst,
-                            mem,
-                            size,
-                            sext,
-                            stl_cont: stl_cont_of(
-                                meta,
-                                single_copy,
-                                shadow_twins,
-                                acc_pc,
-                                acc_pc + ne.len as u64,
-                            ),
-                            sid: site_id[next_off],
-                        }),
-                        Inst::Store { src, mem, size } => Some(OpKind::StoreChecked {
-                            chk,
-                            chk_size,
-                            acc_off: e.len,
-                            src,
-                            mem,
-                            size,
-                        }),
-                        _ => None,
-                    };
-                    if let Some(kind) = fused {
-                        op.kind = kind;
-                        op.len += ne.len;
-                        op.insts = 2;
-                        op.prog += acc_prog;
-                        op.cost_sim += ne.cost;
-                        op.cost_norm += acc_norm;
-                    }
+            // record is that access, marker run in front included.
+            if adjacent {
+                let next = ops[i + 1];
+                let acc_off = wi.len + next.lead;
+                let fused = match next.kind {
+                    OpKind::Load {
+                        dst,
+                        mem,
+                        size,
+                        sext,
+                        stl_cont,
+                        sid,
+                    } => Some(OpKind::LoadChecked {
+                        chk,
+                        chk_size,
+                        acc_off,
+                        dst,
+                        mem,
+                        size,
+                        sext,
+                        stl_cont,
+                        sid,
+                    }),
+                    OpKind::Store { src, mem, size } => Some(OpKind::StoreChecked {
+                        chk,
+                        chk_size,
+                        acc_off,
+                        src,
+                        mem,
+                        size,
+                    }),
+                    _ => None,
+                };
+                if let Some(kind) = fused {
+                    absorb(&mut op, &next);
+                    op.kind = kind;
+                    // The inner run counts against the cap of any run
+                    // folded in front, which keeps the record's length
+                    // in a byte.
+                    markers[i] = markers[i + 1];
                 }
             }
         }
-        if canonical[off] {
-            stats.records += 1;
-            if markers[off] >= 2 {
-                stats.fused_skips += 1;
-            }
-            if markers[off] == 0
-                && matches!(
-                    op.kind,
-                    OpKind::LoadChecked { .. } | OpKind::StoreChecked { .. }
-                )
-            {
-                stats.fused_checks += 1;
-            }
+        stats.records += 1;
+        if folds_run {
+            stats.fused_skips += 1;
         }
-        // Window DP over records: extend while the next slot's window
-        // exists, the combined instruction count stays within the window
-        // cap and Real-Copy membership is homogeneous.
-        let rec_end = off + op.len as usize;
-        let cr = match (entries.get(rec_end), cruns.get(rec_end)) {
-            (Some(ne), Some(nc))
-                if nc.recs >= 1
-                    && op.insts as u32 + nc.insts as u32 <= WINDOW_CAP as u32
-                    && (ne.flags ^ e.flags) & F_IN_REAL == 0 =>
+        if h.flags & F_NOP == 0
+            && matches!(
+                op.kind,
+                OpKind::LoadChecked { .. } | OpKind::StoreChecked { .. }
+            )
+        {
+            stats.fused_checks += 1;
+        }
+        // Window DP over records: extend while the entry after this
+        // record starts exactly at its end, the combined instruction
+        // count stays within the window cap and Real-Copy membership is
+        // homogeneous.
+        let j = i + op.insts as usize;
+        cruns[i] = match cruns.get(j) {
+            Some(nc)
+                if joins(i, j, wi.va + op.len as u64)
+                    && op.insts as u32 + nc.insts as u32 <= WINDOW_CAP as u32 =>
             {
                 CRun {
                     recs: 1 + nc.recs,
@@ -880,25 +805,25 @@ fn compile_region(
                 cost: op.cost_sim,
             },
         };
-        ops[off] = op;
-        cruns[off] = cr;
+        ops[i] = op;
     }
     (ops, cruns)
 }
 
 /// The pre-resolved dispatch template for one (unfused) instruction.
 fn compile_kind(
-    e: &Entry,
-    pc: u64,
+    wi: &WalkedInst,
+    h: &HotEntry,
     single_copy: bool,
     meta: Option<&TeapotMeta>,
     shadow_twins: &teapot_rt::FxHashMap<u64, u64>,
     sid: u32,
 ) -> OpKind {
-    if e.flags & F_NOP != 0 {
+    if h.flags & F_NOP != 0 {
         return OpKind::Skip;
     }
-    match e.inst {
+    let pc = wi.va;
+    match wi.inst {
         Inst::MovRR { dst, src } => OpKind::MovRR { dst, src },
         Inst::MovRI { dst, imm } => OpKind::MovRI { dst, imm },
         Inst::Load {
@@ -911,7 +836,7 @@ fn compile_kind(
             mem,
             size,
             sext,
-            stl_cont: stl_cont_of(meta, single_copy, shadow_twins, pc, pc + e.len as u64),
+            stl_cont: stl_cont_of(meta, single_copy, shadow_twins, pc, pc + wi.len as u64),
             sid,
         },
         Inst::Store { src, mem, size } => OpKind::Store { src, mem, size },
@@ -936,21 +861,12 @@ fn compile_kind(
     }
 }
 
-/// Address-derived flags, valid whether or not the address decodes:
-/// the Real-Copy safety net must fire for undecodable Real-Copy
-/// addresses too (counted as an escape, not an invalid-instruction
-/// fault — exactly the seed's check order).
-fn addr_flags(meta: Option<&TeapotMeta>, va: u64) -> u8 {
-    if meta.is_some_and(|m| m.in_real(va)) {
-        F_IN_REAL
-    } else {
-        0
-    }
-}
-
 fn entry_flags(inst: &Inst<u64>, meta: Option<&TeapotMeta>, va: u64) -> u8 {
     let (is_instr, always_charge, _) = inst_meta(inst);
-    let mut f = addr_flags(meta, va);
+    let mut f = 0;
+    if meta.is_some_and(|m| m.in_real(va)) {
+        f |= F_IN_REAL;
+    }
     if is_instr {
         f |= F_INSTR;
     }
@@ -1017,5 +933,44 @@ mod layout_tests {
             std::mem::size_of::<CRun>()
         );
         assert!(sz <= 64, "CompiledOp grew to {sz} bytes");
+    }
+
+    /// The tables hold one entry per walked instruction, the index one
+    /// per executable byte, and every `asan.check` ahead of a store
+    /// fuses with it (marker run in between included).
+    #[test]
+    fn tables_hold_one_entry_per_walked_instruction() {
+        let mut cots = teapot_workloads::yaml_like()
+            .build(&teapot_cc::Options::gcc_like())
+            .unwrap();
+        cots.strip();
+        let bin = teapot_core::rewrite(&cots, &teapot_core::RewriteOptions::default()).unwrap();
+        let prog = Program::new(&bin);
+        let (mut insts, mut bytes, mut store_checked) = (0, 0, 0);
+        for r in prog.regions.iter() {
+            let n = r.insts.len();
+            for len in [
+                r.hot.len(),
+                r.ops.len(),
+                r.cruns.len(),
+                r.site_id.len(),
+                r.orig.len(),
+            ] {
+                assert_eq!(len, n);
+            }
+            let walked: Vec<u32> = r.idx.iter().copied().filter(|&i| i != NO_IDX).collect();
+            assert_eq!(walked, (0..n as u32).collect::<Vec<_>>());
+            store_checked += r
+                .ops
+                .iter()
+                .filter(|op| matches!(op.kind, OpKind::StoreChecked { .. }))
+                .count();
+            insts += n;
+            bytes += r.idx.len();
+        }
+        assert_eq!(insts, prog.stats().insts);
+        assert_eq!(bytes, prog.stats().bytes);
+        assert!(insts < bytes / 2, "{insts} entries for {bytes} bytes");
+        assert!(store_checked > 0, "no asan.check fused with its store");
     }
 }

@@ -441,3 +441,125 @@ fn provenance_replays_are_identical_on_compiled_and_step() {
     }
     assert!(origin_events > 0, "no run resolved any input origin");
 }
+
+/// A hand-made instrumented program whose control flow lands where no
+/// walked instruction starts. In the Real Copy: a `sim.start` whose
+/// Shadow-Copy window jumps into a data island of the Real Copy (an
+/// escape), then an architectural jump into the 64-bit immediate of a
+/// `mov`, whose bytes decode as seven `nop`s and a marker, then a jump
+/// into the island (an invalid-instruction fault). Returns the binary,
+/// the island's address and the number of instructions inside the
+/// immediate.
+fn off_walk_program() -> (Binary, u64, u64) {
+    use teapot::asm::Assembler;
+    use teapot::isa::{encode, Inst, Reg};
+    use teapot::obj::{BinFlags, Linker, LoadedSection, SectionKind};
+    use teapot::rt::TeapotMeta;
+
+    let body = [[Inst::Nop; 7].as_slice(), &[Inst::MarkerNop]].concat();
+    let imm_bytes: Vec<u8> = body.iter().flat_map(|i| encode(i).bytes).collect();
+    let host = Inst::MovRI {
+        dst: Reg::R7,
+        imm: i64::from_le_bytes(imm_bytes.clone().try_into().unwrap()),
+    };
+    let Some((imm_at, 8)) = encode(&host).patch.imm_at else {
+        panic!("the host mov must carry a 64-bit immediate");
+    };
+    let placeholder = Inst::MovRI {
+        dst: Reg::R9,
+        imm: 0,
+    };
+    let island_len = encode(&placeholder).bytes.len();
+
+    let mut asm = Assembler::new("offwalk");
+    let mut f = asm.func("_start");
+    let tramp = f.fresh_label();
+    f.sim_start(tramp);
+    f.ins_imm_sym(Reg::R6, "host", imm_at as i64);
+    f.raw(Inst::JmpInd { target: Reg::R6 });
+    f.bind_symbol("host");
+    f.raw(host);
+    f.ins_imm_sym(Reg::R6, "island", 0);
+    f.raw(Inst::JmpInd { target: Reg::R6 });
+    f.bind_symbol("island");
+    f.raw(placeholder);
+    f.bind_symbol("shadow");
+    f.bind(tramp);
+    f.ins_imm_sym(Reg::R6, "island", 1);
+    f.raw(Inst::JmpInd { target: Reg::R6 });
+    asm.finish_func(f).unwrap();
+    let flags = BinFlags {
+        instrumented: true,
+        asan: false,
+        dift: false,
+        nested_speculation: false,
+        single_copy: false,
+    };
+    let mut bin = Linker::new()
+        .flags(flags)
+        .add_object(asm.finish())
+        .link("_start")
+        .unwrap();
+    let addr = |name: &str| bin.symbols.iter().find(|s| s.name == name).unwrap().addr;
+    let (island, shadow) = (addr("island"), addr("shadow"));
+    let text = bin.sections.iter_mut().find(|s| s.name == ".text").unwrap();
+    let at = (island - text.vaddr) as usize;
+    text.bytes[at..at + island_len].fill(0xff); // an unassigned opcode
+    let meta = TeapotMeta {
+        real_range: (text.vaddr, shadow),
+        shadow_range: (shadow, text.end()),
+        indirect_map: vec![],
+        addr_map: vec![],
+    };
+    bin.sections.push(LoadedSection {
+        name: ".teapot.meta".into(),
+        kind: SectionKind::Note,
+        vaddr: 0,
+        bytes: meta.to_bytes(),
+        mem_size: 0,
+    });
+    (bin, island, body.len() as u64)
+}
+
+#[test]
+fn control_flow_off_the_walk_decodes_live_on_every_path() {
+    use teapot::vm::{ExecContext, ExitStatus, Fault, Program};
+    let (bin, island, body_insts) = off_walk_program();
+    let prog = Program::shared(&bin);
+    assert!(
+        prog.stats().undecoded_bytes > 0,
+        "the island must be a gap in the walk"
+    );
+
+    let mut ctx = ExecContext::new(&prog);
+    let mut run = |tier: DispatchTier, uncached: bool| {
+        let before = ctx.telemetry().live_decodes;
+        let mut m = Machine::with_context(&prog, &mut ctx, RunOptions::default());
+        m.set_dispatch_tier(tier);
+        m.set_uncached_decode(uncached);
+        let out = m.run(&mut SpecHeuristics::default());
+        (out, ctx.telemetry().live_decodes - before)
+    };
+    let (compiled, compiled_live) = run(DispatchTier::Compiled, false);
+    let (step, step_live) = run(DispatchTier::Step, false);
+    let (uncached, _) = run(DispatchTier::Compiled, true);
+    assert_outcomes_equal(&compiled, &step, "off-walk: compiled vs step");
+    assert_outcomes_equal(&compiled, &uncached, "off-walk: predecoded vs uncached");
+
+    // The architectural jump into the island is an invalid instruction;
+    // the speculative one into the Real-Copy island is an escape,
+    // caught before any decode.
+    assert_eq!(
+        compiled.status,
+        ExitStatus::Fault(Fault::BadInst { pc: island })
+    );
+    assert_eq!(compiled.sim_entries, 1);
+    assert_eq!(
+        compiled.escapes, 1,
+        "the Real-Copy island must count an escape"
+    );
+    // Each instruction inside the immediate is decoded live, on both
+    // tiers; everything else comes from the tables.
+    assert_eq!(compiled_live, body_insts);
+    assert_eq!(step_live, body_insts);
+}

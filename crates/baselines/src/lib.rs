@@ -7,7 +7,10 @@
 //!   `if (in_simulation)` guard conditional (paper Listing 3) that
 //!   executes in *both* modes. The policy is ASan-only: every speculative
 //!   out-of-bounds access is flagged as a gadget, which is where
-//!   SpecFuzz's false positives come from (§7.2).
+//!   SpecFuzz's false positives come from (§7.2). It adds only that
+//!   policy: copying, re-symbolization, data retargeting and linking are
+//!   [`teapot_core::reassemble`]'s, shared with the Speculation Shadows
+//!   rewriter, so Figure 7 compares instrumentation and nothing else.
 //! * [`spectaint_options`] — the **SpecTaint-style emulator** setup: the
 //!   original, uninstrumented binary runs under full-system emulation
 //!   with DIFT ([`teapot_vm::EmuStyle::SpecTaint`]); every guest
@@ -16,13 +19,13 @@
 //!   program-level information — every user-controlled load is assumed
 //!   to yield a secret (§3.1).
 
-use std::fmt;
-use teapot_asm::{inst_len, AsmError, Assembler, CodeRef, Label};
-use teapot_dis::{disassemble, DisError, Gtir};
-use teapot_isa::{Inst, MemRef};
-use teapot_obj::{BinFlags, Binary, LinkError, Linker, LoadedSection, RelocKind, SectionKind};
+use teapot_asm::Assembler;
+use teapot_core::reassemble::{branches, Emit, Layout, Reassembler, CHECK_INTERVAL};
+use teapot_core::RewriteError;
+use teapot_dis::disassemble;
+use teapot_isa::Inst;
+use teapot_obj::{BinFlags, Binary};
 use teapot_rt::FxHashMap as HashMap;
-use teapot_rt::TeapotMeta;
 use teapot_vm::{EmuStyle, HeurStyle, RunOptions, SpecHeuristics};
 
 /// Options for the SpecFuzz-style rewriter.
@@ -30,18 +33,12 @@ use teapot_vm::{EmuStyle, HeurStyle, RunOptions, SpecHeuristics};
 pub struct SpecFuzzOptions {
     /// Enable nested speculation entry points.
     pub nested_speculation: bool,
-    /// Insert coverage traces.
-    pub coverage: bool,
-    /// Conditional restore-point interval.
-    pub check_interval: u32,
 }
 
 impl Default for SpecFuzzOptions {
     fn default() -> Self {
         SpecFuzzOptions {
             nested_speculation: true,
-            coverage: true,
-            check_interval: 50,
         }
     }
 }
@@ -51,53 +48,7 @@ impl SpecFuzzOptions {
     pub fn perf_comparison() -> SpecFuzzOptions {
         SpecFuzzOptions {
             nested_speculation: false,
-            ..Default::default()
         }
-    }
-}
-
-/// Errors from the baseline rewriter.
-#[derive(Debug)]
-pub enum BaselineError {
-    /// Disassembly failed.
-    Dis(DisError),
-    /// Reassembly failed.
-    Asm(AsmError),
-    /// Relink failed.
-    Link(LinkError),
-    /// Unresolved branch target.
-    UnresolvedTarget { branch: u64, target: u64 },
-}
-
-impl fmt::Display for BaselineError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BaselineError::Dis(e) => write!(f, "disassembly failed: {e}"),
-            BaselineError::Asm(e) => write!(f, "reassembly failed: {e}"),
-            BaselineError::Link(e) => write!(f, "relink failed: {e}"),
-            BaselineError::UnresolvedTarget { branch, target } => write!(
-                f,
-                "branch at {branch:#x} targets unrecovered code {target:#x}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for BaselineError {}
-
-impl From<DisError> for BaselineError {
-    fn from(e: DisError) -> Self {
-        BaselineError::Dis(e)
-    }
-}
-impl From<AsmError> for BaselineError {
-    fn from(e: AsmError) -> Self {
-        BaselineError::Asm(e)
-    }
-}
-impl From<LinkError> for BaselineError {
-    fn from(e: LinkError) -> Self {
-        BaselineError::Link(e)
     }
 }
 
@@ -111,332 +62,87 @@ impl From<LinkError> for BaselineError {
 ///
 /// # Errors
 ///
-/// Returns a [`BaselineError`] if disassembly or reassembly fails.
-pub fn specfuzz_rewrite(bin: &Binary, opts: &SpecFuzzOptions) -> Result<Binary, BaselineError> {
+/// Returns a [`RewriteError`] if disassembly or reassembly fails.
+pub fn specfuzz_rewrite(bin: &Binary, opts: &SpecFuzzOptions) -> Result<Binary, RewriteError> {
     let gtir = disassemble(bin)?;
+    let mut rs = Reassembler::new(bin, &gtir);
     let mut asm = Assembler::new("specfuzz");
-    let fn_by_entry: HashMap<u64, String> = gtir
-        .functions
-        .iter()
-        .map(|f| (f.entry, f.name.clone()))
-        .collect();
-    let data_ranges: Vec<(u64, u64, String)> = bin
-        .sections
-        .iter()
-        .filter(|s| {
-            matches!(
-                s.kind,
-                SectionKind::Rodata | SectionKind::Data | SectionKind::Bss
-            )
-        })
-        .map(|s| {
-            (
-                s.vaddr,
-                s.vaddr + s.mem_size,
-                format!("orig${}", s.name.trim_start_matches('.')),
-            )
-        })
-        .collect();
-    let resolve_data = |addr: u64| -> Option<(String, i64)> {
-        data_ranges
-            .iter()
-            .find(|(s, e, _)| addr >= *s && addr < *e)
-            .map(|(s, _, sym)| (sym.clone(), (addr - s) as i64))
-    };
-
-    let mut guard_id = 0u32;
-    let mut pairs_by_fn: HashMap<u64, Vec<(u64, u64)>> = HashMap::default();
-    let mut block_offs_by_fn: HashMap<u64, HashMap<u64, u64>> = HashMap::default();
-
+    let mut layouts: HashMap<u64, Layout> = HashMap::default();
     for f in &gtir.functions {
-        let mut fa = asm.func(f.name.clone());
-        let labels: HashMap<u64, Label> = f
-            .blocks
-            .iter()
-            .map(|b| (b.addr, fa.fresh_label()))
-            .collect();
-        let tramp_labels: Vec<Label> = f
-            .blocks
-            .iter()
-            .flat_map(|b| &b.insts)
-            .filter(|(_, i)| matches!(i, Inst::Jcc { .. }))
-            .map(|_| fa.fresh_label())
-            .collect();
-
-        let mut off = 0u64;
-        let mut pairs: Vec<(u64, u64)> = Vec::new();
-        let mut block_offs: HashMap<u64, u64> = HashMap::default();
-        let mut tramp_idx = 0usize;
-
-        macro_rules! put {
-            ($inst:expr) => {{
-                let i: Inst<CodeRef> = $inst;
-                off += inst_len(&i) as u64;
-                fa.ins(i);
-            }};
-        }
-        macro_rules! put_orig {
-            ($orig:expr, $inst:expr) => {{
-                let i: Inst<CodeRef> = $inst;
-                pairs.push((off, $orig));
-                off += inst_len(&i) as u64;
-                fa.ins(i);
-            }};
-        }
-
+        let mut e = Emit::new(&mut asm, f.name.clone(), f);
+        let tramps: Vec<_> = branches(f).map(|_| e.fresh_label()).collect();
+        let mut next_tramp = tramps.iter();
         for b in &f.blocks {
-            fa.bind(labels[&b.addr]);
-            block_offs.insert(b.addr, off);
+            e.block(b);
             let mut since_check = 0u32;
             for (addr, inst) in &b.insts {
                 since_check += 1;
-                if since_check >= opts.check_interval {
-                    put!(Inst::Guard);
-                    put!(Inst::SimCheck);
+                if since_check >= CHECK_INTERVAL {
+                    e.ins(Inst::Guard);
+                    e.ins(Inst::SimCheck);
                     since_check = 0;
                 }
-                match inst {
-                    Inst::Jcc { cc, target } => {
-                        if opts.coverage {
-                            guard_id += 1;
-                            put!(Inst::CovTrace { guard: guard_id });
-                        }
-                        // Listing 3 line 1: guarded checkpoint entry.
-                        put!(Inst::Guard);
-                        put!(Inst::SimStart {
-                            tramp: tramp_labels[tramp_idx].into()
+                match *inst {
+                    Inst::Jcc { .. } => {
+                        e.ins(Inst::CovTrace {
+                            guard: rs.next_guard(),
                         });
-                        tramp_idx += 1;
-                        let tl = *labels.get(target).ok_or(BaselineError::UnresolvedTarget {
-                            branch: *addr,
-                            target: *target,
-                        })?;
-                        put_orig!(
-                            *addr,
-                            Inst::Jcc {
-                                cc: *cc,
-                                target: tl.into()
-                            }
-                        );
+                        // Listing 3 line 1: guarded checkpoint entry.
+                        e.ins(Inst::Guard);
+                        let tramp = *next_tramp.next().expect("one label per branch");
+                        e.ins(Inst::SimStart {
+                            tramp: tramp.into(),
+                        });
                     }
-                    Inst::Jmp { target } => {
-                        if let Some(tl) = labels.get(target) {
-                            put_orig!(
-                                *addr,
-                                Inst::Jmp {
-                                    target: (*tl).into()
-                                }
-                            );
-                        } else if let Some(n) = fn_by_entry.get(target) {
-                            put_orig!(
-                                *addr,
-                                Inst::Jmp {
-                                    target: CodeRef::Sym(n.clone())
-                                }
-                            );
-                        } else {
-                            return Err(BaselineError::UnresolvedTarget {
-                                branch: *addr,
-                                target: *target,
-                            });
-                        }
-                    }
-                    Inst::Call { target } => {
-                        let n = fn_by_entry
-                            .get(target)
-                            .ok_or(BaselineError::UnresolvedTarget {
-                                branch: *addr,
-                                target: *target,
-                            })?;
-                        put_orig!(
-                            *addr,
-                            Inst::Call {
-                                target: CodeRef::Sym(n.clone())
-                            }
-                        );
-                    }
-                    Inst::Load { mem, size, .. } => {
-                        if !mem.is_frame_relative() {
-                            put!(Inst::Guard);
-                            emit_mem_inst(
-                                &mut fa,
-                                &mut off,
-                                Inst::AsanCheck {
-                                    mem: *mem,
-                                    size: *size,
-                                    is_write: false,
-                                },
-                                &resolve_data,
-                            );
-                        }
-                        copy_with_resym(
-                            &mut fa,
-                            &mut off,
-                            &mut pairs,
-                            *addr,
-                            inst,
-                            &resolve_data,
-                            &fn_by_entry,
-                            &gtir,
+                    Inst::Load { mem, size, .. } if !mem.is_frame_relative() => {
+                        e.ins(Inst::Guard);
+                        rs.ins_mem(
+                            &mut e,
+                            Inst::AsanCheck {
+                                mem,
+                                size,
+                                is_write: false,
+                            },
                         );
                     }
                     Inst::Store { mem, size, .. } | Inst::StoreI { mem, size, .. } => {
                         if !mem.is_frame_relative() {
-                            put!(Inst::Guard);
-                            emit_mem_inst(
-                                &mut fa,
-                                &mut off,
+                            e.ins(Inst::Guard);
+                            rs.ins_mem(
+                                &mut e,
                                 Inst::AsanCheck {
-                                    mem: *mem,
-                                    size: *size,
+                                    mem,
+                                    size,
                                     is_write: true,
                                 },
-                                &resolve_data,
                             );
                         }
-                        put!(Inst::Guard);
-                        emit_mem_inst(
-                            &mut fa,
-                            &mut off,
-                            Inst::MemLog {
-                                mem: *mem,
-                                size: *size,
-                            },
-                            &resolve_data,
-                        );
-                        copy_with_resym(
-                            &mut fa,
-                            &mut off,
-                            &mut pairs,
-                            *addr,
-                            inst,
-                            &resolve_data,
-                            &fn_by_entry,
-                            &gtir,
-                        );
+                        e.ins(Inst::Guard);
+                        rs.ins_mem(&mut e, Inst::MemLog { mem, size });
                     }
                     Inst::Syscall { .. } | Inst::Lfence | Inst::Cpuid | Inst::Halt => {
-                        put!(Inst::Guard);
-                        put!(Inst::SimEnd);
-                        copy_with_resym(
-                            &mut fa,
-                            &mut off,
-                            &mut pairs,
-                            *addr,
-                            inst,
-                            &resolve_data,
-                            &fn_by_entry,
-                            &gtir,
-                        );
+                        e.ins(Inst::Guard);
+                        e.ins(Inst::SimEnd);
                     }
-                    other => copy_with_resym(
-                        &mut fa,
-                        &mut off,
-                        &mut pairs,
-                        *addr,
-                        other,
-                        &resolve_data,
-                        &fn_by_entry,
-                        &gtir,
-                    ),
+                    _ => {}
                 }
+                rs.copy(&mut e, *addr, inst, "")?;
             }
             if b.terminator().is_none() {
-                put!(Inst::Guard);
-                put!(Inst::SimCheck);
+                e.ins(Inst::Guard);
+                e.ins(Inst::SimCheck);
             }
         }
-
-        // Trampolines at the end of the function: same condition, swapped
-        // destinations, into the SAME copy (single-instance design).
-        let mut k = 0usize;
-        for b in &f.blocks {
-            for (addr, inst) in &b.insts {
-                if let Inst::Jcc { cc, target } = inst {
-                    let fall = addr + teapot_isa::encoded_len(inst) as u64;
-                    let (Some(tl), Some(fl)) = (labels.get(target), labels.get(&fall)) else {
-                        return Err(BaselineError::UnresolvedTarget {
-                            branch: *addr,
-                            target: *target,
-                        });
-                    };
-                    fa.bind(tramp_labels[k]);
-                    k += 1;
-                    put_orig!(
-                        *addr,
-                        Inst::Jcc {
-                            cc: *cc,
-                            target: (*fl).into()
-                        }
-                    );
-                    put_orig!(
-                        *addr,
-                        Inst::Jmp {
-                            target: (*tl).into()
-                        }
-                    );
-                }
-            }
+        // Trampolines at the end of the function, into the SAME copy
+        // (single-instance design).
+        for (br, l) in branches(f).zip(tramps) {
+            e.bind(l);
+            e.trampoline(&br)?;
         }
-
-        pairs_by_fn.insert(f.entry, pairs);
-        block_offs_by_fn.insert(f.entry, block_offs);
-        asm.finish_func(fa)?;
+        layouts.insert(f.entry, e.finish(&mut asm)?);
     }
+    rs.copy_data(&mut asm, &layouts);
 
-    // Copy data sections with code-pointer retargeting (same
-    // symbolization as the Speculation Shadows rewriter).
-    for sec in &bin.sections {
-        match sec.kind {
-            SectionKind::Rodata | SectionKind::Data => {
-                let sym = format!("orig${}", sec.name.trim_start_matches('.'));
-                let base_off = if sec.kind == SectionKind::Rodata {
-                    asm.rodata(sym, &sec.bytes)
-                } else {
-                    asm.data(sym, &sec.bytes)
-                };
-                let mut i = 0usize;
-                while i + 8 <= sec.bytes.len() {
-                    let v = u64::from_le_bytes(sec.bytes[i..i + 8].try_into().unwrap());
-                    if v >= gtir.text_range.0 && v < gtir.text_range.1 {
-                        if let Some(f) = gtir.function_containing(v) {
-                            if let Some(boff) = block_offs_by_fn[&f.entry].get(&v) {
-                                let off = base_off + i as u64;
-                                if sec.kind == SectionKind::Rodata {
-                                    asm.rodata_reloc(
-                                        off,
-                                        RelocKind::Abs64,
-                                        f.name.clone(),
-                                        *boff as i64,
-                                    );
-                                } else {
-                                    asm.data_reloc(
-                                        off,
-                                        RelocKind::Abs64,
-                                        f.name.clone(),
-                                        *boff as i64,
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    i += 8;
-                }
-            }
-            SectionKind::Bss => {
-                asm.bss(
-                    format!("orig${}", sec.name.trim_start_matches('.')),
-                    sec.mem_size,
-                );
-            }
-            _ => {}
-        }
-    }
-
-    let entry_name = fn_by_entry
-        .get(&bin.entry)
-        .cloned()
-        .unwrap_or_else(|| format!("fun_{:x}", bin.entry));
     let flags = BinFlags {
         instrumented: true,
         asan: true,
@@ -444,153 +150,8 @@ pub fn specfuzz_rewrite(bin: &Binary, opts: &SpecFuzzOptions) -> Result<Binary, 
         nested_speculation: opts.nested_speculation,
         single_copy: true,
     };
-    let mut out = Linker::new()
-        .flags(flags)
-        .add_object(asm.finish())
-        .link(&entry_name)?;
-
-    // Metadata: address translation only (single copy: no shadow region).
-    let sym_addr: HashMap<&str, u64> = out
-        .symbols
-        .iter()
-        .map(|s| (s.name.as_str(), s.addr))
-        .collect();
-    let mut meta = TeapotMeta::default();
-    for f in &gtir.functions {
-        let fa = sym_addr[f.name.as_str()];
-        for &(off, orig) in &pairs_by_fn[&f.entry] {
-            meta.addr_map.push((fa + off, orig));
-        }
-    }
-    meta.normalize();
-    out.sections.push(LoadedSection {
-        name: ".teapot.meta".into(),
-        kind: SectionKind::Note,
-        vaddr: 0,
-        bytes: meta.to_bytes(),
-        mem_size: 0,
-    });
-    Ok(out)
-}
-
-fn emit_mem_inst(
-    fa: &mut teapot_asm::FuncAsm,
-    off: &mut u64,
-    inst: Inst<CodeRef>,
-    resolve_data: &dyn Fn(u64) -> Option<(String, i64)>,
-) {
-    let mem = match &inst {
-        Inst::AsanCheck { mem, .. } | Inst::MemLog { mem, .. } => *mem,
-        _ => unreachable!(),
-    };
-    if mem.disp > 0 {
-        if let Some((sym, addend)) = resolve_data(mem.disp as i64 as u64) {
-            let cleaned = match inst {
-                Inst::AsanCheck { size, is_write, .. } => Inst::AsanCheck {
-                    mem: MemRef { disp: 0, ..mem },
-                    size,
-                    is_write,
-                },
-                Inst::MemLog { size, .. } => Inst::MemLog {
-                    mem: MemRef { disp: 0, ..mem },
-                    size,
-                },
-                _ => unreachable!(),
-            };
-            *off += inst_len(&cleaned) as u64;
-            fa.ins_disp_sym(cleaned, sym, addend);
-            return;
-        }
-    }
-    *off += inst_len(&inst) as u64;
-    fa.ins(inst);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn copy_with_resym(
-    fa: &mut teapot_asm::FuncAsm,
-    off: &mut u64,
-    pairs: &mut Vec<(u64, u64)>,
-    addr: u64,
-    inst: &Inst<u64>,
-    resolve_data: &dyn Fn(u64) -> Option<(String, i64)>,
-    fn_by_entry: &HashMap<u64, String>,
-    gtir: &Gtir,
-) {
-    let mem = match inst {
-        Inst::Load { mem, .. }
-        | Inst::Store { mem, .. }
-        | Inst::StoreI { mem, .. }
-        | Inst::Lea { mem, .. } => Some(*mem),
-        _ => None,
-    };
-    if let Some(m) = mem {
-        if m.disp > 0 {
-            if let Some((sym, addend)) = resolve_data(m.disp as i64 as u64) {
-                let fix = MemRef { disp: 0, ..m };
-                let cleaned: Inst<CodeRef> = match inst {
-                    Inst::Load {
-                        dst, size, sext, ..
-                    } => Inst::Load {
-                        dst: *dst,
-                        mem: fix,
-                        size: *size,
-                        sext: *sext,
-                    },
-                    Inst::Store { src, size, .. } => Inst::Store {
-                        src: *src,
-                        mem: fix,
-                        size: *size,
-                    },
-                    Inst::StoreI { imm, size, .. } => Inst::StoreI {
-                        imm: *imm,
-                        mem: fix,
-                        size: *size,
-                    },
-                    Inst::Lea { dst, .. } => Inst::Lea {
-                        dst: *dst,
-                        mem: fix,
-                    },
-                    _ => unreachable!(),
-                };
-                pairs.push((*off, addr));
-                *off += inst_len(&cleaned) as u64;
-                fa.ins_disp_sym(cleaned, sym, addend);
-                return;
-            }
-        }
-    }
-    if let Inst::MovRI { dst, imm } = inst {
-        let v = *imm as u64;
-        if *imm > 0 {
-            if let Some((sym, addend)) = resolve_data(v) {
-                pairs.push((*off, addr));
-                let probe: Inst<CodeRef> = Inst::MovRI {
-                    dst: *dst,
-                    imm: i64::MAX,
-                };
-                *off += inst_len(&probe) as u64;
-                fa.ins_imm_sym(*dst, sym, addend);
-                return;
-            }
-            if v >= gtir.text_range.0 && v < gtir.text_range.1 {
-                if let Some(name) = fn_by_entry.get(&v) {
-                    pairs.push((*off, addr));
-                    let probe: Inst<CodeRef> = Inst::MovRI {
-                        dst: *dst,
-                        imm: i64::MAX,
-                    };
-                    *off += inst_len(&probe) as u64;
-                    fa.ins_imm_sym(*dst, name.clone(), 0);
-                    return;
-                }
-            }
-        }
-    }
-    let i: Inst<CodeRef> = inst.map_target(|_| unreachable!("handled by caller"));
-    pairs.push((*off, addr));
-    *off += inst_len(&i) as u64;
-    fa.ins(i);
+    // Address translation only: a single copy has no shadow region.
+    rs.link(asm, flags, &[("", &layouts)], |_, _| {})
 }
 
 /// [`RunOptions`] for a SpecTaint-style emulator run of an uninstrumented

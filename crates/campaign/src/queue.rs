@@ -60,6 +60,10 @@ pub fn prepare_binary(path: &Path) -> Result<(Binary, bool), CampaignError> {
         reason: format!("parse: {e}"),
     })?;
     if bin.flags.instrumented {
+        Program::check(&bin).map_err(|e| CampaignError::Binary {
+            path: path.display().to_string(),
+            reason: e.to_string(),
+        })?;
         return Ok((bin, false));
     }
     let rewritten =

@@ -265,6 +265,25 @@ fn queue_mode_processes_a_directory_in_order() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn queue_mode_rejects_an_instrumented_binary_without_usable_meta() {
+    let dir = std::env::temp_dir().join("teapot-campaign-queue-meta-test");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut inst = instrumented(TARGET);
+    inst.sections.retain(|s| s.name != ".teapot.meta");
+    std::fs::write(dir.join("no_meta.tof"), inst.to_bytes()).unwrap();
+
+    let err = queue::run_queue(&dir, &small_config(1), &[]).unwrap_err();
+    let CampaignError::Binary { path, reason } = err else {
+        panic!("expected a binary error, got {err}");
+    };
+    assert!(path.ends_with("no_meta.tof"), "{path}");
+    assert_eq!(reason, "instrumented binary has no .teapot.meta section");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Queue mode recycles each shard's pooled `ExecContext` across
 /// binaries; recycling must be invisible — every queued campaign's
 /// report is byte-identical to an isolated `run_campaign` over the same

@@ -82,7 +82,9 @@ fn opt<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
 
 fn load(path: &str) -> Result<teapot_obj::Binary, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("read {path}: {e}"))?;
-    teapot_obj::Binary::from_bytes(&bytes).map_err(|e| format!("parse {path}: {e}"))
+    let bin = teapot_obj::Binary::from_bytes(&bytes).map_err(|e| format!("parse {path}: {e}"))?;
+    teapot_vm::Program::check(&bin).map_err(|e| format!("{path}: {e}"))?;
+    Ok(bin)
 }
 
 fn save(bin: &teapot_obj::Binary, path: &str) -> Result<(), String> {

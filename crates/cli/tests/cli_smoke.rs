@@ -375,6 +375,54 @@ fn bad_flag_values_fail_instead_of_running_something_else() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Writes a copy of jsmn's instrumented binary with its `.teapot.meta`
+/// note changed by `damage`, then checks that `run` and `campaign` on it
+/// fail with exit code 1 and a message naming the file, not a panic.
+fn damaged_meta_fails_cleanly(test: &str, damage: fn(&mut teapot_obj::LoadedSection)) {
+    let dir = std::env::temp_dir().join(test);
+    std::fs::remove_dir_all(&dir).ok();
+    let inst = build_workload(&dir, "jsmn");
+    let mut bin = teapot_obj::Binary::from_bytes(&std::fs::read(&inst).unwrap()).unwrap();
+    let note = bin
+        .sections
+        .iter_mut()
+        .find(|s| s.name == ".teapot.meta")
+        .unwrap();
+    damage(note);
+    let bad = dir.join("bad.tof");
+    std::fs::write(&bad, bin.to_bytes()).unwrap();
+    let bad = bad.to_str().unwrap();
+    for args in [
+        &["run", bad][..],
+        &[
+            "campaign", bad, "--shards", "1", "--epochs", "1", "--iters", "1",
+        ][..],
+    ] {
+        let out = Command::new(teapot_bin()).args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("teapot: {bad}: ")) && stderr.contains(".teapot.meta"),
+            "{args:?}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn truncated_teapot_meta_fails_with_a_typed_error() {
+    damaged_meta_fails_cleanly("teapot-cli-truncated-meta-test", |note| {
+        note.bytes.truncate(10)
+    });
+}
+
+#[test]
+fn missing_teapot_meta_fails_with_a_typed_error() {
+    damaged_meta_fails_cleanly("teapot-cli-missing-meta-test", |note| {
+        note.name = ".renamed".into()
+    });
+}
+
 fn fixtures() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
 }

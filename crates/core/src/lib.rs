@@ -26,6 +26,11 @@
 //! consults the marker NOPs and the Real→Shadow map recorded in the
 //! binary's `.teapot.meta` note (§5.3).
 //!
+//! Disassembly, instruction copying with data re-symbolization, branch
+//! retargeting, trampolines, data-section copying and linking live in
+//! [`reassemble`], which the SpecFuzz-style baseline uses too: the two
+//! rewriters differ only in the instrumentation they add.
+//!
 //! # Example
 //!
 //! ```
@@ -49,8 +54,8 @@
 //! # Ok::<(), teapot_core::RewriteError>(())
 //! ```
 
+pub mod reassemble;
 mod rewrite;
 
-pub use rewrite::{
-    rewrite, rewrite_with_stats, Policy, RewriteError, RewriteOptions, RewriteStats,
-};
+pub use reassemble::RewriteError;
+pub use rewrite::{rewrite, Policy, RewriteOptions};

@@ -1,12 +1,12 @@
-//! The Speculation Shadows rewriting passes.
+//! The Speculation Shadows rewriting passes: the instrumentation policy
+//! of the Real and Shadow Copies, on top of the shared [`crate::reassemble`].
 
-use std::fmt;
-use teapot_asm::{inst_len, AsmError, Assembler, CodeRef, FuncAsm, Label};
-use teapot_dis::{disassemble, DisError, GFunc, Gtir};
-use teapot_isa::{AccessSize, IndKind, Inst, MemRef, Reg};
-use teapot_obj::{BinFlags, Binary, LinkError, Linker, LoadedSection, RelocKind, SectionKind};
+use crate::reassemble::{branches, Emit, Layout, Reassembler, RewriteError, CHECK_INTERVAL};
+use teapot_asm::{Assembler, CodeRef};
+use teapot_dis::{disassemble, GFunc};
+use teapot_isa::{IndKind, Inst};
+use teapot_obj::{BinFlags, Binary};
 use teapot_rt::FxHashMap as HashMap;
-use teapot_rt::TeapotMeta;
 
 /// The gadget-detection policy compiled into the instrumented binary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -28,11 +28,6 @@ pub struct RewriteOptions {
     /// Insert nested-speculation entry points in the Shadow Copy
     /// (paper §6.1; disabled for the Figure 7 run-time comparison).
     pub nested_speculation: bool,
-    /// Insert SanitizerCoverage-style tracing (paper §6.3).
-    pub coverage: bool,
-    /// Conditional restore points at least every this many instructions
-    /// (the paper uses 50).
-    pub check_interval: u32,
 }
 
 impl Default for RewriteOptions {
@@ -40,8 +35,6 @@ impl Default for RewriteOptions {
         RewriteOptions {
             policy: Policy::Kasper,
             nested_speculation: true,
-            coverage: true,
-            check_interval: 50,
         }
     }
 }
@@ -57,151 +50,6 @@ impl RewriteOptions {
     }
 }
 
-/// Statistics about one rewrite, for reports and tests.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RewriteStats {
-    /// Functions duplicated.
-    pub functions: usize,
-    /// Conditional branches instrumented (= trampolines emitted).
-    pub branches: usize,
-    /// Marker NOPs planted at indirect-target blocks.
-    pub markers: usize,
-    /// ASan checks inserted in the Shadow Copy.
-    pub asan_checks: usize,
-    /// Indirect-branch integrity checks inserted.
-    pub ind_checks: usize,
-}
-
-/// Rewriting errors.
-#[derive(Debug)]
-pub enum RewriteError {
-    /// Disassembly failed.
-    Dis(DisError),
-    /// Reassembly failed (internal).
-    Asm(AsmError),
-    /// Relinking failed (internal).
-    Link(LinkError),
-    /// A branch targets an address outside its function's recovered
-    /// blocks — heuristic disassembly failure (paper §8).
-    UnresolvedTarget { branch: u64, target: u64 },
-}
-
-impl fmt::Display for RewriteError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RewriteError::Dis(e) => write!(f, "disassembly failed: {e}"),
-            RewriteError::Asm(e) => write!(f, "reassembly failed: {e}"),
-            RewriteError::Link(e) => write!(f, "relink failed: {e}"),
-            RewriteError::UnresolvedTarget { branch, target } => write!(
-                f,
-                "branch at {branch:#x} targets unrecovered code {target:#x}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for RewriteError {}
-
-impl From<DisError> for RewriteError {
-    fn from(e: DisError) -> Self {
-        RewriteError::Dis(e)
-    }
-}
-impl From<AsmError> for RewriteError {
-    fn from(e: AsmError) -> Self {
-        RewriteError::Asm(e)
-    }
-}
-impl From<LinkError> for RewriteError {
-    fn from(e: LinkError) -> Self {
-        RewriteError::Link(e)
-    }
-}
-
-/// A FuncAsm wrapper that mirrors layout offsets, so the rewriter can
-/// record per-instruction address maps and block offsets that exactly
-/// match the assembler's final layout.
-struct Emit {
-    f: FuncAsm,
-    off: u64,
-    /// (offset-in-function, original address) pairs.
-    pairs: Vec<(u64, u64)>,
-}
-
-impl Emit {
-    fn new(f: FuncAsm) -> Emit {
-        Emit {
-            f,
-            off: 0,
-            pairs: Vec::new(),
-        }
-    }
-
-    fn ins(&mut self, inst: Inst<CodeRef>) {
-        self.off += inst_len(&inst) as u64;
-        self.f.ins(inst);
-    }
-
-    /// Emits a *copied* instruction, recording its original address.
-    fn ins_orig(&mut self, orig: u64, inst: Inst<CodeRef>) {
-        self.pairs.push((self.off, orig));
-        self.ins(inst);
-    }
-
-    fn ins_disp_sym(&mut self, orig: u64, inst: Inst<CodeRef>, sym: String, addend: i64) {
-        self.pairs.push((self.off, orig));
-        self.off += inst_len(&inst) as u64;
-        self.f.ins_disp_sym(inst, sym, addend);
-    }
-
-    fn ins_imm_sym(&mut self, orig: u64, dst: Reg, sym: String, addend: i64) {
-        self.pairs.push((self.off, orig));
-        let probe: Inst<CodeRef> = Inst::MovRI { dst, imm: i64::MAX };
-        self.off += inst_len(&probe) as u64;
-        self.f.ins_imm_sym(dst, sym, addend);
-    }
-
-    fn bind(&mut self, l: Label) {
-        self.f.bind(l);
-    }
-}
-
-/// Where original data lives, for re-symbolization of absolute operands.
-struct DataMap {
-    /// (start, end, symbol) per original data section, sorted.
-    ranges: Vec<(u64, u64, String)>,
-    text: (u64, u64),
-}
-
-impl DataMap {
-    fn resolve(&self, addr: u64) -> Option<(&str, i64)> {
-        self.ranges
-            .iter()
-            .find(|(s, e, _)| addr >= *s && addr < *e)
-            .map(|(s, _, sym)| (sym.as_str(), (addr - s) as i64))
-    }
-
-    fn in_text(&self, addr: u64) -> bool {
-        addr >= self.text.0 && addr < self.text.1
-    }
-}
-
-struct Rewriter<'a> {
-    gtir: &'a Gtir,
-    opts: &'a RewriteOptions,
-    data_map: DataMap,
-    fn_by_entry: HashMap<u64, String>,
-    guard_counter: u32,
-    stats: RewriteStats,
-    /// Per function: block original addr → offset in new Real Copy.
-    real_block_offs: HashMap<u64, HashMap<u64, u64>>,
-    /// Per function: block original addr → offset in new Shadow Copy.
-    shadow_block_offs: HashMap<u64, HashMap<u64, u64>>,
-    /// Per function: addr pairs for both copies.
-    real_pairs: HashMap<u64, Vec<(u64, u64)>>,
-    shadow_pairs: HashMap<u64, Vec<(u64, u64)>>,
-}
-
 /// Rewrites a COTS binary with Speculation Shadows instrumentation.
 ///
 /// The result carries a `.teapot.meta` note (region bounds, Real→Shadow
@@ -215,103 +63,24 @@ struct Rewriter<'a> {
 /// flow cannot be resolved (the fundamental static-rewriting limitation
 /// the paper discusses in §8).
 pub fn rewrite(bin: &Binary, opts: &RewriteOptions) -> Result<Binary, RewriteError> {
-    rewrite_with_stats(bin, opts).map(|(b, _)| b)
-}
-
-/// Like [`rewrite`], also returning instrumentation statistics.
-///
-/// # Errors
-///
-/// Same as [`rewrite`].
-pub fn rewrite_with_stats(
-    bin: &Binary,
-    opts: &RewriteOptions,
-) -> Result<(Binary, RewriteStats), RewriteError> {
     let gtir = disassemble(bin)?;
-
-    let mut data_ranges = Vec::new();
-    for sec in &bin.sections {
-        if matches!(
-            sec.kind,
-            SectionKind::Rodata | SectionKind::Data | SectionKind::Bss
-        ) {
-            let sym = format!("orig${}", sec.name.trim_start_matches('.'));
-            data_ranges.push((sec.vaddr, sec.vaddr + sec.mem_size, sym));
-        }
-    }
-    let mut rw = Rewriter {
-        gtir: &gtir,
-        opts,
-        data_map: DataMap {
-            ranges: data_ranges,
-            text: gtir.text_range,
-        },
-        fn_by_entry: gtir
-            .functions
-            .iter()
-            .map(|f| (f.entry, f.name.clone()))
-            .collect(),
-        guard_counter: 0,
-        stats: RewriteStats::default(),
-        real_block_offs: HashMap::default(),
-        shadow_block_offs: HashMap::default(),
-        real_pairs: HashMap::default(),
-        shadow_pairs: HashMap::default(),
-    };
-
+    let mut rs = Reassembler::new(bin, &gtir);
     let mut asm = Assembler::new("teapot");
 
-    // Pass 1: all Real Copies (so the real region is contiguous).
+    // All Real Copies first, so the real region is contiguous; then all
+    // Shadow Copies (instrumented blocks + trampolines).
+    let mut real: HashMap<u64, Layout> = HashMap::default();
     for f in &gtir.functions {
-        rw.emit_real(&mut asm, f)?;
+        real.insert(f.entry, emit_real(&mut rs, &mut asm, f, opts)?);
     }
-    // Pass 2: all Shadow Copies (trampolines + instrumented blocks).
+    let mut shadow: HashMap<u64, Layout> = HashMap::default();
     for f in &gtir.functions {
-        rw.emit_shadow(&mut asm, f)?;
+        shadow.insert(f.entry, emit_shadow(&mut rs, &mut asm, f, opts)?);
     }
-    rw.stats.functions = gtir.functions.len();
+    // Embedded code pointers (jump tables, address-taken functions)
+    // point at Real Copies.
+    rs.copy_data(&mut asm, &real);
 
-    // Pass 3: copy data sections, re-symbolizing embedded code pointers
-    // (jump tables, address-taken function pointers) to Real Copy
-    // locations.
-    for sec in &bin.sections {
-        match sec.kind {
-            SectionKind::Rodata | SectionKind::Data => {
-                let sym = format!("orig${}", sec.name.trim_start_matches('.'));
-                let base_off = if sec.kind == SectionKind::Rodata {
-                    asm.rodata(sym, &sec.bytes)
-                } else {
-                    asm.data(sym, &sec.bytes)
-                };
-                // Scan for code pointers and retarget them.
-                let mut i = 0usize;
-                while i + 8 <= sec.bytes.len() {
-                    let v = u64::from_le_bytes(sec.bytes[i..i + 8].try_into().unwrap());
-                    if let Some((fname, block_off)) = rw.locate_code(v) {
-                        let off = base_off + i as u64;
-                        if sec.kind == SectionKind::Rodata {
-                            asm.rodata_reloc(off, RelocKind::Abs64, fname, block_off as i64);
-                        } else {
-                            asm.data_reloc(off, RelocKind::Abs64, fname, block_off as i64);
-                        }
-                    }
-                    i += 8;
-                }
-            }
-            SectionKind::Bss => {
-                let sym = format!("orig${}", sec.name.trim_start_matches('.'));
-                asm.bss(sym, sec.mem_size);
-            }
-            _ => {}
-        }
-    }
-
-    // Link with the entry function's Real Copy as the entry point.
-    let entry_name = rw
-        .fn_by_entry
-        .get(&bin.entry)
-        .cloned()
-        .unwrap_or_else(|| format!("fun_{:x}", bin.entry));
     let flags = BinFlags {
         instrumented: true,
         asan: true,
@@ -319,494 +88,164 @@ pub fn rewrite_with_stats(
         nested_speculation: opts.nested_speculation,
         single_copy: false,
     };
-    let mut out = Linker::new()
-        .flags(flags)
-        .add_object(asm.finish())
-        .link(&entry_name)?;
-
-    // Pass 4: build the metadata note from final symbol addresses.
-    let sym_addr: HashMap<&str, (u64, u64)> = out
-        .symbols
-        .iter()
-        .map(|s| (s.name.as_str(), (s.addr, s.size)))
-        .collect();
-    let mut meta = TeapotMeta::default();
-    let mut real_lo = u64::MAX;
-    let mut real_hi = 0u64;
-    let mut shadow_lo = u64::MAX;
-    let mut shadow_hi = 0u64;
-    for f in &gtir.functions {
-        let &(fa, fsz) = sym_addr.get(f.name.as_str()).expect("real copy symbol");
-        let spec_name = format!("{}$spec", f.name);
-        let &(sa, ssz) = sym_addr
-            .get(spec_name.as_str())
-            .expect("shadow copy symbol");
-        real_lo = real_lo.min(fa);
-        real_hi = real_hi.max(fa + fsz);
-        shadow_lo = shadow_lo.min(sa);
-        shadow_hi = shadow_hi.max(sa + ssz);
-        let robs = &rw.real_block_offs[&f.entry];
-        let sobs = &rw.shadow_block_offs[&f.entry];
-        for b in &f.blocks {
-            if b.indirect_target {
-                meta.indirect_map
-                    .push((fa + robs[&b.addr], sa + sobs[&b.addr]));
+    rs.link(
+        asm,
+        flags,
+        &[("", &real), ("$spec", &shadow)],
+        |sym, meta| {
+            let mut real_range = (u64::MAX, 0u64);
+            let mut shadow_range = (u64::MAX, 0u64);
+            for f in &gtir.functions {
+                let (fa, fsz) = sym[f.name.as_str()];
+                let (sa, ssz) = sym[format!("{}$spec", f.name).as_str()];
+                real_range = (real_range.0.min(fa), real_range.1.max(fa + fsz));
+                shadow_range = (shadow_range.0.min(sa), shadow_range.1.max(sa + ssz));
+                let (robs, sobs) = (&real[&f.entry].blocks, &shadow[&f.entry].blocks);
+                meta.indirect_map.extend(
+                    f.blocks
+                        .iter()
+                        .filter(|b| b.indirect_target)
+                        .map(|b| (fa + robs[&b.addr], sa + sobs[&b.addr])),
+                );
             }
-        }
-        for &(off, orig) in &rw.real_pairs[&f.entry] {
-            meta.addr_map.push((fa + off, orig));
-        }
-        for &(off, orig) in &rw.shadow_pairs[&f.entry] {
-            meta.addr_map.push((sa + off, orig));
-        }
-    }
-    meta.real_range = (real_lo, real_hi);
-    meta.shadow_range = (shadow_lo, shadow_hi);
-    meta.normalize();
-    out.sections.push(LoadedSection {
-        name: ".teapot.meta".into(),
-        kind: SectionKind::Note,
-        vaddr: 0,
-        bytes: meta.to_bytes(),
-        mem_size: 0,
-    });
-    Ok((out, rw.stats))
+            meta.real_range = real_range;
+            meta.shadow_range = shadow_range;
+        },
+    )
 }
 
-impl<'a> Rewriter<'a> {
-    /// Whether `addr` is a known code location; returns the containing
-    /// Real Copy symbol and the block offset for relocation.
-    fn locate_code(&self, addr: u64) -> Option<(String, u64)> {
-        if !self.data_map.in_text(addr) {
-            return None;
+/// The Real Copy of `f`: normal semantics plus what normal execution
+/// needs — a `sim.start` before every conditional branch, coverage
+/// traces, marker NOPs and per-block tag propagation.
+fn emit_real(
+    rs: &mut Reassembler,
+    asm: &mut Assembler,
+    f: &GFunc,
+    opts: &RewriteOptions,
+) -> Result<Layout, RewriteError> {
+    let mut e = Emit::new(asm, f.name.clone(), f);
+    let mut tramp_idx = 0usize;
+    for b in &f.blocks {
+        e.block(b);
+        if b.indirect_target {
+            // Marker NOP: lets the Shadow Copy's integrity check
+            // recognize this block as a legal redirect target (§5.3).
+            e.ins_orig(b.addr, Inst::MarkerNop);
         }
-        let f = self.gtir.function_containing(addr)?;
-        let robs = self.real_block_offs.get(&f.entry)?;
-        let off = robs.get(&addr)?;
-        Some((f.name.clone(), *off))
-    }
-
-    fn next_guard(&mut self) -> u32 {
-        self.guard_counter += 1;
-        self.guard_counter
-    }
-
-    /// Emits a copied instruction with data re-symbolization.
-    fn copy_inst(&mut self, e: &mut Emit, addr: u64, inst: &Inst<u64>) {
-        // Absolute memory displacements into original data sections become
-        // symbol+addend relocations ("symbolization", the hard part of
-        // reassembleable disassembly).
-        let mem = match inst {
-            Inst::Load { mem, .. }
-            | Inst::Store { mem, .. }
-            | Inst::StoreI { mem, .. }
-            | Inst::Lea { mem, .. } => Some(*mem),
-            _ => None,
-        };
-        if let Some(m) = mem {
-            let disp_addr = m.disp as i64 as u64;
-            if m.disp > 0 {
-                if let Some((sym, addend)) = self.data_map.resolve(disp_addr) {
-                    let cleaned = clear_disp(inst);
-                    e.ins_disp_sym(addr, cleaned, sym.to_string(), addend);
-                    return;
-                }
-            }
+        if opts.policy == Policy::Kasper {
+            // Asynchronous once-per-block tag propagation (§6.2.2).
+            e.ins(Inst::TagBlockProp {
+                n: b.insts.len().min(65535) as u16,
+            });
         }
-        if let Inst::MovRI { dst, imm } = inst {
-            let v = *imm as u64;
-            if *imm > 0 {
-                if let Some((sym, addend)) = self.data_map.resolve(v) {
-                    e.ins_imm_sym(addr, *dst, sym.to_string(), addend);
-                    return;
-                }
-                if self.data_map.in_text(v) {
-                    if let Some(name) = self.fn_by_entry.get(&v) {
-                        // Function-pointer immediate: point at the Real
-                        // Copy; `ind.check` redirects it when used during
-                        // simulation (paper Fig. 5b).
-                        e.ins_imm_sym(addr, *dst, name.clone(), 0);
-                        return;
-                    }
-                }
-            }
-        }
-        e.ins_orig(addr, inst.map_target(|_| unreachable!("handled earlier")));
-    }
-
-    /// ASan-check memory operand for an access, if the policy wants one.
-    /// Frame-relative constant-offset accesses are allow-listed
-    /// (paper §6.2.1).
-    fn asan_mem(inst_mem: &MemRef) -> Option<MemRef> {
-        if inst_mem.is_frame_relative() {
-            None
-        } else {
-            Some(*inst_mem)
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Real Copy
-    // ------------------------------------------------------------------
-
-    fn emit_real(&mut self, asm: &mut Assembler, f: &GFunc) -> Result<(), RewriteError> {
-        let mut e = Emit::new(asm.func(f.name.clone()));
-        let labels: HashMap<u64, Label> = f
-            .blocks
-            .iter()
-            .map(|b| (b.addr, e.f.fresh_label()))
-            .collect();
-        let mut block_offs: HashMap<u64, u64> = HashMap::default();
-        let mut tramp_idx = 0usize;
-
-        for b in &f.blocks {
-            e.bind(labels[&b.addr]);
-            block_offs.insert(b.addr, e.off);
-            if b.indirect_target {
-                // Marker NOP: lets the Shadow Copy's integrity check
-                // recognize this block as a legal redirect target (§5.3).
-                e.ins_orig(b.addr, Inst::MarkerNop);
-                self.stats.markers += 1;
-            }
-            if self.opts.policy == Policy::Kasper {
-                // Asynchronous once-per-block tag propagation (§6.2.2).
-                e.ins(Inst::TagBlockProp {
-                    n: b.insts.len().min(65535) as u16,
+        for (addr, inst) in &b.insts {
+            if let Inst::Jcc { .. } = inst {
+                e.ins(Inst::CovTrace {
+                    guard: rs.next_guard(),
                 });
+                let tramp = CodeRef::Sym(format!("{}$tramp{tramp_idx}", f.name));
+                tramp_idx += 1;
+                e.ins(Inst::SimStart { tramp });
             }
-            for (addr, inst) in &b.insts {
-                match inst {
-                    Inst::Jcc { cc, target } => {
-                        if self.opts.coverage {
-                            let g = self.next_guard();
-                            e.ins(Inst::CovTrace { guard: g });
-                        }
-                        let tramp = CodeRef::Sym(format!("{}$tramp{}", f.name, tramp_idx));
-                        tramp_idx += 1;
-                        self.stats.branches += 1;
-                        e.ins(Inst::SimStart { tramp });
-                        let tl = *labels.get(target).ok_or(RewriteError::UnresolvedTarget {
-                            branch: *addr,
-                            target: *target,
-                        })?;
-                        e.ins_orig(
-                            *addr,
-                            Inst::Jcc {
-                                cc: *cc,
-                                target: tl.into(),
-                            },
-                        );
-                    }
-                    Inst::Jmp { target } => {
-                        if let Some(tl) = labels.get(target) {
-                            e.ins_orig(
-                                *addr,
-                                Inst::Jmp {
-                                    target: (*tl).into(),
-                                },
-                            );
-                        } else if let Some(name) = self.fn_by_entry.get(target) {
-                            // Tail jump to another function.
-                            e.ins_orig(
-                                *addr,
-                                Inst::Jmp {
-                                    target: CodeRef::Sym(name.clone()),
-                                },
-                            );
-                        } else {
-                            return Err(RewriteError::UnresolvedTarget {
-                                branch: *addr,
-                                target: *target,
-                            });
-                        }
-                    }
-                    Inst::Call { target } => {
-                        let name =
-                            self.fn_by_entry
-                                .get(target)
-                                .ok_or(RewriteError::UnresolvedTarget {
-                                    branch: *addr,
-                                    target: *target,
-                                })?;
-                        e.ins_orig(
-                            *addr,
-                            Inst::Call {
-                                target: CodeRef::Sym(name.clone()),
-                            },
-                        );
-                    }
-                    other => self.copy_inst(&mut e, *addr, other),
-                }
-            }
+            rs.copy(&mut e, *addr, inst, "")?;
         }
-        self.real_block_offs.insert(f.entry, block_offs);
-        self.real_pairs
-            .insert(f.entry, std::mem::take(&mut e.pairs));
-        asm.finish_func(e.f)?;
-        Ok(())
     }
-
-    // ------------------------------------------------------------------
-    // Shadow Copy
-    // ------------------------------------------------------------------
-
-    fn emit_shadow(&mut self, asm: &mut Assembler, f: &GFunc) -> Result<(), RewriteError> {
-        let mut e = Emit::new(asm.func(format!("{}$spec", f.name)));
-        let labels: HashMap<u64, Label> = f
-            .blocks
-            .iter()
-            .map(|b| (b.addr, e.f.fresh_label()))
-            .collect();
-        let mut block_offs: HashMap<u64, u64> = HashMap::default();
-
-        let dift = self.opts.policy == Policy::Kasper;
-        let mut nested_tramp_idx = 0usize;
-        for b in &f.blocks {
-            e.bind(labels[&b.addr]);
-            block_offs.insert(b.addr, e.off);
-            if self.opts.coverage {
-                let g = self.next_guard();
-                e.ins(Inst::CovNote { guard: g });
-            }
-            let mut since_check = 0u32;
-            let n = b.insts.len();
-            for (k, (addr, inst)) in b.insts.iter().enumerate() {
-                let is_last = k + 1 == n;
-                // Conditional restore points every `check_interval`
-                // instructions and near the end of each block (§6.1).
-                since_check += 1;
-                if since_check >= self.opts.check_interval || (is_last && n > 1) {
-                    e.ins(Inst::SimCheck);
-                    since_check = 0;
-                }
-                if dift {
-                    // Synchronous per-instruction tag propagation +
-                    // tag-change logging (§6.2.2).
-                    e.ins(Inst::TagProp);
-                }
-                match inst {
-                    Inst::Load { mem, size, .. } => {
-                        if let Some(m) = Self::asan_mem(mem) {
-                            self.stats.asan_checks += 1;
-                            // The check itself may reference original
-                            // data absolutely; re-symbolize like the load.
-                            self.emit_asan(&mut e, m, *size, false);
-                        }
-                        self.copy_inst(&mut e, *addr, inst);
-                    }
-                    Inst::Store { mem, size, .. } | Inst::StoreI { mem, size, .. } => {
-                        if let Some(m) = Self::asan_mem(mem) {
-                            self.stats.asan_checks += 1;
-                            self.emit_asan(&mut e, m, *size, true);
-                        }
-                        // Memory log for rollback (§6.1) — all stores,
-                        // including frame-relative ones.
-                        self.emit_memlog(&mut e, *mem, *size);
-                        self.copy_inst(&mut e, *addr, inst);
-                    }
-                    Inst::Jcc { cc, target } => {
-                        if self.opts.nested_speculation {
-                            let tramp =
-                                CodeRef::Sym(format!("{}$tramp{}", f.name, nested_tramp_idx));
-                            e.ins(Inst::SimStart { tramp });
-                        }
-                        nested_tramp_idx += 1;
-                        let tl = *labels.get(target).ok_or(RewriteError::UnresolvedTarget {
-                            branch: *addr,
-                            target: *target,
-                        })?;
-                        e.ins_orig(
-                            *addr,
-                            Inst::Jcc {
-                                cc: *cc,
-                                target: tl.into(),
-                            },
-                        );
-                    }
-                    Inst::Jmp { target } => {
-                        if let Some(tl) = labels.get(target) {
-                            e.ins_orig(
-                                *addr,
-                                Inst::Jmp {
-                                    target: (*tl).into(),
-                                },
-                            );
-                        } else if let Some(name) = self.fn_by_entry.get(target) {
-                            e.ins_orig(
-                                *addr,
-                                Inst::Jmp {
-                                    target: CodeRef::Sym(format!("{name}$spec")),
-                                },
-                            );
-                        } else {
-                            return Err(RewriteError::UnresolvedTarget {
-                                branch: *addr,
-                                target: *target,
-                            });
-                        }
-                    }
-                    Inst::Call { target } => {
-                        // Direct calls stay in the shadow world (§5.2).
-                        let name =
-                            self.fn_by_entry
-                                .get(target)
-                                .ok_or(RewriteError::UnresolvedTarget {
-                                    branch: *addr,
-                                    target: *target,
-                                })?;
-                        e.ins_orig(
-                            *addr,
-                            Inst::Call {
-                                target: CodeRef::Sym(format!("{name}$spec")),
-                            },
-                        );
-                    }
-                    Inst::CallInd { target } => {
-                        self.stats.ind_checks += 1;
-                        e.ins(Inst::IndCheck {
-                            kind: IndKind::Call(*target),
-                        });
-                        e.ins_orig(*addr, Inst::CallInd { target: *target });
-                    }
-                    Inst::JmpInd { target } => {
-                        self.stats.ind_checks += 1;
-                        e.ins(Inst::IndCheck {
-                            kind: IndKind::Jmp(*target),
-                        });
-                        e.ins_orig(*addr, Inst::JmpInd { target: *target });
-                    }
-                    Inst::Ret => {
-                        self.stats.ind_checks += 1;
-                        e.ins(Inst::IndCheck { kind: IndKind::Ret });
-                        e.ins_orig(*addr, Inst::Ret);
-                    }
-                    Inst::Syscall { .. } | Inst::Lfence | Inst::Cpuid | Inst::Halt => {
-                        // External calls and serializing instructions end
-                        // the simulation unconditionally (§6.1).
-                        e.ins(Inst::SimEnd);
-                        self.copy_inst(&mut e, *addr, inst);
-                    }
-                    other => self.copy_inst(&mut e, *addr, other),
-                }
-            }
-            // Fall-through blocks get a restore point at the end too.
-            if b.terminator().is_none() {
-                e.ins(Inst::SimCheck);
-            }
-        }
-
-        // Trampolines (paper Fig. 4): same condition, swapped
-        // destinations, both into the Shadow Copy. Placed AFTER the
-        // blocks so the `f$spec` symbol is the callable shadow entry.
-        let mut tramp_idx = 0usize;
-        for b in &f.blocks {
-            for (addr, inst) in &b.insts {
-                if let Inst::Jcc { cc, target } = inst {
-                    let fall = addr + teapot_isa::encoded_len(inst) as u64;
-                    let (Some(tl), Some(fl)) = (labels.get(target), labels.get(&fall)) else {
-                        return Err(RewriteError::UnresolvedTarget {
-                            branch: *addr,
-                            target: *target,
-                        });
-                    };
-                    e.f.bind_symbol(format!("{}$tramp{}", f.name, tramp_idx));
-                    tramp_idx += 1;
-                    // Condition true (taken in real execution) →
-                    // mispredicted to the fall-through's shadow; condition
-                    // false → mispredicted to the taken target's shadow.
-                    e.ins_orig(
-                        *addr,
-                        Inst::Jcc {
-                            cc: *cc,
-                            target: (*fl).into(),
-                        },
-                    );
-                    e.ins_orig(
-                        *addr,
-                        Inst::Jmp {
-                            target: (*tl).into(),
-                        },
-                    );
-                }
-            }
-        }
-        self.shadow_block_offs.insert(f.entry, block_offs);
-        self.shadow_pairs
-            .insert(f.entry, std::mem::take(&mut e.pairs));
-        asm.finish_func(e.f)?;
-        Ok(())
-    }
-
-    fn emit_asan(&mut self, e: &mut Emit, mem: MemRef, size: AccessSize, is_write: bool) {
-        let inst: Inst<CodeRef> = Inst::AsanCheck {
-            mem,
-            size,
-            is_write,
-        };
-        let disp_addr = mem.disp as i64 as u64;
-        if mem.disp > 0 {
-            if let Some((sym, addend)) = self.data_map.resolve(disp_addr) {
-                let cleaned = Inst::AsanCheck {
-                    mem: MemRef { disp: 0, ..mem },
-                    size,
-                    is_write,
-                };
-                e.off += inst_len(&cleaned) as u64;
-                e.f.ins_disp_sym(cleaned, sym.to_string(), addend);
-                return;
-            }
-        }
-        e.ins(inst);
-    }
-
-    fn emit_memlog(&mut self, e: &mut Emit, mem: MemRef, size: AccessSize) {
-        let inst: Inst<CodeRef> = Inst::MemLog { mem, size };
-        let disp_addr = mem.disp as i64 as u64;
-        if mem.disp > 0 {
-            if let Some((sym, addend)) = self.data_map.resolve(disp_addr) {
-                let cleaned = Inst::MemLog {
-                    mem: MemRef { disp: 0, ..mem },
-                    size,
-                };
-                e.off += inst_len(&cleaned) as u64;
-                e.f.ins_disp_sym(cleaned, sym.to_string(), addend);
-                return;
-            }
-        }
-        e.ins(inst);
-    }
+    e.finish(asm)
 }
 
-/// Clears the displacement of a memory-operand instruction so the linker
-/// patch fully determines it.
-fn clear_disp(inst: &Inst<u64>) -> Inst<CodeRef> {
-    let fix = |m: &MemRef| MemRef { disp: 0, ..*m };
-    match inst {
-        Inst::Load {
-            dst,
-            mem,
-            size,
-            sext,
-        } => Inst::Load {
-            dst: *dst,
-            mem: fix(mem),
-            size: *size,
-            sext: *sext,
-        },
-        Inst::Store { src, mem, size } => Inst::Store {
-            src: *src,
-            mem: fix(mem),
-            size: *size,
-        },
-        Inst::StoreI { imm, mem, size } => Inst::StoreI {
-            imm: *imm,
-            mem: fix(mem),
-            size: *size,
-        },
-        Inst::Lea { dst, mem } => Inst::Lea {
-            dst: *dst,
-            mem: fix(mem),
-        },
-        other => other.map_target(|_| unreachable!("no branch operands")),
+/// The Shadow Copy of `f` (`f$spec`): ASan checks, memory logging,
+/// synchronous tag propagation, restore points, indirect-branch
+/// integrity checks and lazy speculative coverage, then one trampoline
+/// per conditional branch.
+fn emit_shadow(
+    rs: &mut Reassembler,
+    asm: &mut Assembler,
+    f: &GFunc,
+    opts: &RewriteOptions,
+) -> Result<Layout, RewriteError> {
+    let mut e = Emit::new(asm, format!("{}$spec", f.name), f);
+    let dift = opts.policy == Policy::Kasper;
+    let mut nested_tramp_idx = 0usize;
+    for b in &f.blocks {
+        e.block(b);
+        e.ins(Inst::CovNote {
+            guard: rs.next_guard(),
+        });
+        let mut since_check = 0u32;
+        let n = b.insts.len();
+        for (k, (addr, inst)) in b.insts.iter().enumerate() {
+            // Conditional restore points every `CHECK_INTERVAL`
+            // instructions and near the end of each block (§6.1).
+            since_check += 1;
+            if since_check >= CHECK_INTERVAL || (k + 1 == n && n > 1) {
+                e.ins(Inst::SimCheck);
+                since_check = 0;
+            }
+            if dift {
+                // Synchronous per-instruction tag propagation +
+                // tag-change logging (§6.2.2).
+                e.ins(Inst::TagProp);
+            }
+            match *inst {
+                // Frame-relative constant-offset accesses are
+                // allow-listed (§6.2.1).
+                Inst::Load { mem, size, .. } if !mem.is_frame_relative() => rs.ins_mem(
+                    &mut e,
+                    Inst::AsanCheck {
+                        mem,
+                        size,
+                        is_write: false,
+                    },
+                ),
+                Inst::Store { mem, size, .. } | Inst::StoreI { mem, size, .. } => {
+                    if !mem.is_frame_relative() {
+                        rs.ins_mem(
+                            &mut e,
+                            Inst::AsanCheck {
+                                mem,
+                                size,
+                                is_write: true,
+                            },
+                        );
+                    }
+                    // Memory log for rollback (§6.1) — all stores,
+                    // including frame-relative ones.
+                    rs.ins_mem(&mut e, Inst::MemLog { mem, size });
+                }
+                Inst::Jcc { .. } => {
+                    if opts.nested_speculation {
+                        let tramp = CodeRef::Sym(format!("{}$tramp{nested_tramp_idx}", f.name));
+                        e.ins(Inst::SimStart { tramp });
+                    }
+                    nested_tramp_idx += 1;
+                }
+                Inst::CallInd { target } => e.ins(Inst::IndCheck {
+                    kind: IndKind::Call(target),
+                }),
+                Inst::JmpInd { target } => e.ins(Inst::IndCheck {
+                    kind: IndKind::Jmp(target),
+                }),
+                Inst::Ret => e.ins(Inst::IndCheck { kind: IndKind::Ret }),
+                // External calls and serializing instructions end the
+                // simulation unconditionally (§6.1).
+                Inst::Syscall { .. } | Inst::Lfence | Inst::Cpuid | Inst::Halt => {
+                    e.ins(Inst::SimEnd)
+                }
+                _ => {}
+            }
+            // Direct calls stay in the shadow world (§5.2).
+            rs.copy(&mut e, *addr, inst, "$spec")?;
+        }
+        // Fall-through blocks get a restore point at the end too.
+        if b.terminator().is_none() {
+            e.ins(Inst::SimCheck);
+        }
     }
+    // Trampolines after the blocks, so the `f$spec` symbol is the
+    // callable shadow entry.
+    for (k, br) in branches(f).enumerate() {
+        e.bind_symbol(format!("{}$tramp{k}", f.name));
+        e.trampoline(&br)?;
+    }
+    e.finish(asm)
 }

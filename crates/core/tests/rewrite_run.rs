@@ -5,7 +5,7 @@
 //! guard-free performance property.
 
 use teapot_cc::{compile_to_binary, Options, SwitchLowering};
-use teapot_core::{rewrite, rewrite_with_stats, RewriteOptions};
+use teapot_core::{rewrite, RewriteOptions};
 use teapot_obj::Binary;
 use teapot_vm::{ExitStatus, Machine, RunOptions, SpecHeuristics};
 
@@ -244,29 +244,14 @@ fn returns_during_simulation_are_contained() {
 }
 
 #[test]
-fn rewrite_stats_are_sane() {
-    let orig = cots(LISTING1, &Options::gcc_like());
-    let (inst, stats) = rewrite_with_stats(&orig, &RewriteOptions::default()).unwrap();
-    assert!(stats.functions >= 2); // main + _start
-    assert!(stats.branches >= 1);
-    assert!(stats.markers >= 1); // return site of main
-    assert!(stats.asan_checks >= 2); // foo[index] + bar[secret] + stores
-    assert!(stats.ind_checks >= 1); // ret in shadow copies
-                                    // Shadow region exists and is larger than the real region
-                                    // (instrumentation lives there).
-    let meta =
-        teapot_rt::TeapotMeta::from_bytes(&inst.note(".teapot.meta").unwrap().bytes).unwrap();
-    assert!(meta.shadow_range.1 - meta.shadow_range.0 > meta.real_range.1 - meta.real_range.0);
-    assert!(!meta.addr_map.is_empty());
-}
-
-#[test]
 fn real_copy_has_no_guards_and_no_asan() {
     // The Speculation Shadows property (paper §5.1): the Real Copy carries
     // no `guard` and no ASan checks; they exist only in the Shadow Copy.
     use teapot_isa::{decode_at, Inst};
     let orig = cots(LISTING1, &Options::gcc_like());
     let inst = rewrite(&orig, &RewriteOptions::default()).unwrap();
+    let shadow_copies = inst.symbols.iter().filter(|s| s.name.ends_with("$spec"));
+    assert!(shadow_copies.count() >= 2, "main and _start are duplicated");
     let meta =
         teapot_rt::TeapotMeta::from_bytes(&inst.note(".teapot.meta").unwrap().bytes).unwrap();
     let text = inst.section(".text").unwrap();
@@ -274,6 +259,9 @@ fn real_copy_has_no_guards_and_no_asan() {
     let mut real_asan = 0;
     let mut shadow_asan = 0;
     let mut guards = 0;
+    let mut real_sim_starts = 0;
+    let mut markers = 0;
+    let mut ind_checks = 0;
     while pc < text.vaddr + text.bytes.len() as u64 {
         let off = (pc - text.vaddr) as usize;
         let (i, len) = decode_at(&text.bytes[off..], pc).unwrap();
@@ -286,13 +274,23 @@ fn real_copy_has_no_guards_and_no_asan() {
                 }
             }
             Inst::Guard => guards += 1,
+            Inst::SimStart { .. } if meta.in_real(pc) => real_sim_starts += 1,
+            Inst::MarkerNop => markers += 1,
+            Inst::IndCheck { .. } => ind_checks += 1,
             _ => {}
         }
         pc += len as u64;
     }
     assert_eq!(real_asan, 0, "Real Copy must not carry ASan checks");
-    assert!(shadow_asan > 0, "Shadow Copy carries the ASan checks");
+    assert!(shadow_asan >= 2, "foo[index] + bar[secret]: {shadow_asan}");
     assert_eq!(guards, 0, "Speculation Shadows eliminates all guards");
+    assert!(real_sim_starts >= 1, "a checkpoint before every branch");
+    assert!(markers >= 1, "return site of main");
+    assert!(ind_checks >= 1, "ret in shadow copies");
+    // The Shadow region is larger than the Real region: the
+    // instrumentation lives there.
+    assert!(meta.shadow_range.1 - meta.shadow_range.0 > meta.real_range.1 - meta.real_range.0);
+    assert!(!meta.addr_map.is_empty());
 }
 
 #[test]

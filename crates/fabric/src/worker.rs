@@ -329,6 +329,8 @@ fn install_lease<S: Read + Write>(
     if rebuild {
         let bin = Binary::from_bytes(&lease.binary)
             .map_err(|_| FabricError::Protocol("leased binary failed to parse"))?;
+        Program::check(&bin)
+            .map_err(|_| FabricError::Protocol("leased binary has unusable .teapot.meta"))?;
         let prog = Program::shared(&bin);
         write_frame(stream, &Frame::Decode(*prog.stats()))?;
         *session = Some(Session {

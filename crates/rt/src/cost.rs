@@ -5,11 +5,13 @@
 //! accumulated by the VM: a plain architectural instruction costs
 //! [`PLAIN_INST`]; each instrumentation opcode costs what the equivalent
 //! inline assembly snippet of the paper's implementation would execute.
-//! The Teapot-vs-SpecFuzz comparison therefore reduces to the *difference
-//! in executed instrumentation* (guard conditionals, always-on ASan) —
-//! exactly the effect Speculation Shadows targets — while the SpecTaint
-//! emulation multiplier is calibrated once against the ratios in the
-//! paper's Figure 1 and then reused unchanged for Figure 7. Each
+//! Both rewriters copy, re-symbolize and link through the same
+//! `teapot_core::reassemble`, so the Teapot-vs-SpecFuzz comparison
+//! reduces to the *difference in executed instrumentation* (guard
+//! conditionals, always-on ASan) — exactly the effect Speculation
+//! Shadows targets — while the SpecTaint emulation multiplier is
+//! calibrated once against the ratios in the paper's Figure 1 and then
+//! reused unchanged for Figure 7. Each
 //! constant's doc names the paper mechanism whose snippet it prices.
 
 /// Cost of a plain architectural instruction.

@@ -66,7 +66,7 @@ pub const MODEL_NAMES: [&str; 3] = ["pht", "rsb", "stl"];
 /// paths and folds them into the context's `VmCounters` accumulator at
 /// the end of every run; slab-level counters (TLB, page allocation)
 /// accumulate on the context-owned page slabs and are merged in by
-/// [`teapot-vm`]'s snapshot accessor. Counting is unconditional —
+/// `teapot-vm`'s snapshot accessor. Counting is unconditional —
 /// telemetry-off merely never *reads* the values — which is what makes
 /// the zero-perturbation invariant structural rather than aspirational.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]

@@ -12,9 +12,9 @@
 //!    witness recorder) is re-executed on a pooled
 //!    [`ExecContext`](teapot_vm::ExecContext); the VM's determinism
 //!    makes the replay bit-identical to the discovering run, so the
-//!    same [`GadgetKey`](teapot_rt::GadgetKey) must fire again. Each
+//!    same [`GadgetKey`] must fire again. Each
 //!    replay stops once the keys it asks about have fired.
-//! 2. **Minimization** ([`minimize`]) — ddmin shrinks the witness input
+//! 2. **Minimization** ([`minimize`](mod@minimize)) — ddmin shrinks the witness input
 //!    to a minimal, canonical reproducer, validating every candidate by
 //!    replay; witnesses of one discovering run share one candidate
 //!    memo.

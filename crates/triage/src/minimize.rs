@@ -5,7 +5,7 @@
 //! bytes. `ddmin` shrinks it to a minimal reproducer: every candidate is
 //! validated by a full deterministic replay (same heuristic seed as the
 //! witness), so the result is guaranteed to re-trigger the same
-//! [`GadgetKey`](teapot_rt::GadgetKey). A classic ddmin chunk-deletion
+//! [`GadgetKey`]. A classic ddmin chunk-deletion
 //! pass is followed by a byte-normalization pass that zeroes every byte
 //! that is not load-bearing, making reproducers canonical as well as
 //! short.

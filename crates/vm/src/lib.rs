@@ -51,7 +51,7 @@ pub use machine::{
     RunStats,
 };
 pub use mem::{MemFault, PagedMem, PAGE_SIZE};
-pub use program::{CompileStats, DecodeStats, Program};
+pub use program::{CompileStats, DecodeStats, MetaCheckError, Program};
 pub use taint::TaintEngine;
 pub use teapot_rt::{SpecModel, SpecModelSet};
 pub use teapot_telemetry::{BlockProfile, HotBlock, VmCounters};

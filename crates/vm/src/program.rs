@@ -312,6 +312,29 @@ pub struct DecodeStats {
     pub undecoded_bytes: usize,
 }
 
+/// Why a binary's `.teapot.meta` note is unusable (see
+/// [`Program::check`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MetaCheckError {
+    /// The binary is flagged instrumented but carries no note.
+    Missing,
+    /// The note does not parse.
+    Malformed,
+}
+
+impl std::fmt::Display for MetaCheckError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MetaCheckError::Missing => {
+                write!(f, "instrumented binary has no .teapot.meta section")
+            }
+            MetaCheckError::Malformed => write!(f, "malformed .teapot.meta section"),
+        }
+    }
+}
+
+impl std::error::Error for MetaCheckError {}
+
 /// An immutable, binary-wide predecoded program: shared decode tables,
 /// per-instruction metadata and the pristine memory image.
 pub struct Program {
@@ -354,15 +377,33 @@ impl std::fmt::Debug for Program {
 }
 
 impl Program {
+    /// Checks what [`Program::new`] trusts of a binary's metadata: an
+    /// instrumented binary must carry a `.teapot.meta` note, and a note
+    /// that is present must parse.
+    ///
+    /// # Errors
+    ///
+    /// The [`MetaCheckError`] naming which of the two fails.
+    pub fn check(binary: &Binary) -> Result<(), MetaCheckError> {
+        match binary.note(".teapot.meta") {
+            Some(n) => TeapotMeta::from_bytes(&n.bytes)
+                .map(drop)
+                .map_err(|_| MetaCheckError::Malformed),
+            None if binary.flags.instrumented => Err(MetaCheckError::Missing),
+            None => Ok(()),
+        }
+    }
+
     /// Decodes `binary` once: builds the pristine memory image, the
     /// per-instruction tables for every executable section and the
     /// basic-block statistics.
     ///
     /// # Panics
     ///
-    /// Panics if an instrumented binary carries a malformed
-    /// `.teapot.meta` section (a rewriter bug, not a runtime input) —
-    /// the same contract the per-run loader had.
+    /// Panics if the binary carries a malformed `.teapot.meta` section;
+    /// a binary that is flagged instrumented but has none panics at its
+    /// first `ind.check`. Check binaries read from outside with
+    /// [`Program::check`] first.
     pub fn new(binary: &Binary) -> Program {
         // The initial address space: loadable sections (bytes poked
         // over zero-filled pages), then the stack as a zero-on-write

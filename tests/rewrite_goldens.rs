@@ -56,8 +56,7 @@ fn digests() -> String {
                 (
                     "specfuzz",
                     "perf_comparison",
-                    specfuzz_rewrite(&cots, &SpecFuzzOptions::perf_comparison())
-                        .expect("rewrite"),
+                    specfuzz_rewrite(&cots, &SpecFuzzOptions::perf_comparison()).expect("rewrite"),
                 ),
             ];
             for (rewriter, opts, bin) in outputs {

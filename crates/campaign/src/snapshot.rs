@@ -52,16 +52,19 @@
 //! Only this layout loads: a file of any other version fails with
 //! [`SnapshotError::BadVersion`].
 //!
-//! The [`Writer`]/[`Reader`] primitives and the per-record codecs
-//! ([`write_shard_state`], [`read_shard_state`], [`write_config`],
-//! [`read_config`], [`encode_delta`], [`decode_delta`]) are public: the
-//! `teapot-fabric` wire protocol speaks the same vocabulary, so a leased
-//! shard state or an epoch delta on the wire is bit-compatible with what
-//! a `.tcs` file stores.
+//! Every record reads and writes through [`teapot_rt::codec`], which
+//! owns the byte layout, the truncation error and the bound on what a
+//! list count may reserve. The per-record codecs ([`write_shard_state`],
+//! [`read_shard_state`], [`write_config`], [`read_config`],
+//! [`encode_delta`], [`decode_delta`]) are public: the `teapot-fabric`
+//! wire protocol speaks the same vocabulary, so a leased shard state or
+//! an epoch delta on the wire is bit-compatible with what a `.tcs` file
+//! stores.
 
 use crate::CampaignConfig;
 use teapot_fuzz::StateSnapshot;
 use teapot_obj::Binary;
+use teapot_rt::codec::{self, Reader, Writer};
 use teapot_rt::{
     Channel, Controllability, CovDelta, DetectorConfig, GadgetKey, GadgetReport, GadgetWitness,
     OriginSpan, ShardDelta, SpecModel, SpecModelSet, TraceEvent,
@@ -175,6 +178,15 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
+impl From<codec::Error> for SnapshotError {
+    fn from(e: codec::Error) -> Self {
+        match e {
+            codec::Error::Truncated { section, offset } => Self::Truncated { section, offset },
+            codec::Error::Corrupt(what) => Self::Corrupt(what),
+        }
+    }
+}
+
 /// FNV-1a fingerprint of a binary's serialized TOF bytes, binding a
 /// snapshot to the exact binary it was taken against.
 pub fn fingerprint(bin: &Binary) -> u64 {
@@ -186,54 +198,11 @@ pub fn fingerprint(bin: &Binary) -> u64 {
     h
 }
 
-// ---------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------
-
-/// Little-endian record writer — the byte vocabulary of the `.tcs`
-/// format, public so the fabric wire protocol can speak it too.
-#[derive(Default)]
-pub struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    /// An empty writer.
-    pub fn new() -> Writer {
-        Writer { buf: Vec::new() }
-    }
-    /// The serialized bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-    /// Appends one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    /// Appends a `u32`, little-endian.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    /// Appends a `u64`, little-endian.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    /// Appends a `u32` length prefix followed by the raw bytes.
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.u32(v.len() as u32);
-        self.buf.extend_from_slice(v);
-    }
-    /// Appends a bool as one byte.
-    pub fn bool(&mut self, v: bool) {
-        self.u8(v as u8);
-    }
-}
-
 impl CampaignSnapshot {
     /// Serializes the snapshot to `.tcs` bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        w.buf.extend_from_slice(MAGIC);
+        w.raw(MAGIC);
         w.u32(VERSION);
         w.u64(self.bin_fingerprint);
         w.u32(self.epochs_done);
@@ -242,14 +211,8 @@ impl CampaignSnapshot {
         w.u64(self.decode_stats.bytes as u64);
         w.u64(self.decode_stats.undecoded_bytes as u64);
         write_config(&mut w, &self.config);
-        w.u32(self.shard_states.len() as u32);
-        for s in &self.shard_states {
-            write_shard_state(&mut w, s);
-        }
-        w.u32(self.prev_features.len() as u32);
-        for f in &self.prev_features {
-            w.u64(*f);
-        }
+        w.list(&self.shard_states, write_shard_state);
+        w.list(&self.prev_features, |w, f| w.u64(*f));
         let mut bytes = w.into_bytes();
         let crc = teapot_rt::crc32(&bytes);
         bytes.extend_from_slice(&crc.to_le_bytes());
@@ -259,7 +222,6 @@ impl CampaignSnapshot {
     /// Parses `.tcs` bytes of the current [`VERSION`].
     pub fn from_bytes(bytes: &[u8]) -> Result<CampaignSnapshot, SnapshotError> {
         let mut r = Reader::new(bytes);
-        r.section("header");
         if r.take(4)? != MAGIC {
             return Err(SnapshotError::BadMagic);
         }
@@ -278,8 +240,7 @@ impl CampaignSnapshot {
             });
         }
         let covered = bytes.len() - 4;
-        let t = &bytes[covered..];
-        let stored = u32::from_le_bytes([t[0], t[1], t[2], t[3]]);
+        let stored = Reader::new(&bytes[covered..]).u32()?;
         let actual = teapot_rt::crc32(&bytes[..covered]);
         if stored != actual {
             return Err(SnapshotError::Checksum {
@@ -288,7 +249,8 @@ impl CampaignSnapshot {
                 actual,
             });
         }
-        r.bytes = &bytes[..covered];
+        let mut r = Reader::new(&bytes[..covered]);
+        r.take(8)?; // magic and version, checked above
         let bin_fingerprint = r.u64()?;
         let epochs_done = r.u32()?;
         let decode_stats = DecodeStats {
@@ -299,17 +261,9 @@ impl CampaignSnapshot {
         };
         let config = read_config(&mut r)?;
         r.section("shard table");
-        let shard_count = r.u32()? as usize;
-        let mut shard_states = Vec::with_capacity(shard_count.min(4096));
-        for _ in 0..shard_count {
-            shard_states.push(read_shard_state(&mut r)?);
-        }
+        let shard_states = r.list(SHARD_STATE_MIN, read_shard_state)?;
         r.section("budget stats");
-        let n = r.u32()? as usize;
-        let mut prev_features = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            prev_features.push(r.u64()?);
-        }
+        let prev_features = r.list(8, |r| r.u64())?;
         Ok(CampaignSnapshot {
             config,
             bin_fingerprint,
@@ -396,6 +350,10 @@ fn sibling(path: &std::path::Path, suffix: &str) -> std::path::PathBuf {
 // Record codecs — shared by `.tcs` files and the fabric wire protocol
 // ---------------------------------------------------------------------
 
+/// Encoded size of the smallest shard state: six empty lists and
+/// coverage maps, three `u64` counters and the epoch.
+pub const SHARD_STATE_MIN: usize = 6 * 4 + 3 * 8 + 4;
+
 /// Writes the campaign configuration body (current [`VERSION`] layout).
 pub fn write_config(w: &mut Writer, c: &CampaignConfig) {
     w.u64(c.seed);
@@ -423,10 +381,7 @@ pub fn write_config(w: &mut Writer, c: &CampaignConfig) {
     w.u8(c.models.bits());
     w.bool(c.adaptive_budgets);
     w.bool(c.corpus_minimize);
-    w.u32(c.dictionary.len() as u32);
-    for tok in &c.dictionary {
-        w.bytes(tok);
-    }
+    w.list(&c.dictionary, |w, tok| w.bytes(tok));
 }
 
 /// Reads a campaign configuration body (`workers` is reset to auto —
@@ -464,11 +419,7 @@ pub fn read_config(r: &mut Reader) -> Result<CampaignConfig, SnapshotError> {
     let adaptive_budgets = r.bool()?;
     let corpus_minimize = r.bool()?;
     r.section("dictionary");
-    let dict_len = r.u32()? as usize;
-    let mut dictionary = Vec::with_capacity(dict_len.min(1024));
-    for _ in 0..dict_len {
-        dictionary.push(r.bytes()?.to_vec());
-    }
+    let dictionary = r.list(4, |r| r.bytes().map(<[u8]>::to_vec))?;
     Ok(CampaignConfig {
         seed,
         shards,
@@ -488,18 +439,92 @@ pub fn read_config(r: &mut Reader) -> Result<CampaignConfig, SnapshotError> {
     })
 }
 
-fn write_gadget(w: &mut Writer, g: &GadgetReport) {
-    w.u64(g.key.pc);
-    w.u8(match g.key.channel {
+/// A corpus entry: `bytes input · u64 score`.
+fn write_entry(w: &mut Writer, (input, score): &(Vec<u8>, u64)) {
+    w.bytes(input);
+    w.u64(*score);
+}
+
+fn read_entry(r: &mut Reader) -> Result<(Vec<u8>, u64), codec::Error> {
+    Ok((r.bytes()?.to_vec(), r.u64()?))
+}
+
+/// A heuristic count: `u64 site-key · u32 count`.
+fn write_heur(w: &mut Writer, &(site, count): &(u64, u32)) {
+    w.u64(site);
+    w.u32(count);
+}
+
+fn read_heur(r: &mut Reader) -> Result<(u64, u32), codec::Error> {
+    Ok((r.u64()?, r.u32()?))
+}
+
+/// A coverage update: `u32 guard · u8 value`.
+fn read_cov_update(r: &mut Reader) -> Result<(u32, u8), codec::Error> {
+    Ok((r.u32()?, r.u8()?))
+}
+
+/// A gadget key: `u64 pc · u8 channel · u8 ctrl · u8 model`.
+fn write_key(w: &mut Writer, k: &GadgetKey) {
+    w.u64(k.pc);
+    w.u8(match k.channel {
         Channel::Mds => 0,
         Channel::Cache => 1,
         Channel::Port => 2,
     });
-    w.u8(match g.key.controllability {
+    w.u8(match k.controllability {
         Controllability::User => 0,
         Controllability::Massage => 1,
     });
-    w.u8(g.key.model.id());
+    w.u8(k.model.id());
+}
+
+/// Reads a gadget key; a bad channel or controllability byte is
+/// `Corrupt` with the matching name of `bad`.
+fn read_key(r: &mut Reader, bad: [&'static str; 2]) -> Result<GadgetKey, SnapshotError> {
+    let pc = r.u64()?;
+    let channel = match r.u8()? {
+        0 => Channel::Mds,
+        1 => Channel::Cache,
+        2 => Channel::Port,
+        _ => return Err(SnapshotError::Corrupt(bad[0])),
+    };
+    let controllability = match r.u8()? {
+        0 => Controllability::User,
+        1 => Controllability::Massage,
+        _ => return Err(SnapshotError::Corrupt(bad[1])),
+    };
+    let model = read_model(r)?;
+    Ok(GadgetKey {
+        pc,
+        channel,
+        controllability,
+        model,
+    })
+}
+
+/// Speculation-model byte.
+fn read_model(r: &mut Reader) -> Result<SpecModel, SnapshotError> {
+    SpecModel::from_id(r.u8()?).ok_or(SnapshotError::Corrupt("spec model"))
+}
+
+/// Input-origin interval (two raw bytes).
+fn write_origin(w: &mut Writer, origin: &OriginSpan) {
+    let (lo, hi) = origin.raw();
+    w.u8(lo);
+    w.u8(hi);
+}
+
+fn read_origin(r: &mut Reader) -> Result<OriginSpan, codec::Error> {
+    Ok(OriginSpan::from_raw(r.u8()?, r.u8()?))
+}
+
+/// Encoded size of the smallest gadget report: key, two pcs, depth and
+/// an empty description.
+const GADGET_MIN: usize = 11 + 8 + 8 + 4 + 4;
+
+fn write_gadget(w: &mut Writer, g: &GadgetReport) {
+    write_key(w, &g.key);
     w.u64(g.branch_pc);
     w.u64(g.access_pc);
     w.u32(g.depth);
@@ -507,31 +532,14 @@ fn write_gadget(w: &mut Writer, g: &GadgetReport) {
 }
 
 fn read_gadget(r: &mut Reader) -> Result<GadgetReport, SnapshotError> {
-    let pc = r.u64()?;
-    let channel = match r.u8()? {
-        0 => Channel::Mds,
-        1 => Channel::Cache,
-        2 => Channel::Port,
-        _ => return Err(SnapshotError::Corrupt("channel")),
-    };
-    let controllability = match r.u8()? {
-        0 => Controllability::User,
-        1 => Controllability::Massage,
-        _ => return Err(SnapshotError::Corrupt("controllability")),
-    };
-    let model = r.model()?;
+    let key = read_key(r, ["channel", "controllability"])?;
     let branch_pc = r.u64()?;
     let access_pc = r.u64()?;
     let depth = r.u32()?;
     let description = String::from_utf8(r.bytes()?.to_vec())
         .map_err(|_| SnapshotError::Corrupt("description"))?;
     Ok(GadgetReport {
-        key: GadgetKey {
-            pc,
-            channel,
-            controllability,
-            model,
-        },
+        key,
         branch_pc,
         access_pc,
         depth,
@@ -539,167 +547,120 @@ fn read_gadget(r: &mut Reader) -> Result<GadgetReport, SnapshotError> {
     })
 }
 
+/// Encoded size of the smallest witness: key and three empty lists.
+const WITNESS_MIN: usize = 11 + 3 * 4;
+
+/// Encoded size of the smallest trace event (a spec branch or rollback).
+const EVENT_MIN: usize = 1 + 8 + 4 + 1;
+
 fn write_witness(w: &mut Writer, wit: &GadgetWitness) {
-    w.u64(wit.key.pc);
-    w.u8(match wit.key.channel {
-        Channel::Mds => 0,
-        Channel::Cache => 1,
-        Channel::Port => 2,
-    });
-    w.u8(match wit.key.controllability {
-        Controllability::User => 0,
-        Controllability::Massage => 1,
-    });
-    w.u8(wit.key.model.id());
+    write_key(w, &wit.key);
     w.bytes(&wit.input);
-    w.u32(wit.heur_counts.len() as u32);
-    for (branch, count) in &wit.heur_counts {
-        w.u64(*branch);
-        w.u32(*count);
-    }
-    w.u32(wit.trace.len() as u32);
-    for ev in &wit.trace {
-        match ev {
-            TraceEvent::SpecBranch { pc, depth, model } => {
-                w.u8(0);
-                w.u64(*pc);
-                w.u32(*depth);
-                w.u8(model.id());
-            }
-            TraceEvent::TaintedAccess {
-                pc,
-                addr,
-                width,
-                tag,
-                origin,
-            } => {
-                w.u8(1);
-                w.u64(*pc);
-                w.u64(*addr);
-                w.u8(*width);
-                w.u8(*tag);
-                let (lo, hi) = origin.raw();
-                w.u8(lo);
-                w.u8(hi);
-            }
-            TraceEvent::Rollback { pc, depth, model } => {
-                w.u8(2);
-                w.u64(*pc);
-                w.u32(*depth);
-                w.u8(model.id());
-            }
-            TraceEvent::LeakSite {
-                pc,
-                depth,
-                model,
-                tag,
-                origin,
-            } => {
-                w.u8(3);
-                w.u64(*pc);
-                w.u32(*depth);
-                w.u8(model.id());
-                w.u8(*tag);
-                let (lo, hi) = origin.raw();
-                w.u8(lo);
-                w.u8(hi);
-            }
-        }
-    }
+    w.list(&wit.heur_counts, write_heur);
+    w.list(&wit.trace, write_event);
 }
 
 fn read_witness(r: &mut Reader) -> Result<GadgetWitness, SnapshotError> {
-    let pc = r.u64()?;
-    let channel = match r.u8()? {
-        0 => Channel::Mds,
-        1 => Channel::Cache,
-        2 => Channel::Port,
-        _ => return Err(SnapshotError::Corrupt("witness channel")),
-    };
-    let controllability = match r.u8()? {
-        0 => Controllability::User,
-        1 => Controllability::Massage,
-        _ => return Err(SnapshotError::Corrupt("witness controllability")),
-    };
-    let model = r.model()?;
+    let key = read_key(r, ["witness channel", "witness controllability"])?;
     let input = r.bytes()?.to_vec();
-    let hc_len = r.u32()? as usize;
-    let mut heur_counts = Vec::with_capacity(hc_len.min(65536));
-    for _ in 0..hc_len {
-        let branch = r.u64()?;
-        let count = r.u32()?;
-        heur_counts.push((branch, count));
-    }
+    let heur_counts = r.list(12, read_heur)?;
     let tr_len = r.u32()? as usize;
     if tr_len > teapot_rt::MAX_TRACE_EVENTS {
         return Err(SnapshotError::Corrupt("witness trace length"));
     }
-    let mut trace = Vec::with_capacity(tr_len);
-    for _ in 0..tr_len {
-        trace.push(match r.u8()? {
-            0 => TraceEvent::SpecBranch {
-                pc: r.u64()?,
-                depth: r.u32()?,
-                model: r.model()?,
-            },
-            1 => TraceEvent::TaintedAccess {
-                pc: r.u64()?,
-                addr: r.u64()?,
-                width: r.u8()?,
-                tag: r.u8()?,
-                origin: r.origin()?,
-            },
-            2 => TraceEvent::Rollback {
-                pc: r.u64()?,
-                depth: r.u32()?,
-                model: r.model()?,
-            },
-            3 => TraceEvent::LeakSite {
-                pc: r.u64()?,
-                depth: r.u32()?,
-                model: r.model()?,
-                tag: r.u8()?,
-                origin: r.origin()?,
-            },
-            _ => return Err(SnapshotError::Corrupt("trace event kind")),
-        });
-    }
+    let trace = r.items(tr_len, EVENT_MIN, read_event)?;
     Ok(GadgetWitness {
-        key: GadgetKey {
-            pc,
-            channel,
-            controllability,
-            model,
-        },
+        key,
         input,
         heur_counts,
         trace,
     })
 }
 
+fn write_event(w: &mut Writer, ev: &TraceEvent) {
+    match ev {
+        TraceEvent::SpecBranch { pc, depth, model } => {
+            w.u8(0);
+            w.u64(*pc);
+            w.u32(*depth);
+            w.u8(model.id());
+        }
+        TraceEvent::TaintedAccess {
+            pc,
+            addr,
+            width,
+            tag,
+            origin,
+        } => {
+            w.u8(1);
+            w.u64(*pc);
+            w.u64(*addr);
+            w.u8(*width);
+            w.u8(*tag);
+            write_origin(w, origin);
+        }
+        TraceEvent::Rollback { pc, depth, model } => {
+            w.u8(2);
+            w.u64(*pc);
+            w.u32(*depth);
+            w.u8(model.id());
+        }
+        TraceEvent::LeakSite {
+            pc,
+            depth,
+            model,
+            tag,
+            origin,
+        } => {
+            w.u8(3);
+            w.u64(*pc);
+            w.u32(*depth);
+            w.u8(model.id());
+            w.u8(*tag);
+            write_origin(w, origin);
+        }
+    }
+}
+
+fn read_event(r: &mut Reader) -> Result<TraceEvent, SnapshotError> {
+    Ok(match r.u8()? {
+        0 => TraceEvent::SpecBranch {
+            pc: r.u64()?,
+            depth: r.u32()?,
+            model: read_model(r)?,
+        },
+        1 => TraceEvent::TaintedAccess {
+            pc: r.u64()?,
+            addr: r.u64()?,
+            width: r.u8()?,
+            tag: r.u8()?,
+            origin: read_origin(r)?,
+        },
+        2 => TraceEvent::Rollback {
+            pc: r.u64()?,
+            depth: r.u32()?,
+            model: read_model(r)?,
+        },
+        3 => TraceEvent::LeakSite {
+            pc: r.u64()?,
+            depth: r.u32()?,
+            model: read_model(r)?,
+            tag: r.u8()?,
+            origin: read_origin(r)?,
+        },
+        _ => return Err(SnapshotError::Corrupt("trace event kind")),
+    })
+}
+
 /// Writes one shard's [`StateSnapshot`] (current [`VERSION`] layout) —
 /// the unit a fabric lease ships to a worker.
 pub fn write_shard_state(w: &mut Writer, s: &StateSnapshot) {
-    w.u32(s.corpus.len() as u32);
-    for (input, score) in &s.corpus {
-        w.bytes(input);
-        w.u64(*score);
-    }
-    w.u32(s.heur_counts.len() as u32);
-    for (branch, count) in &s.heur_counts {
-        w.u64(*branch);
-        w.u32(*count);
-    }
+    w.list(&s.corpus, write_entry);
+    w.list(&s.heur_counts, write_heur);
     w.bytes(&s.cov_normal);
     w.bytes(&s.cov_spec);
-    w.u32(s.gadgets.len() as u32);
-    for g in &s.gadgets {
-        write_gadget(w, g);
-    }
-    w.u32(s.witnesses.len() as u32);
-    for wit in &s.witnesses {
-        write_witness(w, wit);
-    }
+    w.list(&s.gadgets, write_gadget);
+    w.list(&s.witnesses, write_witness);
     w.u64(s.iters);
     w.u64(s.total_cost);
     w.u64(s.crashes);
@@ -709,21 +670,9 @@ pub fn write_shard_state(w: &mut Writer, s: &StateSnapshot) {
 /// Reads one shard's [`StateSnapshot`].
 pub fn read_shard_state(r: &mut Reader) -> Result<StateSnapshot, SnapshotError> {
     r.section("corpus");
-    let corpus_len = r.u32()? as usize;
-    let mut corpus = Vec::with_capacity(corpus_len.min(65536));
-    for _ in 0..corpus_len {
-        let input = r.bytes()?.to_vec();
-        let score = r.u64()?;
-        corpus.push((input, score));
-    }
+    let corpus = r.list(12, read_entry)?;
     r.section("heuristics");
-    let heur_len = r.u32()? as usize;
-    let mut heur_counts = Vec::with_capacity(heur_len.min(65536));
-    for _ in 0..heur_len {
-        let branch = r.u64()?;
-        let count = r.u32()?;
-        heur_counts.push((branch, count));
-    }
+    let heur_counts = r.list(12, read_heur)?;
     r.section("coverage");
     let cov_normal = r.bytes()?.to_vec();
     let cov_spec = r.bytes()?.to_vec();
@@ -735,17 +684,9 @@ pub fn read_shard_state(r: &mut Reader) -> Result<StateSnapshot, SnapshotError> 
         return Err(SnapshotError::Corrupt("coverage map size"));
     }
     r.section("gadgets");
-    let gadget_len = r.u32()? as usize;
-    let mut gadgets = Vec::with_capacity(gadget_len.min(65536));
-    for _ in 0..gadget_len {
-        gadgets.push(read_gadget(r)?);
-    }
+    let gadgets = r.list(GADGET_MIN, read_gadget)?;
     r.section("witnesses");
-    let witness_len = r.u32()? as usize;
-    let mut witnesses = Vec::with_capacity(witness_len.min(65536));
-    for _ in 0..witness_len {
-        witnesses.push(read_witness(r)?);
-    }
+    let witnesses = r.list(WITNESS_MIN, read_witness)?;
     r.section("shard counters");
     let iters = r.u64()?;
     let total_cost = r.u64()?;
@@ -778,42 +719,20 @@ pub fn encode_delta(d: &ShardDelta) -> Vec<u8> {
     w.u64(d.total_cost);
     w.u64(d.crashes);
     w.u32(d.fresh_count);
-    w.u32(d.corpus_append.len() as u32);
-    for (input, score) in &d.corpus_append {
-        w.bytes(input);
-        w.u64(*score);
+    w.list(&d.corpus_append, write_entry);
+    w.bool(d.corpus_replaced.is_some());
+    if let Some(full) = &d.corpus_replaced {
+        w.list(full, write_entry);
     }
-    match &d.corpus_replaced {
-        Some(full) => {
-            w.bool(true);
-            w.u32(full.len() as u32);
-            for (input, score) in full {
-                w.bytes(input);
-                w.u64(*score);
-            }
-        }
-        None => w.bool(false),
-    }
-    w.u32(d.heur_counts.len() as u32);
-    for (branch, count) in &d.heur_counts {
-        w.u64(*branch);
-        w.u32(*count);
-    }
+    w.list(&d.heur_counts, write_heur);
     for cov in [&d.cov_normal, &d.cov_spec] {
-        w.u32(cov.updates.len() as u32);
-        for (guard, value) in &cov.updates {
-            w.u32(*guard);
-            w.u8(*value);
-        }
+        w.list(&cov.updates, |w, &(guard, value)| {
+            w.u32(guard);
+            w.u8(value);
+        });
     }
-    w.u32(d.gadgets_append.len() as u32);
-    for g in &d.gadgets_append {
-        write_gadget(&mut w, g);
-    }
-    w.u32(d.witnesses_append.len() as u32);
-    for wit in &d.witnesses_append {
-        write_witness(&mut w, wit);
-    }
+    w.list(&d.gadgets_append, write_gadget);
+    w.list(&d.witnesses_append, write_witness);
     w.into_bytes()
 }
 
@@ -830,58 +749,25 @@ pub fn decode_delta(bytes: &[u8]) -> Result<ShardDelta, SnapshotError> {
     let crashes = r.u64()?;
     let fresh_count = r.u32()?;
     r.section("delta corpus");
-    let n = r.u32()? as usize;
-    let mut corpus_append = Vec::with_capacity(n.min(65536));
-    for _ in 0..n {
-        let input = r.bytes()?.to_vec();
-        let score = r.u64()?;
-        corpus_append.push((input, score));
-    }
+    let corpus_append = r.list(12, read_entry)?;
     let corpus_replaced = if r.bool()? {
-        let n = r.u32()? as usize;
-        let mut full = Vec::with_capacity(n.min(65536));
-        for _ in 0..n {
-            let input = r.bytes()?.to_vec();
-            let score = r.u64()?;
-            full.push((input, score));
-        }
-        Some(full)
+        Some(r.list(12, read_entry)?)
     } else {
         None
     };
     r.section("delta heuristics");
-    let n = r.u32()? as usize;
-    let mut heur_counts = Vec::with_capacity(n.min(65536));
-    for _ in 0..n {
-        let branch = r.u64()?;
-        let count = r.u32()?;
-        heur_counts.push((branch, count));
-    }
+    let heur_counts = r.list(12, read_heur)?;
     r.section("delta coverage");
-    let mut covs = [CovDelta::default(), CovDelta::default()];
-    for cov in &mut covs {
-        let n = r.u32()? as usize;
-        let mut updates = Vec::with_capacity(n.min(teapot_rt::coverage::COV_MAP_SIZE));
-        for _ in 0..n {
-            let guard = r.u32()?;
-            let value = r.u8()?;
-            updates.push((guard, value));
-        }
-        cov.updates = updates;
-    }
-    let [cov_normal, cov_spec] = covs;
+    let cov_normal = CovDelta {
+        updates: r.list(5, read_cov_update)?,
+    };
+    let cov_spec = CovDelta {
+        updates: r.list(5, read_cov_update)?,
+    };
     r.section("delta gadgets");
-    let n = r.u32()? as usize;
-    let mut gadgets_append = Vec::with_capacity(n.min(65536));
-    for _ in 0..n {
-        gadgets_append.push(read_gadget(&mut r)?);
-    }
+    let gadgets_append = r.list(GADGET_MIN, read_gadget)?;
     r.section("delta witnesses");
-    let n = r.u32()? as usize;
-    let mut witnesses_append = Vec::with_capacity(n.min(65536));
-    for _ in 0..n {
-        witnesses_append.push(read_witness(&mut r)?);
-    }
+    let witnesses_append = r.list(WITNESS_MIN, read_witness)?;
     Ok(ShardDelta {
         shard,
         epoch,
@@ -899,77 +785,6 @@ pub fn decode_delta(bytes: &[u8]) -> Result<ShardDelta, SnapshotError> {
         crashes,
         state_epoch,
     })
-}
-
-// ---------------------------------------------------------------------
-// Reader
-// ---------------------------------------------------------------------
-
-/// Bounds-checked little-endian reader over snapshot/delta bytes.
-///
-/// Tracks which logical *section* is being parsed so a truncated file
-/// reports "file ends inside the corpus section at byte offset N"
-/// rather than a bare "truncated".
-pub struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    section: &'static str,
-}
-
-impl<'a> Reader<'a> {
-    /// Starts reading at offset 0 in the `header` section.
-    pub fn new(bytes: &'a [u8]) -> Reader<'a> {
-        Reader {
-            bytes,
-            pos: 0,
-            section: "header",
-        }
-    }
-    /// Names the section subsequent reads belong to (for error messages).
-    pub fn section(&mut self, name: &'static str) {
-        self.section = name;
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(SnapshotError::Truncated {
-                section: self.section,
-                offset: self.pos,
-            });
-        }
-        let out = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-    pub fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-    pub fn bool(&mut self) -> Result<bool, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(SnapshotError::Corrupt("bool")),
-        }
-    }
-    pub fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    pub fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    pub fn bytes(&mut self) -> Result<&'a [u8], SnapshotError> {
-        let n = self.u32()? as usize;
-        self.take(n)
-    }
-    /// Speculation-model byte.
-    fn model(&mut self) -> Result<SpecModel, SnapshotError> {
-        SpecModel::from_id(self.u8()?).ok_or(SnapshotError::Corrupt("spec model"))
-    }
-    /// Input-origin interval (two raw bytes).
-    fn origin(&mut self) -> Result<OriginSpan, SnapshotError> {
-        let lo = self.u8()?;
-        let hi = self.u8()?;
-        Ok(OriginSpan::from_raw(lo, hi))
-    }
 }
 
 #[cfg(test)]
@@ -1169,7 +984,7 @@ mod tests {
         let mut r = Reader::new(&bytes);
         r.take(hdr).unwrap();
         read_config(&mut r).unwrap();
-        let cut = r.pos + 6; // shard count u32 + 2 bytes into shard 0
+        let cut = r.offset() + 6; // shard count u32 + 2 bytes into shard 0
         let err = CampaignSnapshot::from_bytes(&reseal(&bytes, cut)).unwrap_err();
         match err {
             SnapshotError::Truncated { section, offset } => {

@@ -377,8 +377,13 @@ fn bad_flag_values_fail_instead_of_running_something_else() {
 
 /// Writes a copy of jsmn's instrumented binary with its `.teapot.meta`
 /// note changed by `damage`, then checks that `run` and `campaign` on it
-/// fail with exit code 1 and a message naming the file, not a panic.
-fn damaged_meta_fails_cleanly(test: &str, damage: fn(&mut teapot_obj::LoadedSection)) {
+/// fail with exit code 1 and a message naming the file and saying
+/// `reason`, not a panic.
+fn damaged_meta_fails_cleanly(
+    test: &str,
+    damage: fn(&mut teapot_obj::LoadedSection),
+    reason: &str,
+) {
     let dir = std::env::temp_dir().join(test);
     std::fs::remove_dir_all(&dir).ok();
     let inst = build_workload(&dir, "jsmn");
@@ -402,7 +407,7 @@ fn damaged_meta_fails_cleanly(test: &str, damage: fn(&mut teapot_obj::LoadedSect
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(
-            stderr.starts_with(&format!("teapot: {bad}: ")) && stderr.contains(".teapot.meta"),
+            stderr.starts_with(&format!("teapot: {bad}: ")) && stderr.contains(reason),
             "{args:?}: {stderr}"
         );
     }
@@ -411,16 +416,22 @@ fn damaged_meta_fails_cleanly(test: &str, damage: fn(&mut teapot_obj::LoadedSect
 
 #[test]
 fn truncated_teapot_meta_fails_with_a_typed_error() {
-    damaged_meta_fails_cleanly("teapot-cli-truncated-meta-test", |note| {
-        note.bytes.truncate(10)
-    });
+    // Magic, then the first range bound runs out: 8 bytes wanted at
+    // offset 4, 6 there.
+    damaged_meta_fails_cleanly(
+        "teapot-cli-truncated-meta-test",
+        |note| note.bytes.truncate(10),
+        "malformed .teapot.meta section: truncated inside the header section at byte offset 4",
+    );
 }
 
 #[test]
 fn missing_teapot_meta_fails_with_a_typed_error() {
-    damaged_meta_fails_cleanly("teapot-cli-missing-meta-test", |note| {
-        note.name = ".renamed".into()
-    });
+    damaged_meta_fails_cleanly(
+        "teapot-cli-missing-meta-test",
+        |note| note.name = ".renamed".into(),
+        "instrumented binary has no .teapot.meta section",
+    );
 }
 
 fn fixtures() -> PathBuf {

@@ -12,15 +12,16 @@
 //! The CRC32 trailer (wire v2) covers the whole payload: a bit-flipped
 //! frame is rejected *before* body parsing with a typed
 //! [`WireError::Checksum`] naming the frame kind, so the receiver
-//! never trusts a corrupted length field deeper in the body. Bodies
-//! are written with the `.tcs` snapshot codecs
-//! ([`teapot_campaign::snapshot`]) — a leased shard state or an epoch
-//! delta on the wire is bit-compatible with what a snapshot file
-//! stores, so the protocol inherits the snapshot layer's versioning
-//! and its truncation-aware error reporting: every body parse failure
-//! is a [`WireError::Body`] naming the frame kind plus the section and
-//! byte offset where the bytes ran out or went bad. No input from the
-//! peer can panic this module.
+//! never trusts a corrupted length field deeper in the body. Frames
+//! read and write through the byte codec [`teapot_rt::codec`], and the
+//! records inside them (configs, shard states, epoch deltas) through
+//! the `.tcs` record codecs of [`teapot_campaign::snapshot`]: a leased
+//! shard state or an epoch delta on the wire is bit-compatible with
+//! what a snapshot file stores. Every body parse failure is a
+//! [`WireError::Body`] naming the frame kind plus the section and byte
+//! offset where the bytes ran out or went bad, and no list count in a
+//! frame reserves more items than the frame's bytes can hold. No input
+//! from the peer can panic this module.
 //!
 //! The conversation (one campaign):
 //!
@@ -59,13 +60,14 @@
 //! coordinator counts the rejoin and folds the connection back into
 //! its re-lease pool.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use teapot_campaign::snapshot::{
     decode_delta, encode_delta, read_config, read_shard_state, write_config, write_shard_state,
-    Reader, SnapshotError, Writer,
+    SnapshotError, SHARD_STATE_MIN,
 };
 use teapot_campaign::CampaignConfig;
 use teapot_fuzz::StateSnapshot;
+use teapot_rt::codec::{self, Reader, Writer};
 use teapot_rt::{crc32, ShardDelta};
 use teapot_vm::DecodeStats;
 
@@ -259,6 +261,12 @@ impl From<SnapshotError> for WireError {
     }
 }
 
+impl From<codec::Error> for WireError {
+    fn from(error: codec::Error) -> Self {
+        SnapshotError::from(error).into()
+    }
+}
+
 impl WireError {
     /// Stamps the frame kind onto a body error produced before the tag
     /// was known to the `?`-conversion.
@@ -287,16 +295,12 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             w.bool(l.seed_first);
             write_config(&mut w, &l.config);
             w.bytes(&l.binary);
-            w.u32(l.seeds.len() as u32);
-            for s in &l.seeds {
-                w.bytes(s);
-            }
-            w.u32(l.shards.len() as u32);
-            for ls in &l.shards {
+            w.list(&l.seeds, |w, s| w.bytes(s));
+            w.list(&l.shards, |w, ls| {
                 w.u32(ls.shard);
                 w.u64(ls.budget);
-                write_shard_state(&mut w, &ls.state);
-            }
+                write_shard_state(w, &ls.state);
+            });
         }
         Frame::Decode(d) => {
             w.u8(TAG_DECODE);
@@ -317,31 +321,21 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             w.u8(TAG_BARRIER);
             w.u32(*epoch);
             w.bool(*minimize);
-            w.u32(fresh.len() as u32);
-            for inputs in fresh {
-                w.u32(inputs.len() as u32);
-                for input in inputs {
-                    w.bytes(input);
-                }
-            }
+            w.list(fresh, |w, inputs| w.list(inputs, |w, input| w.bytes(input)));
         }
         Frame::Proceed { epoch, budgets } => {
             w.u8(TAG_PROCEED);
             w.u32(*epoch);
-            w.u32(budgets.len() as u32);
-            for b in budgets {
-                w.u64(*b);
-            }
+            w.list(budgets, |w, b| w.u64(*b));
         }
         Frame::Complete => w.u8(TAG_COMPLETE),
         Frame::Shutdown => w.u8(TAG_SHUTDOWN),
     }
     let payload = w.into_bytes();
-    let mut out = Vec::with_capacity(4 + payload.len() + 4);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out
+    let mut out = Writer::new();
+    out.bytes(&payload);
+    out.u32(crc32(&payload));
+    out.into_bytes()
 }
 
 /// Verifies a payload against its 4-byte CRC32 trailer.
@@ -390,24 +384,9 @@ fn decode_body(tag: u8, r: &mut Reader) -> Result<Frame, WireError> {
             r.section("lease binary");
             let binary = r.bytes()?.to_vec();
             r.section("lease seeds");
-            let n = r.u32()? as usize;
-            let mut seeds = Vec::with_capacity(n.min(65536));
-            for _ in 0..n {
-                seeds.push(r.bytes()?.to_vec());
-            }
+            let seeds = r.list(4, |r| r.bytes().map(<[u8]>::to_vec))?;
             r.section("lease shards");
-            let n = r.u32()? as usize;
-            let mut shards = Vec::with_capacity(n.min(65536));
-            for _ in 0..n {
-                let shard = r.u32()?;
-                let budget = r.u64()?;
-                let state = read_shard_state(r)?;
-                shards.push(LeasedShard {
-                    shard,
-                    budget,
-                    state,
-                });
-            }
+            let shards = r.list(4 + 8 + SHARD_STATE_MIN, read_leased_shard)?;
             Ok(Frame::Lease(Lease {
                 fingerprint,
                 start_epoch,
@@ -436,16 +415,7 @@ fn decode_body(tag: u8, r: &mut Reader) -> Result<Frame, WireError> {
             r.section("barrier");
             let epoch = r.u32()?;
             let minimize = r.bool()?;
-            let n = r.u32()? as usize;
-            let mut fresh = Vec::with_capacity(n.min(65536));
-            for _ in 0..n {
-                let m = r.u32()? as usize;
-                let mut inputs = Vec::with_capacity(m.min(65536));
-                for _ in 0..m {
-                    inputs.push(r.bytes()?.to_vec());
-                }
-                fresh.push(inputs);
-            }
+            let fresh = r.list(4, |r| r.list(4, |r| r.bytes().map(<[u8]>::to_vec)))?;
             Ok(Frame::Barrier {
                 epoch,
                 minimize,
@@ -455,11 +425,7 @@ fn decode_body(tag: u8, r: &mut Reader) -> Result<Frame, WireError> {
         TAG_PROCEED => {
             r.section("proceed");
             let epoch = r.u32()?;
-            let n = r.u32()? as usize;
-            let mut budgets = Vec::with_capacity(n.min(65536));
-            for _ in 0..n {
-                budgets.push(r.u64()?);
-            }
+            let budgets = r.list(8, |r| r.u64())?;
             Ok(Frame::Proceed { epoch, budgets })
         }
         TAG_COMPLETE => Ok(Frame::Complete),
@@ -468,37 +434,20 @@ fn decode_body(tag: u8, r: &mut Reader) -> Result<Frame, WireError> {
     }
 }
 
+fn read_leased_shard(r: &mut Reader) -> Result<LeasedShard, SnapshotError> {
+    Ok(LeasedShard {
+        shard: r.u32()?,
+        budget: r.u64()?,
+        state: read_shard_state(r)?,
+    })
+}
+
 /// Blocking frame write (worker side, and coordinator sends — frames
 /// are written whole while the peer is parked in its read loop).
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), WireError> {
     w.write_all(&encode_frame(frame))?;
     w.flush()?;
     Ok(())
-}
-
-/// Blocking frame read. Returns `None` on clean EOF at a frame
-/// boundary (the peer closed the connection).
-pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, WireError> {
-    let mut len_buf = [0u8; 4];
-    let mut got = 0;
-    while got < 4 {
-        match r.read(&mut len_buf[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => return Err(WireError::Protocol("eof inside frame length")),
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-    let len = u32::from_le_bytes(len_buf);
-    if len > MAX_FRAME_LEN {
-        return Err(WireError::Protocol("frame length exceeds cap"));
-    }
-    let mut body = vec![0u8; len as usize + 4];
-    r.read_exact(&mut body)?;
-    let (payload, trailer) = body.split_at(len as usize);
-    check_crc(payload, trailer)?;
-    Some(decode_payload(payload)).transpose()
 }
 
 /// Incremental frame assembler for the coordinator's non-blocking poll
@@ -623,14 +572,17 @@ mod tests {
         for f in &frames {
             stream.extend_from_slice(&encode_frame(f));
         }
-        let mut cursor = std::io::Cursor::new(stream.clone());
+        // The whole stream at once: every frame pops in order, then the
+        // buffer is empty at a frame boundary.
+        let mut fb = FrameBuffer::new();
+        fb.push(&stream);
         for f in &frames {
-            assert_eq!(read_frame(&mut cursor).unwrap().as_ref(), Some(f));
+            assert_eq!(fb.pop().unwrap().as_ref(), Some(f));
         }
-        assert_eq!(read_frame(&mut cursor).unwrap(), None);
+        assert_eq!(fb.pop().unwrap(), None);
+        assert!(fb.is_empty());
 
-        // Same stream, dribbled a byte at a time into the poll-loop
-        // assembler.
+        // Same stream, dribbled a byte at a time.
         let mut fb = FrameBuffer::new();
         let mut popped = Vec::new();
         for b in &stream {

@@ -11,9 +11,10 @@
 //! non-code bytes (and wild speculative control flow can land anywhere),
 //! so an undecodable byte is skipped and the sweep resynchronizes at the
 //! next offset. Consumers that need an answer for **every** address
-//! (the VM's predecoded `Program`) additionally decode at the remaining
-//! byte offsets; the walk's job is the canonical instruction stream and
-//! its block structure.
+//! (the VM's predecoded `Program`) keep one table entry per walked
+//! instruction and decode any other offset live when execution reaches
+//! it; the walk's job is the canonical instruction stream and its block
+//! structure.
 
 use crate::decode::decode_at;
 use crate::insn::Inst;

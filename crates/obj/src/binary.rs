@@ -2,6 +2,7 @@
 
 use crate::object::{SectionKind, SymbolKind};
 use std::fmt;
+use teapot_rt::codec::{self, Reader, Writer};
 
 /// Magic prefix of the serialized container.
 const MAGIC: &[u8; 4] = b"TOF1";
@@ -90,17 +91,35 @@ pub struct BinSymbol {
 pub enum FormatError {
     /// Missing or wrong magic bytes.
     BadMagic,
-    /// The container ended unexpectedly.
-    Truncated,
+    /// The container ended inside `section`.
+    Truncated {
+        /// The section being read when the bytes ran out.
+        section: &'static str,
+        /// Byte offset of the read that ran out.
+        offset: usize,
+    },
     /// A length or enum field held an invalid value.
     Corrupt(&'static str),
+}
+
+impl From<codec::Error> for FormatError {
+    fn from(e: codec::Error) -> Self {
+        match e {
+            codec::Error::Truncated { section, offset } => Self::Truncated { section, offset },
+            codec::Error::Corrupt(what) => Self::Corrupt(what),
+        }
+    }
 }
 
 impl fmt::Display for FormatError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FormatError::BadMagic => write!(f, "not a TOF1 binary"),
-            FormatError::Truncated => write!(f, "truncated TOF1 container"),
+            FormatError::Truncated { section, offset } => write!(
+                f,
+                "truncated TOF1 container: bytes end inside the {section} \
+                 section at byte offset {offset}"
+            ),
             FormatError::Corrupt(what) => {
                 write!(f, "corrupt TOF1 container: {what}")
             }
@@ -189,30 +208,30 @@ impl Binary {
 
     /// Serializes to the `TOF1` container.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.push(self.flags.to_byte());
-        out.extend_from_slice(&self.entry.to_le_bytes());
-        out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.symbols.len() as u32).to_le_bytes());
+        let mut w = Writer::new();
+        w.raw(MAGIC);
+        w.u8(self.flags.to_byte());
+        w.u64(self.entry);
+        w.u32(self.sections.len() as u32);
+        w.u32(self.symbols.len() as u32);
         for s in &self.sections {
-            write_str(&mut out, &s.name);
-            out.push(kind_byte(s.kind));
-            out.extend_from_slice(&s.vaddr.to_le_bytes());
-            out.extend_from_slice(&s.mem_size.to_le_bytes());
-            out.extend_from_slice(&(s.bytes.len() as u64).to_le_bytes());
-            out.extend_from_slice(&s.bytes);
+            w.bytes(s.name.as_bytes());
+            w.u8(kind_byte(s.kind));
+            w.u64(s.vaddr);
+            w.u64(s.mem_size);
+            w.u64(s.bytes.len() as u64);
+            w.raw(&s.bytes);
         }
         for s in &self.symbols {
-            write_str(&mut out, &s.name);
-            out.push(match s.kind {
+            w.bytes(s.name.as_bytes());
+            w.u8(match s.kind {
                 SymbolKind::Func => 0,
                 SymbolKind::Object => 1,
             });
-            out.extend_from_slice(&s.addr.to_le_bytes());
-            out.extend_from_slice(&s.size.to_le_bytes());
+            w.u64(s.addr);
+            w.u64(s.size);
         }
-        out
+        w.into_bytes()
     }
 
     /// Parses a `TOF1` container.
@@ -221,7 +240,7 @@ impl Binary {
     ///
     /// Returns a [`FormatError`] if the bytes are not a valid container.
     pub fn from_bytes(bytes: &[u8]) -> Result<Binary, FormatError> {
-        let mut r = Reader { bytes, pos: 0 };
+        let mut r = Reader::new(bytes);
         if r.take(4)? != MAGIC {
             return Err(FormatError::BadMagic);
         }
@@ -232,42 +251,11 @@ impl Binary {
         if nsec > 1 << 20 || nsym > 1 << 24 {
             return Err(FormatError::Corrupt("absurd counts"));
         }
-        // Reserve no more entries than the remaining bytes can encode
-        // (a section is at least 29 bytes, a symbol 21), so a hostile
-        // count fails `Truncated` before it allocates.
-        let mut sections = Vec::with_capacity(nsec.min(r.remaining() / 29));
-        for _ in 0..nsec {
-            let name = r.string()?;
-            let kind = kind_from_byte(r.u8()?).ok_or(FormatError::Corrupt("section kind"))?;
-            let vaddr = r.u64()?;
-            let mem_size = r.u64()?;
-            let len = r.u64()? as usize;
-            let bytes = r.take(len)?.to_vec();
-            sections.push(LoadedSection {
-                name,
-                kind,
-                vaddr,
-                bytes,
-                mem_size,
-            });
-        }
-        let mut symbols = Vec::with_capacity(nsym.min(r.remaining() / 21));
-        for _ in 0..nsym {
-            let name = r.string()?;
-            let kind = match r.u8()? {
-                0 => SymbolKind::Func,
-                1 => SymbolKind::Object,
-                _ => return Err(FormatError::Corrupt("symbol kind")),
-            };
-            let addr = r.u64()?;
-            let size = r.u64()?;
-            symbols.push(BinSymbol {
-                name,
-                addr,
-                kind,
-                size,
-            });
-        }
+        // A section is at least 29 bytes, a symbol 21.
+        r.section("sections");
+        let sections = r.items(nsec, 29, read_section)?;
+        r.section("symbols");
+        let symbols = r.items(nsym, 21, read_symbol)?;
         Ok(Binary {
             entry,
             sections,
@@ -298,44 +286,46 @@ fn kind_from_byte(b: u8) -> Option<SectionKind> {
     })
 }
 
-fn write_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
+fn read_section(r: &mut Reader) -> Result<LoadedSection, FormatError> {
+    let name = read_str(r)?;
+    let kind = kind_from_byte(r.u8()?).ok_or(FormatError::Corrupt("section kind"))?;
+    let vaddr = r.u64()?;
+    let mem_size = r.u64()?;
+    let len = r.u64()? as usize;
+    let bytes = r.take(len)?.to_vec();
+    Ok(LoadedSection {
+        name,
+        kind,
+        vaddr,
+        bytes,
+        mem_size,
+    })
 }
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+fn read_symbol(r: &mut Reader) -> Result<BinSymbol, FormatError> {
+    let name = read_str(r)?;
+    let kind = match r.u8()? {
+        0 => SymbolKind::Func,
+        1 => SymbolKind::Object,
+        _ => return Err(FormatError::Corrupt("symbol kind")),
+    };
+    let addr = r.u64()?;
+    let size = r.u64()?;
+    Ok(BinSymbol {
+        name,
+        addr,
+        kind,
+        size,
+    })
 }
 
-impl<'a> Reader<'a> {
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
+/// A section or symbol name: `bytes` of valid UTF-8, at most 1 MiB.
+fn read_str(r: &mut Reader) -> Result<String, FormatError> {
+    let len = r.u32()? as usize;
+    if len > 1 << 20 {
+        return Err(FormatError::Corrupt("string length"));
     }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], FormatError> {
-        let s = self
-            .bytes
-            .get(self.pos..self.pos.checked_add(n).ok_or(FormatError::Truncated)?)
-            .ok_or(FormatError::Truncated)?;
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, FormatError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, FormatError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, FormatError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn string(&mut self) -> Result<String, FormatError> {
-        let len = self.u32()? as usize;
-        if len > 1 << 20 {
-            return Err(FormatError::Corrupt("string length"));
-        }
-        String::from_utf8(self.take(len)?.to_vec()).map_err(|_| FormatError::Corrupt("string utf8"))
-    }
+    String::from_utf8(r.take(len)?.to_vec()).map_err(|_| FormatError::Corrupt("string utf8"))
 }
 
 #[cfg(test)]
@@ -407,6 +397,16 @@ mod tests {
         for l in 4..bytes.len() - 1 {
             assert!(Binary::from_bytes(&bytes[..l]).is_err(), "len {l}");
         }
+        // The error names where the bytes ran out: the entry point.
+        let err = Binary::from_bytes(&bytes[..10]).unwrap_err();
+        assert_eq!(
+            err,
+            FormatError::Truncated {
+                section: "header",
+                offset: 5
+            }
+        );
+        assert!(err.to_string().ends_with("at byte offset 5"), "{err}");
     }
 
     #[test]

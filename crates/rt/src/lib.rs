@@ -2,6 +2,7 @@
 //! fuzzer: address-space layout, taint tags, gadget reports, coverage maps
 //! and the instrumentation cost model.
 
+pub mod codec;
 pub mod cost;
 pub mod coverage;
 pub mod crc;
@@ -17,7 +18,7 @@ pub use coverage::CovMap;
 pub use crc::crc32;
 pub use delta::{CovDelta, ShardDelta};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use meta::TeapotMeta;
+pub use meta::{MetaError, TeapotMeta};
 pub use report::{Channel, Controllability, GadgetKey, GadgetReport};
 pub use tags::Tag;
 pub use teapot_specmodel::{SpecModel, SpecModelSet};

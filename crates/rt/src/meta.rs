@@ -14,7 +14,7 @@
 //!    so gadget reports are stated in the coordinates of the COTS input
 //!    (and so reports deduplicate across the two copies).
 
-use std::fmt;
+use crate::codec::{self, Reader, Writer};
 
 /// Parsed contents of the `.teapot.meta` section.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -31,17 +31,9 @@ pub struct TeapotMeta {
     pub addr_map: Vec<(u64, u64)>,
 }
 
-/// Error parsing a `.teapot.meta` blob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MetaError;
-
-impl fmt::Display for MetaError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "malformed .teapot.meta section")
-    }
-}
-
-impl std::error::Error for MetaError {}
+/// Error parsing a `.teapot.meta` blob: the section and byte offset
+/// where a truncated blob ran out, or what is wrong with a complete one.
+pub type MetaError = codec::Error;
 
 const MAGIC: &[u8; 4] = b"TPM1";
 
@@ -104,23 +96,23 @@ impl TeapotMeta {
 
     /// Serializes to the note-section blob.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(40 + 16 * (self.indirect_map.len() + self.addr_map.len()));
-        out.extend_from_slice(MAGIC);
+        let mut w = Writer::new();
+        w.raw(MAGIC);
         for v in [
             self.real_range.0,
             self.real_range.1,
             self.shadow_range.0,
             self.shadow_range.1,
         ] {
-            out.extend_from_slice(&v.to_le_bytes());
+            w.u64(v);
         }
-        out.extend_from_slice(&(self.indirect_map.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.addr_map.len() as u32).to_le_bytes());
+        w.u32(self.indirect_map.len() as u32);
+        w.u32(self.addr_map.len() as u32);
         for &(a, b) in self.indirect_map.iter().chain(&self.addr_map) {
-            out.extend_from_slice(&a.to_le_bytes());
-            out.extend_from_slice(&b.to_le_bytes());
+            w.u64(a);
+            w.u64(b);
         }
-        out
+        w.into_bytes()
     }
 
     /// Parses the note-section blob.
@@ -129,39 +121,25 @@ impl TeapotMeta {
     ///
     /// Returns [`MetaError`] if the blob is truncated or mis-tagged.
     pub fn from_bytes(bytes: &[u8]) -> Result<TeapotMeta, MetaError> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], MetaError> {
-            let s = bytes.get(*pos..*pos + n).ok_or(MetaError)?;
-            *pos += n;
-            Ok(s)
-        };
-        if take(&mut pos, 4)? != MAGIC {
-            return Err(MetaError);
+        let mut r = Reader::new(bytes);
+        if r.take(4)? != MAGIC {
+            return Err(codec::Error::Corrupt("bad magic"));
         }
-        let u64f = |pos: &mut usize| -> Result<u64, MetaError> {
-            Ok(u64::from_le_bytes(take(pos, 8)?.try_into().unwrap()))
-        };
-        let r0 = u64f(&mut pos)?;
-        let r1 = u64f(&mut pos)?;
-        let s0 = u64f(&mut pos)?;
-        let s1 = u64f(&mut pos)?;
-        let ni = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-        let na = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
+        let real_range = (r.u64()?, r.u64()?);
+        let shadow_range = (r.u64()?, r.u64()?);
+        let ni = r.u32()? as usize;
+        let na = r.u32()? as usize;
         if ni > 1 << 24 || na > 1 << 26 {
-            return Err(MetaError);
+            return Err(codec::Error::Corrupt("absurd counts"));
         }
-        // A pair is 16 bytes: reserve no more than the rest can hold, so
-        // a hostile count fails before it allocates.
-        let mut pairs = Vec::with_capacity((ni + na).min((bytes.len() - pos) / 16));
-        for _ in 0..ni + na {
-            let a = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-            let b = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-            pairs.push((a, b));
-        }
+        r.section("address pairs");
+        let mut pairs = r.items(ni + na, 16, |r| -> Result<_, MetaError> {
+            Ok((r.u64()?, r.u64()?))
+        })?;
         let addr_map = pairs.split_off(ni);
         Ok(TeapotMeta {
-            real_range: (r0, r1),
-            shadow_range: (s0, s1),
+            real_range,
+            shadow_range,
             indirect_map: pairs,
             addr_map,
         })
@@ -201,6 +179,14 @@ mod tests {
             assert!(TeapotMeta::from_bytes(&bytes[..l]).is_err(), "len {l}");
         }
         assert!(TeapotMeta::from_bytes(b"XXXX").is_err());
+        // The error names where the blob ran out.
+        assert_eq!(
+            TeapotMeta::from_bytes(&bytes[..10]),
+            Err(codec::Error::Truncated {
+                section: "header",
+                offset: 4
+            })
+        );
     }
 
     #[test]

@@ -38,7 +38,7 @@ use std::sync::Arc;
 use teapot_isa::{walk_blocks, AccessSize, AluOp, Cc, Inst, MemRef, Operand, Reg, WalkedInst};
 use teapot_obj::{BinFlags, Binary};
 use teapot_rt::layout::{STACK_LIMIT, STACK_TOP};
-use teapot_rt::{cost, TeapotMeta};
+use teapot_rt::{cost, MetaError, TeapotMeta};
 
 /// Entry flag: the instruction is rewriter-inserted instrumentation.
 pub(crate) const F_INSTR: u8 = 1;
@@ -318,8 +318,8 @@ pub struct DecodeStats {
 pub enum MetaCheckError {
     /// The binary is flagged instrumented but carries no note.
     Missing,
-    /// The note does not parse.
-    Malformed,
+    /// The note does not parse: where and why.
+    Malformed(MetaError),
 }
 
 impl std::fmt::Display for MetaCheckError {
@@ -328,7 +328,7 @@ impl std::fmt::Display for MetaCheckError {
             MetaCheckError::Missing => {
                 write!(f, "instrumented binary has no .teapot.meta section")
             }
-            MetaCheckError::Malformed => write!(f, "malformed .teapot.meta section"),
+            MetaCheckError::Malformed(e) => write!(f, "malformed .teapot.meta section: {e}"),
         }
     }
 }
@@ -388,7 +388,7 @@ impl Program {
         match binary.note(".teapot.meta") {
             Some(n) => TeapotMeta::from_bytes(&n.bytes)
                 .map(drop)
-                .map_err(|_| MetaCheckError::Malformed),
+                .map_err(MetaCheckError::Malformed),
             None if binary.flags.instrumented => Err(MetaCheckError::Missing),
             None => Ok(()),
         }

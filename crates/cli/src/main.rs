@@ -19,8 +19,8 @@
 //! teapot triage <bin.tof|snap.tcs|dir> [--bin bin.tof] [--jsonl out]
 //!               [--sarif out] [--no-minimize] [--metrics out.jsonl]
 //!               [campaign flags]
-//! teapot explain <report.jsonl|snap.tcs|bin.tof> [--gadget KEY]
-//!                [--bin bin.tof] [campaign flags]
+//! teapot explain <report.jsonl|snap.tcs|bin.tof|dir> [--gadget KEY]
+//!                [--bin bin.tof] [--metrics out.jsonl] [campaign flags]
 //! teapot stats <metrics.jsonl> [--top N]
 //! teapot stats --diff <old.jsonl> <new.jsonl>
 //! teapot dis <bin.tof>
@@ -35,6 +35,8 @@
 //! chain — mispredict site, tainted loads, leaking access, and the
 //! exact input bytes that steer the flow — from a provenance replay
 //! (or re-renders the chains a triage JSONL already carries).
+//! `triage` and `explain` resolve a `.tof`, `.tcs` or directory target
+//! the same way, with the same notes and the same `--metrics` stream.
 //!
 //! Triage (`teapot triage`, and the pass at the end of `teapot
 //! campaign`) replays witnesses on every available CPU, independent of
@@ -327,6 +329,13 @@ fn triage_event(
         .num("provenance_ms", times.provenance_ms)
 }
 
+/// One `span` phase-timing event.
+fn span(name: &str, wall_ms: u64) -> teapot_telemetry::Event {
+    teapot_telemetry::Event::new("span")
+        .str_field("name", name)
+        .num("wall_ms", wall_ms)
+}
+
 /// Reads a JSONL file as one parsed object per non-blank line. A line
 /// that is not a JSON object fails the whole read as
 /// `path:line: <JsonError>`.
@@ -392,58 +401,6 @@ fn print_explained(
         }
     }
     println!();
-}
-
-fn parse_hex_pc(s: &str) -> Option<u64> {
-    u64::from_str_radix(s.strip_prefix("0x")?, 16).ok()
-}
-
-/// Parses the `OriginSpan` display form back (`-`, `3`, `0-1`).
-fn parse_origin(s: &str) -> teapot_rt::OriginSpan {
-    let span = |t: &str| t.parse().ok().map(teapot_rt::OriginSpan::from_offset);
-    match s.split_once('-') {
-        Some((lo, hi)) => match (span(lo), span(hi)) {
-            (Some(lo), Some(hi)) => lo.join(hi),
-            _ => teapot_rt::OriginSpan::NONE,
-        },
-        None => span(s).unwrap_or(teapot_rt::OriginSpan::NONE),
-    }
-}
-
-/// Rebuilds the causal steps from one triage-JSONL finding's `chain`
-/// array (empty when the finding has none).
-fn chain_from_jsonl(finding: &Value) -> Vec<teapot_triage::CausalStep> {
-    let steps = finding.get("chain").and_then(Value::as_array);
-    steps
-        .unwrap_or_default()
-        .iter()
-        .filter_map(|step| {
-            use teapot_triage::StepRole;
-            let role = match text(step, "role")? {
-                "mispredict" => StepRole::Mispredict,
-                "tainted-load" => StepRole::TaintedLoad,
-                "leak" => StepRole::Leak,
-                _ => return None,
-            };
-            Some(teapot_triage::CausalStep {
-                role,
-                pc: parse_hex_pc(text(step, "pc")?)?,
-                symbol: text(step, "symbol").map(str::to_string),
-                model: text(step, "model")
-                    .and_then(|m| m.parse().ok())
-                    .unwrap_or(teapot_vm::SpecModel::Pht),
-                depth: num(step, "depth")
-                    .and_then(|d| d.try_into().ok())
-                    .unwrap_or(0),
-                addr: text(step, "addr").and_then(parse_hex_pc).unwrap_or(0),
-                width: num(step, "width")
-                    .and_then(|w| w.try_into().ok())
-                    .unwrap_or(0),
-                tag: 0,
-                origin: parse_origin(text(step, "origin").unwrap_or("-")),
-            })
-        })
-        .collect()
 }
 
 /// The `triage` event keys `stats` and `stats --diff` report, in
@@ -885,11 +842,7 @@ fn run_single_host(
             .num("compiled_fused", (cs.fused_skips + cs.fused_checks) as u64)
             .num("heuristic_sites", cs.sites as u64)
     })? {
-        sink.emit(
-            teapot_telemetry::Event::new("span")
-                .str_field("name", "decode")
-                .num("wall_ms", decode_ms),
-        );
+        sink.emit(span("decode", decode_ms));
         campaign.set_metrics(sink);
         campaign.set_heartbeat(true);
         campaign.set_block_profiling(true);
@@ -1030,11 +983,7 @@ fn report_campaign(
     } = run;
     let ran_here = report.iters - pre_iters;
     if let Some(s) = &mut sink {
-        s.emit(
-            teapot_telemetry::Event::new("span")
-                .str_field("name", "campaign")
-                .num("wall_ms", (secs * 1000.0) as u64),
-        );
+        s.emit(span("campaign", (secs * 1000.0) as u64));
     }
     if let Some(snap_out) = opt(args, "--snapshot") {
         campaign
@@ -1081,11 +1030,7 @@ fn report_campaign(
             &teapot_triage::TriageOptions::default(),
         );
         if let Some(s) = &mut sink {
-            s.emit(
-                teapot_telemetry::Event::new("span")
-                    .str_field("name", "triage")
-                    .num("wall_ms", triage_watch.ms()),
-            );
+            s.emit(span("triage", triage_watch.ms()));
             s.emit(triage_event(&db, &stats, &times));
         }
         emit_triage(&db, &stats, opt(args, "--triage"), opt(args, "--sarif"))?;
@@ -1106,6 +1051,136 @@ fn report_campaign(
         s.finish().map_err(|e| format!("write {path}: {e}"))?;
         println!("wrote metrics {path}");
     }
+    Ok(())
+}
+
+/// The campaign flags a `.tcs` snapshot's own configuration overrides.
+/// `campaign --resume` still honours the last two: `--workers` is an
+/// execution detail and `--epochs` extends the campaign.
+const SNAPSHOT_FLAGS: [&str; 8] = [
+    "--seed",
+    "--shards",
+    "--iters",
+    "--workload",
+    "--spectaint",
+    "--spec-models",
+    "--workers",
+    "--epochs",
+];
+
+/// Loads the `.tcs` snapshot `snap` for `bin` (read from `bin_path`),
+/// noting each `ignored` flag given instead of silently dropping it, and
+/// runs the one resume check before anything replays or fuzzes.
+fn load_snapshot(
+    args: &[String],
+    snap: &str,
+    bin: &teapot_obj::Binary,
+    bin_path: &str,
+    ignored: &[&str],
+) -> Result<teapot_campaign::CampaignSnapshot, String> {
+    for name in ignored.iter().filter(|name| flag(args, name)) {
+        eprintln!(
+            "teapot: note: {name} is ignored with {snap} \
+             (the snapshot's configuration is used)"
+        );
+    }
+    let loaded = teapot_campaign::CampaignSnapshot::load(std::path::Path::new(snap))
+        .map_err(|e| format!("{snap}: {e}"))?;
+    teapot_campaign::EpochClock::resume(&loaded, bin)
+        .map_err(|e| resume_error(snap, bin_path, e))?;
+    Ok(loaded)
+}
+
+/// A triaged `triage`/`explain` target: the database, the configuration
+/// its witnesses replayed under, and where the wall time went.
+struct Triaged {
+    db: teapot_triage::TriageDb,
+    stats: teapot_triage::TriageStats,
+    times: teapot_triage::TriagePhaseTimes,
+    cfg: teapot_campaign::CampaignConfig,
+    /// Wall ms of the campaign this process ran (`None` for a snapshot).
+    campaign_ms: Option<u64>,
+    /// Wall ms after the campaign (for a snapshot, loading included).
+    triage_ms: u64,
+}
+
+/// Resolves a `triage`/`explain` target to a triage database. A queue
+/// directory campaigns every .tof inside and triages across all of them
+/// (cross-binary root-cause dedup); a `.tcs` snapshot triages its
+/// recorded witnesses against `--bin` without re-fuzzing; a `.tof`
+/// binary is campaigned first. `None` for a directory holding no .tof.
+fn triage_target(
+    args: &[String],
+    cmd: &str,
+    target: &str,
+    opts: &teapot_triage::TriageOptions,
+) -> Result<Option<Triaged>, String> {
+    let (cfg, seeds) = campaign_config_from_args(args)?;
+    let watch = teapot_telemetry::Stopwatch::new();
+    let path = std::path::Path::new(target);
+    let (cfg, campaign_ms, (db, stats, times)) = if path.is_dir() {
+        let outcomes =
+            teapot_campaign::queue::run_queue(path, &cfg, &seeds).map_err(|e| e.to_string())?;
+        if outcomes.is_empty() {
+            println!("no .tof binaries found in {target}");
+            return Ok(None);
+        }
+        let campaign_ms = watch.ms();
+        let triaged = teapot_triage::triage_queue(&outcomes, &cfg, opts);
+        (cfg, Some(campaign_ms), triaged)
+    } else if target.ends_with(".tcs") {
+        let bin_path = opt(args, "--bin").ok_or_else(|| {
+            format!(
+                "{cmd} <snap.tcs> requires --bin <bin.tof> \
+                 (the binary the snapshot was taken against)"
+            )
+        })?;
+        let bin = load(bin_path)?;
+        let snap = load_snapshot(args, target, &bin, bin_path, &SNAPSHOT_FLAGS)?;
+        let campaign = teapot_campaign::Campaign::resume(&snap, &bin).map_err(|e| e.to_string())?;
+        let report = campaign.report();
+        let triaged =
+            teapot_triage::triage_report(&file_label(bin_path), &bin, &snap.config, &report, opts);
+        (snap.config, None, triaged)
+    } else {
+        let bin = load(target)?;
+        let report =
+            teapot_campaign::run_campaign(&bin, &seeds, &cfg).map_err(|e| e.to_string())?;
+        println!(
+            "campaign: {} iterations, {} raw gadget(s)",
+            report.iters,
+            report.unique_gadgets()
+        );
+        let campaign_ms = watch.ms();
+        let triaged = teapot_triage::triage_report(&file_label(target), &bin, &cfg, &report, opts);
+        (cfg, Some(campaign_ms), triaged)
+    };
+    Ok(Some(Triaged {
+        db,
+        stats,
+        times,
+        cfg,
+        campaign_ms,
+        triage_ms: watch.ms() - campaign_ms.unwrap_or(0),
+    }))
+}
+
+/// The `--metrics` stream of `triage` and `explain`: `meta` for the
+/// configuration the witnesses replayed under, a `campaign` span when
+/// this process ran the campaign, then the `triage` span and event.
+fn triage_metrics(args: &[String], target: &str, t: &Triaged) -> Result<(), String> {
+    let workers = t.cfg.effective_workers();
+    let Some(mut sink) = open_metrics(args, target, &t.cfg, workers, |ev| ev)? else {
+        return Ok(());
+    };
+    if let Some(ms) = t.campaign_ms {
+        sink.emit(span("campaign", ms));
+    }
+    sink.emit(span("triage", t.triage_ms));
+    sink.emit(triage_event(&t.db, &t.stats, &t.times));
+    let path = sink.path().display().to_string();
+    sink.finish().map_err(|e| format!("write {path}: {e}"))?;
+    println!("wrote metrics {path}");
     Ok(())
 }
 
@@ -1301,33 +1376,13 @@ fn run(args: &[String]) -> Result<(), String> {
             // Single-binary mode, optionally resumed from a snapshot.
             let bin = load(target)?;
             let total_watch = teapot_telemetry::Stopwatch::new();
-            let snap_path = opt(args, "--resume");
-            let resume = match snap_path {
+            let resume = match opt(args, "--resume") {
                 Some(snap_path) => {
                     // The snapshot's config defines the campaign; only
                     // --workers (execution detail) and --epochs (extend)
-                    // apply on resume. Say so if other flags were given.
-                    for ignored in [
-                        "--seed",
-                        "--shards",
-                        "--iters",
-                        "--workload",
-                        "--spectaint",
-                        "--spec-models",
-                    ] {
-                        if flag(args, ignored) {
-                            eprintln!(
-                                "teapot: note: {ignored} is ignored with --resume \
-                                 (the snapshot's configuration is used)"
-                            );
-                        }
-                    }
+                    // apply on resume.
                     let mut snap =
-                        teapot_campaign::CampaignSnapshot::load(std::path::Path::new(snap_path))
-                            .map_err(|e| format!("{snap_path}: {e}"))?;
-                    // The one resume check, before any executor starts.
-                    teapot_campaign::EpochClock::resume(&snap, &bin)
-                        .map_err(|e| resume_error(snap_path, target, e))?;
+                        load_snapshot(args, snap_path, &bin, target, &SNAPSHOT_FLAGS[..6])?;
                     // Extend only on an explicit --epochs, and never
                     // below the snapshot's plan: the default must not
                     // silently grow a finished campaign, or a plain
@@ -1455,102 +1510,19 @@ fn run(args: &[String]) -> Result<(), String> {
                 "--bin --jsonl --sarif --seed --shards --workers --epochs --iters --workload \
                  --spec-models --metrics",
             )?;
-            let (cfg, seeds) = campaign_config_from_args(args)?;
             let opts = teapot_triage::TriageOptions {
                 minimize: !flag(args, "--no-minimize"),
                 ..Default::default()
             };
-            let path = std::path::Path::new(target);
-            let mut models_label = cfg.models.to_string();
-            let triage_watch = teapot_telemetry::Stopwatch::new();
-            let (db, stats, times) = if path.is_dir() {
-                // Queue directory: campaign every .tof, triage across
-                // all of them (cross-binary root-cause dedup).
-                let outcomes = teapot_campaign::queue::run_queue(path, &cfg, &seeds)
-                    .map_err(|e| e.to_string())?;
-                if outcomes.is_empty() {
-                    println!("no .tof binaries found in {target}");
-                    return Ok(());
-                }
-                teapot_triage::triage_queue(&outcomes, &cfg, &opts)
-            } else if target.ends_with(".tcs") {
-                // A finished campaign snapshot: triage its recorded
-                // witnesses without re-fuzzing. The binary it was taken
-                // against must be supplied (and fingerprint-matches).
-                // The snapshot's embedded config drives replay; say so
-                // if campaign flags were given, instead of silently
-                // ignoring them (mirrors `campaign --resume`).
-                for ignored in [
-                    "--seed",
-                    "--shards",
-                    "--workers",
-                    "--epochs",
-                    "--iters",
-                    "--workload",
-                    "--spectaint",
-                    "--spec-models",
-                ] {
-                    if flag(args, ignored) {
-                        eprintln!(
-                            "teapot: note: {ignored} is ignored with a .tcs target \
-                             (the snapshot's configuration is used)"
-                        );
-                    }
-                }
-                let bin_path = opt(args, "--bin").ok_or(
-                    "triage <snap.tcs> requires --bin <bin.tof> \
-                     (the binary the snapshot was taken against)",
-                )?;
-                let bin = load(bin_path)?;
-                let snap = teapot_campaign::CampaignSnapshot::load(path)
-                    .map_err(|e| format!("{target}: {e}"))?;
-                let campaign = teapot_campaign::Campaign::resume(&snap, &bin)
-                    .map_err(|e| resume_error(target, bin_path, e))?;
-                let report = campaign.report();
-                models_label = campaign.config().models.to_string();
-                teapot_triage::triage_report(
-                    &file_label(bin_path),
-                    &bin,
-                    campaign.config(),
-                    &report,
-                    &opts,
-                )
-            } else {
-                // A single binary: run a campaign, then triage it.
-                let bin = load(target)?;
-                let report =
-                    teapot_campaign::run_campaign(&bin, &seeds, &cfg).map_err(|e| e.to_string())?;
-                println!(
-                    "campaign: {} iterations, {} raw gadget(s)",
-                    report.iters,
-                    report.unique_gadgets()
-                );
-                teapot_triage::triage_report(&file_label(target), &bin, &cfg, &report, &opts)
+            let Some(t) = triage_target(args, "triage", target, &opts)? else {
+                return Ok(());
             };
-            if let Some(mp) = opt(args, "--metrics") {
-                let mut sink = teapot_telemetry::MetricsSink::create(std::path::Path::new(mp))
-                    .map_err(|e| format!("create {mp}: {e}"))?;
-                sink.emit(
-                    teapot_telemetry::Event::new("meta")
-                        .num("schema", 1)
-                        .str_field("binary", &file_label(target))
-                        .str_field("models", &models_label),
-                );
-                sink.emit(
-                    teapot_telemetry::Event::new("span")
-                        .str_field("name", "triage")
-                        .num("wall_ms", triage_watch.ms()),
-                );
-                sink.emit(triage_event(&db, &stats, &times));
-                sink.finish().map_err(|e| format!("write {mp}: {e}"))?;
-                println!("wrote metrics {mp}");
-            }
-            emit_triage(&db, &stats, opt(args, "--jsonl"), opt(args, "--sarif"))?;
-            Ok(())
+            triage_metrics(args, target, &t)?;
+            emit_triage(&t.db, &t.stats, opt(args, "--jsonl"), opt(args, "--sarif"))
         }
         "explain" => {
             let target = args.get(1).ok_or(
-                "usage: explain <report.jsonl|snap.tcs|bin.tof> [--gadget KEY] \
+                "usage: explain <report.jsonl|snap.tcs|bin.tof|dir> [--gadget KEY] \
                  [--bin bin.tof] [campaign flags]",
             )?;
             require_values(
@@ -1589,7 +1561,7 @@ fn run(args: &[String]) -> Result<(), String> {
                         text(finding, "description").unwrap_or("?"),
                         text(finding, "minimized_input"),
                         text(finding, "leaked_input_bytes").unwrap_or("-"),
-                        &chain_from_jsonl(finding),
+                        &teapot_triage::db::read_chain(finding),
                     );
                 }
                 if total == 0 {
@@ -1602,68 +1574,21 @@ fn run(args: &[String]) -> Result<(), String> {
                 return Ok(());
             }
 
-            // A snapshot or binary: triage with the origin shadow on
-            // (one provenance replay per discovering run), then narrate.
-            let (cfg, seeds) = campaign_config_from_args(args)?;
+            // A directory, snapshot or binary: triage with the origin
+            // shadow on (one provenance replay per discovering run), then
+            // narrate.
             let opts = teapot_triage::TriageOptions::default();
-            let total_watch = teapot_telemetry::Stopwatch::new();
-            let (db, stats, times, models_label) = if target.ends_with(".tcs") {
-                let bin_path = opt(args, "--bin").ok_or(
-                    "explain <snap.tcs> requires --bin <bin.tof> \
-                     (the binary the snapshot was taken against)",
-                )?;
-                let bin = load(bin_path)?;
-                let snap = teapot_campaign::CampaignSnapshot::load(std::path::Path::new(target))
-                    .map_err(|e| format!("{target}: {e}"))?;
-                let campaign = teapot_campaign::Campaign::resume(&snap, &bin)
-                    .map_err(|e| resume_error(target, bin_path, e))?;
-                let report = campaign.report();
-                let models = campaign.config().models.to_string();
-                let (db, stats, times) = teapot_triage::triage_report(
-                    &file_label(bin_path),
-                    &bin,
-                    campaign.config(),
-                    &report,
-                    &opts,
-                );
-                (db, stats, times, models)
-            } else {
-                let bin = load(target)?;
-                let report =
-                    teapot_campaign::run_campaign(&bin, &seeds, &cfg).map_err(|e| e.to_string())?;
-                println!(
-                    "campaign: {} iterations, {} raw gadget(s)",
-                    report.iters,
-                    report.unique_gadgets()
-                );
-                let (db, stats, times) =
-                    teapot_triage::triage_report(&file_label(target), &bin, &cfg, &report, &opts);
-                (db, stats, times, cfg.models.to_string())
+            let Some(t) = triage_target(args, "explain", target, &opts)? else {
+                return Ok(());
             };
-            if let Some(mp) = opt(args, "--metrics") {
-                let mut sink = teapot_telemetry::MetricsSink::create(std::path::Path::new(mp))
-                    .map_err(|e| format!("create {mp}: {e}"))?;
-                sink.emit(
-                    teapot_telemetry::Event::new("meta")
-                        .num("schema", 1)
-                        .str_field("binary", &file_label(target))
-                        .str_field("models", &models_label),
-                );
-                sink.emit(
-                    teapot_telemetry::Event::new("span")
-                        .str_field("name", "explain")
-                        .num("wall_ms", total_watch.ms()),
-                );
-                sink.emit(triage_event(&db, &stats, &times));
-                sink.finish().map_err(|e| format!("write {mp}: {e}"))?;
-                println!("wrote metrics {mp}");
-            }
-            if db.entries().is_empty() {
+            triage_metrics(args, target, &t)?;
+            let entries = t.db.entries();
+            if entries.is_empty() {
                 println!("no gadgets to explain");
                 return Ok(());
             }
             let mut shown = 0usize;
-            for e in db.entries() {
+            for e in entries {
                 if gadget.is_some_and(|k| !e.root_cause.starts_with(k)) {
                     continue;
                 }
@@ -1686,9 +1611,9 @@ fn run(args: &[String]) -> Result<(), String> {
                 );
             }
             if shown == 0 {
-                return Err(no_match(db.entries().len()));
+                return Err(no_match(entries.len()));
             }
-            println!("explained {shown} of {} root cause(s)", db.entries().len());
+            println!("explained {shown} of {} root cause(s)", entries.len());
             Ok(())
         }
         "stats" => {
@@ -1770,7 +1695,7 @@ fn run(args: &[String]) -> Result<(), String> {
                  \x20 triage <bin.tof|snap.tcs|dir> [--bin bin.tof] [--jsonl out]\n\
                  \x20        [--sarif out] [--no-minimize] [--metrics out.jsonl]\n\
                  \x20        [campaign flags]\n\
-                 \x20 explain <report.jsonl|snap.tcs|bin.tof> [--gadget KEY]\n\
+                 \x20 explain <report.jsonl|snap.tcs|bin.tof|dir> [--gadget KEY]\n\
                  \x20         [--bin bin.tof] [--metrics out.jsonl] [campaign flags]\n\
                  \x20 stats <metrics.jsonl> [--top N]\n\
                  \x20 stats --diff <old.jsonl> <new.jsonl>\n\
@@ -1823,7 +1748,8 @@ fn run(args: &[String]) -> Result<(), String> {
                  \x20 the flow (resolved by a provenance replay with the VM's\n\
                  \x20 byte-granular origin shadow on). A .jsonl triage report\n\
                  \x20 re-renders its recorded chains without executing anything; a\n\
-                 \x20 .tcs snapshot (plus --bin) or a .tof binary replays first.\n\
+                 \x20 .tcs snapshot (plus --bin), a .tof binary or a directory\n\
+                 \x20 triages first, exactly as `teapot triage` does.\n\
                  \x20 --gadget KEY narrows to root causes with prefix KEY. SARIF\n\
                  \x20 output carries the same chains as codeFlows/threadFlows.\n\
                  \n\

@@ -3,6 +3,7 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use teapot_telemetry::json::Value;
 
 fn teapot_bin() -> PathBuf {
     // target/<profile>/teapot next to the test executable.
@@ -655,5 +656,122 @@ fn campaign_counters_event_sums_the_vm_events() {
     assert!(counters
         .iter()
         .any(|(k, v)| k == "compiled_insts" && *v > 0));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A string member of a parsed metrics line.
+fn str_field<'a>(v: &'a Value, key: &str) -> Option<&'a str> {
+    v.get(key)?.as_str()
+}
+
+/// `triage <bin.tof> --metrics` times the campaign and the triage pass
+/// as separate spans, and its `meta` event carries the campaign
+/// configuration that `stats` prints.
+#[test]
+fn triage_metrics_split_campaign_and_triage_spans() {
+    let dir = std::env::temp_dir().join("teapot-cli-triage-metrics-test");
+    std::fs::remove_dir_all(&dir).ok();
+    let inst = build_workload(&dir, "spectre-stl");
+    let metrics = dir.join("m.jsonl");
+    let (ok, text) = run_cli(&[
+        "triage",
+        inst.to_str().unwrap(),
+        "--shards",
+        "2",
+        "--epochs",
+        "2",
+        "--iters",
+        "40",
+        "--workload",
+        "spectre-stl",
+        "--spec-models",
+        "pht,stl",
+        "--metrics",
+        metrics.to_str().unwrap(),
+    ]);
+    assert!(ok, "{text}");
+    let events: Vec<Value> = std::fs::read_to_string(&metrics)
+        .unwrap()
+        .lines()
+        .map(|l| teapot_telemetry::json::parse(l).unwrap())
+        .collect();
+    let of_kind = |kind: &'static str| {
+        let events = events.iter();
+        events.filter(move |v| str_field(v, "event") == Some(kind))
+    };
+    let spans: Vec<&str> = of_kind("span")
+        .filter_map(|v| str_field(v, "name"))
+        .collect();
+    assert_eq!(spans, ["campaign", "triage"]);
+    let meta: Vec<&Value> = of_kind("meta").collect();
+    assert_eq!(meta.len(), 1);
+    assert_eq!(meta[0].get("shards").and_then(Value::as_u64), Some(2));
+    assert_eq!(of_kind("triage").count(), 1);
+
+    let (ok, text) = run_cli(&["stats", metrics.to_str().unwrap()]);
+    assert!(ok, "{text}");
+    assert!(
+        text.contains("2 shard(s) x 2 epoch(s) x 40 iters/epoch"),
+        "{text}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `explain` resolves a `.tcs` snapshot and a queue directory the way
+/// `triage` does: a snapshot notes the campaign flags its own
+/// configuration overrides, and a directory is campaigned and narrated.
+#[test]
+fn explain_accepts_a_snapshot_and_a_directory() {
+    let dir = std::env::temp_dir().join("teapot-cli-explain-targets-test");
+    std::fs::remove_dir_all(&dir).ok();
+    let inst = build_workload(&dir, "spectre-stl");
+    let queue = dir.join("queue");
+    std::fs::create_dir_all(&queue).unwrap();
+    std::fs::copy(&inst, queue.join("spectre-stl_inst.tof")).unwrap();
+    let snap = dir.join("s.tcs");
+    let budget = [
+        "--shards",
+        "2",
+        "--epochs",
+        "2",
+        "--iters",
+        "60",
+        "--workload",
+        "spectre-stl",
+        "--spec-models",
+        "pht,rsb,stl",
+    ];
+    let mut args = vec!["campaign", inst.to_str().unwrap(), "--no-triage"];
+    args.extend(["--snapshot", snap.to_str().unwrap()]);
+    args.extend(budget);
+    let (ok, text) = run_cli(&args);
+    assert!(ok, "{text}");
+
+    let (ok, text) = run_cli(&[
+        "explain",
+        snap.to_str().unwrap(),
+        "--bin",
+        inst.to_str().unwrap(),
+        "--shards",
+        "9",
+    ]);
+    assert!(ok, "{text}");
+    assert!(text.contains("--shards is ignored"), "{text}");
+    assert!(text.contains("leaks input bytes 0-1"), "{text}");
+
+    let mut args = vec!["explain", queue.to_str().unwrap()];
+    args.extend(budget);
+    let (ok, text) = run_cli(&args);
+    assert!(ok, "{text}");
+    let summary = text
+        .lines()
+        .find_map(|l| l.strip_prefix("explained "))
+        .unwrap_or_else(|| panic!("{text}"));
+    let (shown, total) = summary
+        .strip_suffix(" root cause(s)")
+        .and_then(|s| s.split_once(" of "))
+        .unwrap_or_else(|| panic!("{text}"));
+    assert_eq!(shown, total, "{text}");
+    assert_ne!(shown, "0", "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -531,24 +531,6 @@ impl<T> Inst<T> {
         )
     }
 
-    /// The memory reference read by this instruction, if any.
-    pub fn load_mem(&self) -> Option<(MemRef, AccessSize)> {
-        match self {
-            Inst::Load { mem, size, .. } => Some((*mem, *size)),
-            Inst::Pop { .. } => Some((MemRef::base(Reg::SP), AccessSize::B8)),
-            _ => None,
-        }
-    }
-
-    /// The memory reference written by this instruction, if any.
-    pub fn store_mem(&self) -> Option<(MemRef, AccessSize)> {
-        match self {
-            Inst::Store { mem, size, .. } | Inst::StoreI { mem, size, .. } => Some((*mem, *size)),
-            Inst::Push { .. } => Some((MemRef::base_disp(Reg::SP, -8), AccessSize::B8)),
-            _ => None,
-        }
-    }
-
     /// Registers read by this instruction (approximate; used for analyses
     /// such as insertion-point selection and tests).
     pub fn uses(&self) -> Vec<Reg> {
@@ -814,16 +796,5 @@ mod tests {
         let pop: Inst = Inst::Pop { dst: Reg::R4 };
         assert!(pop.defs().contains(&Reg::R4));
         assert!(pop.defs().contains(&Reg::SP));
-    }
-
-    #[test]
-    fn push_pop_memory_shape() {
-        let push: Inst = Inst::Push { src: Reg::R1 };
-        let (mem, size) = push.store_mem().unwrap();
-        assert_eq!(size, AccessSize::B8);
-        assert_eq!(mem.base, Some(Reg::SP));
-        assert_eq!(mem.disp, -8);
-        let pop: Inst = Inst::Pop { dst: Reg::R1 };
-        assert!(pop.load_mem().is_some());
     }
 }

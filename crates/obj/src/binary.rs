@@ -186,19 +186,6 @@ impl Binary {
         self.symbols.clear();
     }
 
-    /// The lowest and highest loadable addresses, if any section loads.
-    pub fn load_range(&self) -> Option<(u64, u64)> {
-        let mut lo = u64::MAX;
-        let mut hi = 0;
-        for s in &self.sections {
-            if s.kind.is_loadable() {
-                lo = lo.min(s.vaddr);
-                hi = hi.max(s.end());
-            }
-        }
-        (lo < hi).then_some((lo, hi))
-    }
-
     /// Whether `addr` lies in an executable section.
     pub fn is_code_addr(&self, addr: u64) -> bool {
         self.sections
@@ -434,9 +421,6 @@ mod tests {
         let bin = sample();
         assert!(bin.is_code_addr(0x40_0000));
         assert!(!bin.is_code_addr(0x50_0000));
-        let (lo, hi) = bin.load_range().unwrap();
-        assert_eq!(lo, 0x40_0000);
-        assert_eq!(hi, 0x50_0000 + 64);
         assert!(bin.note(".teapot.map").is_some());
         assert!(bin.note(".text").is_none());
     }

@@ -127,6 +127,23 @@ impl fmt::Display for OriginSpan {
     }
 }
 
+impl std::str::FromStr for OriginSpan {
+    type Err = std::num::ParseIntError;
+
+    /// Reads the [`Display`](fmt::Display) form back: `"-"`, `"3"` or
+    /// `"0-1"`.
+    fn from_str(s: &str) -> Result<OriginSpan, Self::Err> {
+        let span = |t: &str| t.parse().map(OriginSpan::from_offset);
+        if s == "-" {
+            return Ok(OriginSpan::NONE);
+        }
+        match s.split_once('-') {
+            Some((lo, hi)) => Ok(span(lo)?.join(span(hi)?)),
+            None => span(s),
+        }
+    }
+}
+
 /// One entry of a witness's speculative trace. All PCs are stated in
 /// original-binary coordinates (like gadget reports).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -376,5 +393,11 @@ mod tests {
         assert_eq!(none.to_string(), "-");
         assert_eq!(a.to_string(), "0");
         assert_eq!(ab.to_string(), "0-5");
+        for span in [none, a, ab, far] {
+            assert_eq!(span.to_string().parse(), Ok(span));
+        }
+        assert!("".parse::<OriginSpan>().is_err());
+        assert!("1-".parse::<OriginSpan>().is_err());
+        assert!("x".parse::<OriginSpan>().is_err());
     }
 }

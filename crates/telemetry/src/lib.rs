@@ -21,19 +21,25 @@
 //!
 //! # The metrics JSONL schema
 //!
-//! `teapot campaign --metrics out.jsonl` (and `teapot triage
-//! --metrics`) stream one **flat** JSON object per line — no nested
-//! arrays or objects, so line-oriented tools can consume the file
-//! without a full JSON parser (`teapot stats` reads it with
-//! [`json::parse`]). Every line carries an
-//! `"event"` key; the first line is always `meta` with `"schema": 1`.
+//! `teapot campaign --metrics out.jsonl` (and `teapot triage` or
+//! `teapot explain` with `--metrics`) stream one **flat** JSON object
+//! per line — no nested arrays or objects, so line-oriented tools can
+//! consume the file without a full JSON parser (`teapot stats` reads it
+//! with [`json::parse`]). Every line carries an `"event"` key; the
+//! first line is always `meta` with `"schema": 1`.
 //! Wall-clock fields are suffixed `_ms` and are the only
 //! non-deterministic values in the stream.
+//!
+//! A `triage` or `explain` stream carries only `meta` (without
+//! `compiled_records`, `compiled_fused` and `heuristic_sites`), a
+//! `campaign` span when the command ran the campaign itself (a `.tof`
+//! or directory target, not a `.tcs` snapshot), the `triage` span and
+//! the `triage` event.
 //!
 //! | event | keys |
 //! |---|---|
 //! | `meta` | `schema`, `binary`, `seed`, `shards`, `epochs`, `iters_per_epoch`, `models`, `workers`, `compiled_records`, `compiled_fused`, `heuristic_sites` |
-//! | `span` | `name` (`decode` \| `campaign` \| `triage` \| `explain`), `wall_ms` |
+//! | `span` | `name` (`decode` \| `campaign` \| `triage`), `wall_ms` |
 //! | `epoch` | `epoch`, `wall_ms`, `execs`, `corpus`, `unique_gadgets` (campaign-wide totals) |
 //! | `shard` | `epoch`, `shard`, `execs` (delta this epoch), `corpus`, `cov_normal`, `cov_spec`, `gadgets` |
 //! | `gadget_first_seen` | `shard`, `exec` (1-based ordinal within the shard), `pc`, `model` |

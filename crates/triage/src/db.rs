@@ -11,7 +11,7 @@
 use crate::provenance::{step_line, CausalChain, CausalStep, StepRole};
 use std::collections::BTreeMap;
 use teapot_rt::{GadgetKey, SpecModel};
-use teapot_telemetry::json::{Hex, Layout::Compact, Obj};
+use teapot_telemetry::json::{Hex, Layout::Compact, Obj, Value};
 use teapot_vm::DecodeStats;
 
 /// One observation site of a root cause.
@@ -379,10 +379,47 @@ fn write_step(o: &mut Obj, s: &CausalStep) {
     }
 }
 
+/// Reads the causal steps back from one triage-JSONL finding's `chain`
+/// array (empty when the finding has none). A step whose role or `pc`
+/// does not parse is skipped; `tag` is not written, so it reads back 0.
+pub fn read_chain(finding: &Value) -> Vec<CausalStep> {
+    let steps = finding.get("chain").and_then(Value::as_array);
+    steps
+        .unwrap_or_default()
+        .iter()
+        .filter_map(read_step)
+        .collect()
+}
+
+/// The inverse of [`write_step`]: absent fields read back as their
+/// zero values.
+fn read_step(v: &Value) -> Option<CausalStep> {
+    let text = |key| v.get(key).and_then(Value::as_str);
+    let int = |key| v.get(key).and_then(Value::as_u64);
+    let hex = |key| u64::from_str_radix(text(key)?.strip_prefix("0x")?, 16).ok();
+    Some(CausalStep {
+        role: StepRole::ALL
+            .into_iter()
+            .find(|r| text("role") == Some(r.label()))?,
+        pc: hex("pc")?,
+        symbol: text("symbol").map(str::to_string),
+        model: text("model")
+            .and_then(|m| m.parse().ok())
+            .unwrap_or(SpecModel::Pht),
+        depth: int("depth").and_then(|d| d.try_into().ok()).unwrap_or(0),
+        addr: hex("addr").unwrap_or(0),
+        width: int("width").and_then(|w| w.try_into().ok()).unwrap_or(0),
+        tag: 0,
+        origin: text("origin")
+            .and_then(|o| o.parse().ok())
+            .unwrap_or_default(),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use teapot_rt::{Channel, Controllability};
+    use teapot_rt::{Channel, Controllability, OriginSpan};
 
     fn entry(root: &str, severity: u32, binary: &str, shard: u32) -> TriageEntry {
         TriageEntry {
@@ -567,5 +604,33 @@ mod tests {
         assert!(!text.contains("[via pht]"));
         assert_eq!(db.rule_counts().len(), 2);
         assert_eq!(db.bucket_counts().get("User-Cache"), Some(&2));
+    }
+
+    #[test]
+    fn chain_steps_read_back_as_they_render() {
+        let steps: Vec<CausalStep> = StepRole::ALL
+            .into_iter()
+            .enumerate()
+            .map(|(i, role)| CausalStep {
+                role,
+                pc: 0x400100 + i as u64,
+                symbol: (i != 1).then(|| format!("f+{i}")),
+                model: SpecModel::Stl,
+                depth: 2,
+                addr: 0x500040,
+                width: 4,
+                tag: 3,
+                origin: OriginSpan::from_offset(0).join(OriginSpan::from_offset(i + 1)),
+            })
+            .collect();
+        let mut o = Obj::new(Compact);
+        o.list("chain", Compact, Compact, &steps, write_step);
+        let finding = teapot_telemetry::json::parse(&o.finish()).unwrap();
+        let read = read_chain(&finding);
+        assert_eq!(read.len(), steps.len());
+        for (back, step) in read.iter().zip(&steps) {
+            assert_eq!(step_line(back), step_line(step));
+        }
+        assert!(read_chain(&Value::Obj(vec![])).is_empty());
     }
 }

@@ -248,7 +248,7 @@ pub fn triage<'a>(
 /// and cgroup quotas): restrict it with `taskset` or a cgroup. The
 /// database, stats and every rendering of them are byte-identical for
 /// any thread count.
-pub fn triage_timed<'a>(
+fn triage_timed<'a>(
     inputs: impl IntoIterator<Item = TriageInput<'a>>,
     opts: &TriageOptions,
 ) -> (TriageDb, TriageStats, TriagePhaseTimes) {

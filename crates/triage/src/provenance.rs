@@ -29,6 +29,9 @@ pub enum StepRole {
 }
 
 impl StepRole {
+    /// Every role, in chain order.
+    pub const ALL: [StepRole; 3] = [StepRole::Mispredict, StepRole::TaintedLoad, StepRole::Leak];
+
     /// Lower-case label used by every renderer.
     pub fn label(self) -> &'static str {
         match self {

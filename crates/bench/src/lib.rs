@@ -18,6 +18,7 @@
 //! with a documented cost model, not an EPYC testbed); the *shape* —
 //! orderings, ratios, crossovers — is the reproduction target.
 
+use teapot_campaign::{run_campaign, CampaignConfig, CampaignReport};
 use teapot_cc::Options;
 use teapot_obj::Binary;
 use teapot_vm::{Machine, RunOptions, SpecHeuristics};
@@ -39,6 +40,24 @@ pub fn cots_binary(w: &Workload) -> Binary {
         .unwrap_or_else(|e| panic!("{} does not compile: {e}", w.name));
     bin.strip();
     bin
+}
+
+/// Fuzzes `bin` the way the tables run every tool: a one-shard campaign
+/// of one epoch, `iters` iterations after the seeds, under `cfg`'s
+/// detector, dictionary and execution and heuristic styles.
+pub fn fuzz_one_shard(
+    bin: &Binary,
+    seeds: &[Vec<u8>],
+    iters: u64,
+    cfg: CampaignConfig,
+) -> CampaignReport {
+    let cfg = CampaignConfig {
+        shards: 1,
+        epochs: 1,
+        iters_per_epoch: iters,
+        ..cfg
+    };
+    run_campaign(bin, seeds, &cfg).expect("valid one-shard campaign")
 }
 
 /// The "large crafted input" of the run-time experiments (§7.1), per

@@ -9,10 +9,11 @@
 //! and the gadgets' input variable is the only attacker-direct datum
 //! ([`DetectorConfig::artificial`]); the Massage policy is off.
 
+use crate::fuzz_one_shard;
 use teapot_baselines::{specfuzz_rewrite, SpecFuzzOptions};
+use teapot_campaign::CampaignConfig;
 use teapot_cc::Options;
 use teapot_core::{rewrite, RewriteOptions};
-use teapot_fuzz::{fuzz, FuzzConfig};
 use teapot_rt::DetectorConfig;
 use teapot_vm::{EmuStyle, HeurStyle};
 use teapot_workloads::{classify_reports, Workload};
@@ -101,15 +102,15 @@ pub fn run_one(w: &Workload, iters: u64) -> Table3Row {
 
     // Teapot.
     let teapot_bin = rewrite(&orig, &RewriteOptions::default()).expect("teapot rewrite");
-    let res = fuzz(
+    let res = fuzz_one_shard(
         &teapot_bin,
         &seeds,
-        &FuzzConfig {
-            max_iters: iters,
+        iters,
+        CampaignConfig {
             detector: detector.clone(),
             dictionary: w.dictionary.clone(),
             heur_style: HeurStyle::TeapotHybrid,
-            ..FuzzConfig::default()
+            ..CampaignConfig::default()
         },
     );
     let (tp, fp, fnn) = classify_reports(&orig, &res.gadgets, &injected);
@@ -117,31 +118,31 @@ pub fn run_one(w: &Workload, iters: u64) -> Table3Row {
 
     // SpecFuzz baseline: ASan-only policy flags every speculative OOB.
     let sf_bin = specfuzz_rewrite(&orig, &SpecFuzzOptions::default()).expect("specfuzz rewrite");
-    let res = fuzz(
+    let res = fuzz_one_shard(
         &sf_bin,
         &seeds,
-        &FuzzConfig {
-            max_iters: iters,
+        iters,
+        CampaignConfig {
             detector: detector.clone(),
             dictionary: w.dictionary.clone(),
             heur_style: HeurStyle::SpecFuzzGradual,
-            ..FuzzConfig::default()
+            ..CampaignConfig::default()
         },
     );
     let (tp, fp, fnn) = classify_reports(&orig, &res.gadgets, &injected);
     let specfuzz = Score { tp, fp, fnn };
 
     // SpecTaint: emulate the original injected binary.
-    let res = fuzz(
+    let res = fuzz_one_shard(
         &orig,
         &seeds,
-        &FuzzConfig {
-            max_iters: iters,
+        iters,
+        CampaignConfig {
             detector,
             dictionary: w.dictionary.clone(),
             emu: EmuStyle::SpecTaint,
             heur_style: HeurStyle::SpecTaintFive,
-            ..FuzzConfig::default()
+            ..CampaignConfig::default()
         },
     );
     let (tp, fp, fnn) = classify_reports(&orig, &res.gadgets, &injected);

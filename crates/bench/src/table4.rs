@@ -7,11 +7,11 @@
 //! paper stresses the numbers are "not directly comparable as gadget
 //! detection policies differ".
 
-use crate::cots_binary;
+use crate::{cots_binary, fuzz_one_shard};
 use std::collections::BTreeMap;
 use teapot_baselines::{specfuzz_rewrite, SpecFuzzOptions};
+use teapot_campaign::CampaignConfig;
 use teapot_core::{rewrite, RewriteOptions};
-use teapot_fuzz::{fuzz, FuzzConfig};
 use teapot_vm::{EmuStyle, HeurStyle};
 
 /// One Table 4 row.
@@ -68,45 +68,44 @@ pub fn run_one(w: &teapot_workloads::Workload, iters: u64) -> Table4Row {
 
     // Teapot.
     let teapot_bin = rewrite(&cots, &RewriteOptions::default()).expect("teapot rewrite");
-    let res = fuzz(
+    let res = fuzz_one_shard(
         &teapot_bin,
         &w.seeds,
-        &FuzzConfig {
-            max_iters: iters,
+        iters,
+        CampaignConfig {
             dictionary: w.dictionary.clone(),
             heur_style: HeurStyle::TeapotHybrid,
-            ..FuzzConfig::default()
+            ..CampaignConfig::default()
         },
     );
-    let buckets = res.buckets.clone();
     let total = res.unique_gadgets();
+    let buckets = res.buckets;
 
     // SpecFuzz baseline.
     let sf_bin = specfuzz_rewrite(&cots, &SpecFuzzOptions::default()).expect("specfuzz rewrite");
-    let sf = fuzz(
+    let sf = fuzz_one_shard(
         &sf_bin,
         &w.seeds,
-        &FuzzConfig {
-            max_iters: iters,
+        iters,
+        CampaignConfig {
             dictionary: w.dictionary.clone(),
             heur_style: HeurStyle::SpecFuzzGradual,
-            ..FuzzConfig::default()
+            ..CampaignConfig::default()
         },
     );
 
-    // SpecTaint-style emulation of the vanilla binary.
-    let st = fuzz(
+    // SpecTaint-style emulation of the vanilla binary. Emulation is
+    // ~100× more expensive per run: scale the iteration budget down, like
+    // the paper's fixed wall-clock budget implicitly does.
+    let st = fuzz_one_shard(
         &cots,
         &w.seeds,
-        &FuzzConfig {
-            // Emulation is ~100× more expensive per run: scale the
-            // iteration budget down, like the paper's fixed wall-clock
-            // budget implicitly does.
-            max_iters: (iters / 10).max(10),
+        (iters / 10).max(10),
+        CampaignConfig {
             dictionary: w.dictionary.clone(),
             emu: EmuStyle::SpecTaint,
             heur_style: HeurStyle::SpecTaintFive,
-            ..FuzzConfig::default()
+            ..CampaignConfig::default()
         },
     );
 

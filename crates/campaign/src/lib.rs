@@ -2,9 +2,11 @@
 //! orchestrator over [`teapot_fuzz`] workers.
 //!
 //! The paper's workflow culminates in long coverage-guided fuzzing
-//! sessions over instrumented COTS binaries (Fig. 3; §6.3). A single
-//! sequential [`teapot_fuzz::fuzz`] call reproduces that at experiment
-//! scale; this crate scales it out:
+//! sessions over instrumented COTS binaries (Fig. 3; §6.3). This crate
+//! is the one way to run them: the CLI, the fleet, queue mode, the
+//! paper's tables and the examples all run a [`Campaign`], a one-shard
+//! campaign of one epoch being the plain sequential fuzzer. It scales
+//! out as follows:
 //!
 //! * **Sharding** — a campaign is split into `shards` deterministic
 //!   sub-campaigns. Shard *i* fuzzes with RNG seed `seed ⊕ i` over its
@@ -137,7 +139,7 @@ impl CampaignConfig {
             return Err(CampaignError::ZeroEpochs);
         }
         if self.iters_per_epoch == 0 {
-            return Err(CampaignError::Fuzz(ConfigError::ZeroIters));
+            return Err(CampaignError::ZeroIters);
         }
         self.shard_fuzz_config(0)
             .validate()
@@ -148,10 +150,6 @@ impl CampaignConfig {
     pub fn shard_fuzz_config(&self, shard: u32) -> FuzzConfig {
         FuzzConfig {
             seed: self.seed ^ shard as u64,
-            max_iters: self
-                .iters_per_epoch
-                .saturating_mul(self.epochs as u64)
-                .max(1),
             max_input_len: self.max_input_len,
             fuel_per_run: self.fuel_per_run,
             detector: self.detector.clone(),
@@ -184,6 +182,8 @@ pub enum CampaignError {
     ZeroShards,
     /// `epochs` was zero.
     ZeroEpochs,
+    /// `iters_per_epoch` was zero.
+    ZeroIters,
     /// An *explicit* `--workers 0` (config `workers == 0` means auto,
     /// but a user asking for zero worker threads is asking for nothing
     /// to run).
@@ -221,6 +221,9 @@ impl std::fmt::Display for CampaignError {
             }
             CampaignError::ZeroEpochs => {
                 write!(f, "epochs must be > 0 (campaign would be empty)")
+            }
+            CampaignError::ZeroIters => {
+                write!(f, "iters_per_epoch must be > 0 (campaign would be empty)")
             }
             CampaignError::ZeroWorkers => {
                 write!(f, "workers must be > 0 (omit --workers to use one per CPU)")
@@ -573,19 +576,19 @@ impl Campaign {
             }
             st.cov_normal().merge_into(&mut union_normal);
             st.cov_spec().merge_into(&mut union_spec);
-            iters += st.iters();
-            corpus_total += st.corpus_len();
-            let r = st.result();
-            total_cost += r.total_cost;
-            crashes += r.crashes;
-            per_shard.push(ShardSummary {
+            let summary = ShardSummary {
                 shard: i as u32,
-                iters: r.iters,
-                corpus_len: r.corpus_len,
-                gadgets: r.gadgets.len(),
-                crashes: r.crashes,
-                total_cost: r.total_cost,
-            });
+                iters: st.iters(),
+                corpus_len: st.corpus_len(),
+                gadgets: st.gadgets().len(),
+                crashes: st.crashes(),
+                total_cost: st.total_cost(),
+            };
+            iters += summary.iters;
+            corpus_total += summary.corpus_len;
+            total_cost += summary.total_cost;
+            crashes += summary.crashes;
+            per_shard.push(summary);
         }
 
         CampaignReport {
@@ -787,10 +790,10 @@ mod tests {
             iters_per_epoch: 0,
             ..CampaignConfig::default()
         };
-        assert!(matches!(
-            bad.validate(),
-            Err(CampaignError::Fuzz(ConfigError::ZeroIters))
-        ));
+        assert!(matches!(bad.validate(), Err(CampaignError::ZeroIters)));
+        assert!(CampaignError::ZeroIters
+            .to_string()
+            .contains("iters_per_epoch"));
         let bad = CampaignConfig {
             fuel_per_run: 0,
             ..CampaignConfig::default()

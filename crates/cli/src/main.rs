@@ -1,13 +1,13 @@
 //! `teapot` — the command-line interface of the reproduction, mirroring
 //! the paper artifact's scripts: compile workloads, instrument binaries
-//! (Teapot or the SpecFuzz-style baseline), run them once, or fuzz them.
+//! (Teapot or the SpecFuzz-style baseline), run them once, or fuzz them
+//! in a campaign (`campaign --shards 1 --epochs 1` is the plain
+//! sequential fuzzer).
 //!
 //! ```text
 //! teapot compile <workload|path.minic> -o out.tof [--clang]
 //! teapot instrument <in.tof> -o out.tof [--baseline] [--no-nested]
 //! teapot run <bin.tof> [--input-file f] [--spectaint] [--spec-models M]
-//! teapot fuzz <bin.tof> [--iters N] [--workload name] [--spectaint]
-//!             [--spec-models M]
 //! teapot campaign <bin.tof|dir> [--workers N] [--fleet N] [--shards S]
 //!                 [--epochs E] [--spec-models pht,rsb,stl]
 //!                 [--resume snap.tcs] [--snapshot snap.tcs] [--json out]
@@ -173,6 +173,7 @@ fn campaign_config_from_args(
     };
     if flag(args, "--spectaint") {
         cfg.emu = teapot_vm::EmuStyle::SpecTaint;
+        cfg.heur_style = teapot_vm::HeurStyle::SpecTaintFive;
     }
     // `workers == 0` in the config means "one per CPU", but a user
     // *explicitly* asking for zero worker threads is asking for nothing
@@ -1104,6 +1105,17 @@ struct Triaged {
     triage_ms: u64,
 }
 
+impl Triaged {
+    /// Writes the target's `--metrics` stream (see [`triage_metrics`]).
+    fn write_metrics(&self, args: &[String], target: &str) -> Result<(), String> {
+        let triage = (
+            self.triage_ms,
+            triage_event(&self.db, &self.stats, &self.times),
+        );
+        triage_metrics(args, target, &self.cfg, self.campaign_ms, Some(triage))
+    }
+}
+
 /// Resolves a `triage`/`explain` target to a triage database. A queue
 /// directory campaigns every .tof inside and triages across all of them
 /// (cross-binary root-cause dedup); a `.tcs` snapshot triages its
@@ -1165,19 +1177,28 @@ fn triage_target(
     }))
 }
 
-/// The `--metrics` stream of `triage` and `explain`: `meta` for the
-/// configuration the witnesses replayed under, a `campaign` span when
-/// this process ran the campaign, then the `triage` span and event.
-fn triage_metrics(args: &[String], target: &str, t: &Triaged) -> Result<(), String> {
-    let workers = t.cfg.effective_workers();
-    let Some(mut sink) = open_metrics(args, target, &t.cfg, workers, |ev| ev)? else {
+/// The `--metrics` stream of `triage`, `explain` and a queue campaign:
+/// `meta` for the configuration the campaign ran (or the witnesses
+/// replayed) under, a `campaign` span when this process ran the
+/// campaign, then the `triage` span and event when a triage pass ran.
+fn triage_metrics(
+    args: &[String],
+    target: &str,
+    cfg: &teapot_campaign::CampaignConfig,
+    campaign_ms: Option<u64>,
+    triage: Option<(u64, teapot_telemetry::Event)>,
+) -> Result<(), String> {
+    let workers = cfg.effective_workers();
+    let Some(mut sink) = open_metrics(args, target, cfg, workers, |ev| ev)? else {
         return Ok(());
     };
-    if let Some(ms) = t.campaign_ms {
+    if let Some(ms) = campaign_ms {
         sink.emit(span("campaign", ms));
     }
-    sink.emit(span("triage", t.triage_ms));
-    sink.emit(triage_event(&t.db, &t.stats, &t.times));
+    if let Some((ms, event)) = triage {
+        sink.emit(span("triage", ms));
+        sink.emit(event);
+    }
     let path = sink.path().display().to_string();
     sink.finish().map_err(|e| format!("write {path}: {e}"))?;
     println!("wrote metrics {path}");
@@ -1273,50 +1294,6 @@ fn run(args: &[String]) -> Result<(), String> {
             }
             Ok(())
         }
-        "fuzz" => {
-            let input = args.get(1).ok_or("usage: fuzz <bin.tof>")?;
-            require_values(args, "--iters --workload --spec-models")?;
-            let bin = load(input)?;
-            let iters = parse_num(args, "--iters", 400)?;
-            let (seeds, dict) = match workload_from_args(args)? {
-                Some(w) => (w.seeds.clone(), w.dictionary.clone()),
-                None => (vec![], vec![]),
-            };
-            let emu = if flag(args, "--spectaint") {
-                teapot_vm::EmuStyle::SpecTaint
-            } else {
-                teapot_vm::EmuStyle::Native
-            };
-            let models = spec_models_from_args(args)?;
-            let res = teapot_fuzz::try_fuzz(
-                &bin,
-                &seeds,
-                &teapot_fuzz::FuzzConfig {
-                    max_iters: iters,
-                    dictionary: dict,
-                    emu,
-                    models,
-                    ..Default::default()
-                },
-            )
-            .map_err(|e| e.to_string())?;
-            println!(
-                "{} iterations, corpus {}, {} crashes",
-                res.iters, res.corpus_len, res.crashes
-            );
-            println!(
-                "coverage: {} normal features, {} speculative features",
-                res.cov_normal_features, res.cov_spec_features
-            );
-            println!("unique gadgets: {}", res.unique_gadgets());
-            for (bucket, n) in &res.buckets {
-                println!("  {bucket}: {n}");
-            }
-            for g in res.gadgets.iter().take(20) {
-                println!("GADGET {g}");
-            }
-            Ok(())
-        }
         "campaign" => {
             let target = args.get(1).ok_or("usage: campaign <bin.tof|dir>")?;
             require_values(
@@ -1329,17 +1306,19 @@ fn run(args: &[String]) -> Result<(), String> {
 
             // Queue mode: a directory of .tof binaries.
             if std::path::Path::new(target).is_dir() {
-                if ["--resume", "--snapshot", "--metrics"]
+                if ["--resume", "--snapshot"]
                     .iter()
                     .any(|name| opt(args, name).is_some())
                 {
-                    return Err("--resume/--snapshot/--metrics are only supported \
+                    return Err("--resume/--snapshot are only supported \
                          for single-binary campaigns"
                         .into());
                 }
+                let watch = teapot_telemetry::Stopwatch::new();
                 let outcomes =
                     teapot_campaign::queue::run_queue(std::path::Path::new(target), &cfg, &seeds)
                         .map_err(|e| e.to_string())?;
+                let campaign_ms = watch.ms();
                 if outcomes.is_empty() {
                     println!("no .tof binaries found in {target}");
                 }
@@ -1365,12 +1344,16 @@ fn run(args: &[String]) -> Result<(), String> {
                 // Triage runs automatically at the end of every
                 // campaign: replay + minimize each witness, collapse
                 // root causes across the whole queue.
+                let mut triage = None;
                 if !flag(args, "--no-triage") && !outcomes.is_empty() {
+                    let triage_watch = teapot_telemetry::Stopwatch::new();
                     let triage_opts = teapot_triage::TriageOptions::default();
-                    let (db, stats, _) = teapot_triage::triage_queue(&outcomes, &cfg, &triage_opts);
+                    let (db, stats, times) =
+                        teapot_triage::triage_queue(&outcomes, &cfg, &triage_opts);
+                    triage = Some((triage_watch.ms(), triage_event(&db, &stats, &times)));
                     emit_triage(&db, &stats, opt(args, "--triage"), opt(args, "--sarif"))?;
                 }
-                return Ok(());
+                return triage_metrics(args, target, &cfg, Some(campaign_ms), triage);
             }
 
             // Single-binary mode, optionally resumed from a snapshot.
@@ -1517,7 +1500,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let Some(t) = triage_target(args, "triage", target, &opts)? else {
                 return Ok(());
             };
-            triage_metrics(args, target, &t)?;
+            t.write_metrics(args, target)?;
             emit_triage(&t.db, &t.stats, opt(args, "--jsonl"), opt(args, "--sarif"))
         }
         "explain" => {
@@ -1581,7 +1564,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let Some(t) = triage_target(args, "explain", target, &opts)? else {
                 return Ok(());
             };
-            triage_metrics(args, target, &t)?;
+            t.write_metrics(args, target)?;
             let entries = t.db.entries();
             if entries.is_empty() {
                 println!("no gadgets to explain");
@@ -1681,8 +1664,6 @@ fn run(args: &[String]) -> Result<(), String> {
                  \x20 compile <workload|file.minic> -o out.tof [--clang] [--strip]\n\
                  \x20 instrument <in.tof> -o out.tof [--baseline] [--no-nested]\n\
                  \x20 run <bin.tof> [--input-file f] [--spectaint] [--spec-models M]\n\
-                 \x20 fuzz <bin.tof> [--iters N] [--workload name] [--spectaint]\n\
-                 \x20      [--spec-models M]\n\
                  \x20 campaign <bin.tof|dir> [--workers N] [--fleet N] [--shards S]\n\
                  \x20          [--epochs E] [--iters N] [--seed S] [--workload name]\n\
                  \x20          [--spectaint] [--spec-models M] [--resume snap.tcs]\n\
@@ -1706,7 +1687,9 @@ fn run(args: &[String]) -> Result<(), String> {
                  \x20 never on --workers (thread count). A directory target queues\n\
                  \x20 every .tof inside it (instrumenting originals first). --snapshot\n\
                  \x20 saves a resumable .tcs campaign snapshot; --resume continues one.\n\
-                 \x20 Triage runs automatically at the end (disable with --no-triage).\n\
+                 \x20 --spectaint emulates an original binary under SpecTaint's\n\
+                 \x20 five-tries heuristic. Triage runs automatically at the end\n\
+                 \x20 (disable with --no-triage).\n\
                  \n\
                  fabric: --fleet N runs the campaign over N `teapot work` worker\n\
                  \x20 processes behind a coordinator that leases shard ranges, merges\n\

@@ -346,7 +346,7 @@ fn bad_flag_values_fail_instead_of_running_something_else() {
     // every command that takes --workload (the short budget keeps a
     // silent run cheap should the check ever regress).
     let budget = ["--shards", "1", "--epochs", "1", "--iters", "1"];
-    for cmd in ["campaign", "triage", "explain", "fuzz", "serve"] {
+    for cmd in ["campaign", "triage", "explain", "serve"] {
         let target = if cmd == "serve" { dir_str } else { inst };
         let mut args = vec![cmd, target, "--workload", "nope", "--no-triage"];
         args.extend(budget);
@@ -356,15 +356,15 @@ fn bad_flag_values_fail_instead_of_running_something_else() {
         assert!(text.contains("jsmn, libyaml"), "{cmd}: {text}");
     }
 
-    // `fuzz --iters` parses like every other numeric flag.
-    let (ok, text) = run_cli(&["fuzz", inst, "--iters", "12x"]);
+    // `--iters` parses like every other numeric flag.
+    let (ok, text) = run_cli(&["campaign", inst, "--iters", "12x"]);
     assert!(!ok, "{text}");
     assert!(text.contains("--iters: bad number `12x`"), "{text}");
 
     // A trailing value-taking flag without its value is an error.
     for args in [
-        &["fuzz", inst, "--iters"][..],
-        &["fuzz", inst, "--workload"][..],
+        &["campaign", inst, "--iters"][..],
+        &["campaign", inst, "--workload"][..],
         &["run", inst, "--input-file"][..],
         &["run", inst, "--spec-models"][..],
     ] {
@@ -773,5 +773,104 @@ fn explain_accepts_a_snapshot_and_a_directory() {
         .unwrap_or_else(|| panic!("{text}"));
     assert_eq!(shown, total, "{text}");
     assert_ne!(shown, "0", "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--spectaint` selects SpecTaint's emulation *and* its five-tries
+/// heuristic, as Table 3's SpecTaint runs; the `.tcs` records both.
+#[test]
+fn spectaint_flag_selects_spectaints_heuristic() {
+    let dir = std::env::temp_dir().join("teapot-cli-spectaint-test");
+    std::fs::remove_dir_all(&dir).ok();
+    build_workload(&dir, "jsmn");
+    let cots = dir.join("jsmn.tof");
+    let snap = dir.join("s.tcs");
+    let (ok, text) = run_cli(&[
+        "campaign",
+        cots.to_str().unwrap(),
+        "--spectaint",
+        "--shards",
+        "1",
+        "--epochs",
+        "1",
+        "--iters",
+        "2",
+        "--snapshot",
+        snap.to_str().unwrap(),
+        "--no-triage",
+    ]);
+    assert!(ok, "{text}");
+    let loaded = teapot_campaign::CampaignSnapshot::load(&snap).unwrap();
+    assert_eq!(loaded.config.emu, teapot_vm::EmuStyle::SpecTaint);
+    assert_eq!(
+        loaded.config.heur_style,
+        teapot_vm::HeurStyle::SpecTaintFive
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `campaign <dir> --metrics` writes the stream `triage <dir> --metrics`
+/// does: `meta` with the campaign configuration, a `campaign` span, and
+/// the `triage` span and event unless `--no-triage`.
+#[test]
+fn queue_campaign_writes_a_metrics_stream() {
+    let dir = std::env::temp_dir().join("teapot-cli-queue-metrics-test");
+    std::fs::remove_dir_all(&dir).ok();
+    let inst = build_workload(&dir, "spectre-stl");
+    let queue = dir.join("queue");
+    std::fs::create_dir_all(&queue).unwrap();
+    std::fs::copy(&inst, queue.join("spectre-stl_inst.tof")).unwrap();
+    let metrics = dir.join("m.jsonl");
+    let stream = |extra: &[&str]| {
+        let mut args = vec![
+            "campaign",
+            queue.to_str().unwrap(),
+            "--shards",
+            "2",
+            "--epochs",
+            "1",
+            "--iters",
+            "20",
+            "--workload",
+            "spectre-stl",
+            "--metrics",
+            metrics.to_str().unwrap(),
+        ];
+        args.extend(extra);
+        let (ok, text) = run_cli(&args);
+        assert!(ok, "{text}");
+        let events: Vec<Value> = std::fs::read_to_string(&metrics)
+            .unwrap()
+            .lines()
+            .map(|l| teapot_telemetry::json::parse(l).unwrap())
+            .collect();
+        events
+    };
+    let kinds = |events: &[Value]| -> Vec<String> {
+        events
+            .iter()
+            .map(|v| match str_field(v, "event") {
+                Some("span") => format!("span {}", str_field(v, "name").unwrap()),
+                kind => kind.unwrap().to_string(),
+            })
+            .collect()
+    };
+
+    let events = stream(&[]);
+    assert_eq!(
+        kinds(&events),
+        ["meta", "span campaign", "span triage", "triage"]
+    );
+    assert_eq!(events[0].get("shards").and_then(Value::as_u64), Some(2));
+    let events = stream(&["--no-triage"]);
+    assert_eq!(kinds(&events), ["meta", "span campaign"]);
+
+    // A queue still has no snapshot to resume or write.
+    for name in ["--resume", "--snapshot"] {
+        let args = ["campaign", queue.to_str().unwrap(), name, "x.tcs"];
+        let (ok, text) = run_cli(&args);
+        assert!(!ok, "{name}: {text}");
+        assert!(text.contains("single-binary campaigns"), "{name}: {text}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

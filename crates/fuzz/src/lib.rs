@@ -23,12 +23,12 @@
 //!
 //! # Re-entrant campaigns
 //!
-//! The run-to-completion [`fuzz`] entry point is a thin wrapper around
-//! [`CampaignState`], a re-entrant campaign: seed it once, then drive it
-//! in bounded batches with [`CampaignState::run_iters_shared`]. This is the
-//! building block of the `teapot-campaign` orchestrator, which runs many
-//! shard states in parallel, exchanges interesting inputs between them at
-//! epoch barriers ([`CampaignState::fresh_inputs`] /
+//! [`CampaignState`] is a re-entrant campaign: seed it once, then drive
+//! it in bounded batches with [`CampaignState::run_iters_shared`]. It is
+//! one shard of a `teapot-campaign` `Campaign`, the entry point every
+//! fuzzing caller runs. The orchestrator runs many shard states in
+//! parallel, exchanges interesting inputs between them at epoch barriers
+//! ([`CampaignState::fresh_inputs`] /
 //! [`CampaignState::import_input_shared`]), and snapshots them to disk
 //! ([`CampaignState::export_snapshot`] /
 //! [`CampaignState::from_snapshot`]). Epoch boundaries re-seed the RNG
@@ -38,9 +38,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
 use std::sync::Arc;
-use teapot_obj::Binary;
 use teapot_rt::{
     CovDelta, CovMap, DetectorConfig, FxHashSet, GadgetKey, GadgetReport, GadgetWitness,
     ShardDelta, SpecModelSet,
@@ -55,8 +53,6 @@ use teapot_vm::{
 pub struct FuzzConfig {
     /// RNG seed: campaigns are fully deterministic given the seed.
     pub seed: u64,
-    /// Number of executions.
-    pub max_iters: u64,
     /// Maximum input length the mutators will grow to.
     pub max_input_len: usize,
     /// Per-run cost budget.
@@ -86,7 +82,6 @@ impl Default for FuzzConfig {
     fn default() -> Self {
         FuzzConfig {
             seed: 0x7EA907,
-            max_iters: 500,
             max_input_len: 256,
             fuel_per_run: 60_000_000,
             detector: DetectorConfig::default(),
@@ -102,8 +97,6 @@ impl Default for FuzzConfig {
 /// Why a [`FuzzConfig`] was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
-    /// `max_iters` is zero: the campaign would execute nothing.
-    ZeroIters,
     /// `fuel_per_run` is zero: every run would abort immediately.
     ZeroFuel,
     /// `max_input_len` is zero: mutators could never produce an input.
@@ -119,9 +112,6 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ConfigError::ZeroIters => {
-                write!(f, "max_iters must be > 0 (campaign would be empty)")
-            }
             ConfigError::ZeroFuel => {
                 write!(f, "fuel_per_run must be > 0 (runs would not execute)")
             }
@@ -148,9 +138,6 @@ impl FuzzConfig {
     /// Validates the budget fields, rejecting configurations that would
     /// silently do nothing.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.max_iters == 0 {
-            return Err(ConfigError::ZeroIters);
-        }
         if self.fuel_per_run == 0 {
             return Err(ConfigError::ZeroFuel);
         }
@@ -161,39 +148,6 @@ impl FuzzConfig {
             return Err(ConfigError::EmptySpecModels);
         }
         Ok(())
-    }
-}
-
-/// Aggregated campaign results.
-#[derive(Debug, Clone)]
-pub struct CampaignResult {
-    /// Executions performed.
-    pub iters: u64,
-    /// Final corpus size.
-    pub corpus_len: usize,
-    /// Deduplicated gadget reports (by [`GadgetKey`]).
-    pub gadgets: Vec<GadgetReport>,
-    /// Gadget counts per `Controllability-Channel` bucket (Table 4 rows).
-    pub buckets: BTreeMap<String, usize>,
-    /// Total cost units spent executing.
-    pub total_cost: u64,
-    /// Runs that crashed (faults in normal execution).
-    pub crashes: u64,
-    /// Distinct normal-coverage features discovered.
-    pub cov_normal_features: usize,
-    /// Distinct speculative-coverage features discovered.
-    pub cov_spec_features: usize,
-}
-
-impl CampaignResult {
-    /// Number of unique gadgets found.
-    pub fn unique_gadgets(&self) -> usize {
-        self.gadgets.len()
-    }
-
-    /// Count for one bucket, e.g. `"User-Cache"`.
-    pub fn bucket(&self, name: &str) -> usize {
-        self.buckets.get(name).copied().unwrap_or(0)
     }
 }
 
@@ -282,9 +236,8 @@ impl StateSnapshot {
 /// A re-entrant coverage-guided fuzzing campaign.
 ///
 /// Owns the corpus, both global coverage maps, the persistent speculation
-/// heuristics and the deduplicated gadget set. Unlike the one-shot
-/// [`fuzz`] loop it can be driven in batches, exchanged with sibling
-/// shards, snapshotted, and resumed.
+/// heuristics and the deduplicated gadget set. It is driven in batches,
+/// exchanged with sibling shards, snapshotted, and resumed.
 pub struct CampaignState {
     cfg: FuzzConfig,
     rng: SmallRng,
@@ -301,7 +254,6 @@ pub struct CampaignState {
     /// Pre-run heuristic-counts snapshot, reused across runs so witness
     /// capture does not allocate in the hot loop.
     heur_scratch: Vec<(u64, u32)>,
-    buckets: BTreeMap<String, usize>,
     total_cost: u64,
     crashes: u64,
     iters: u64,
@@ -368,7 +320,6 @@ impl CampaignState {
             gadgets: Vec::new(),
             witnesses: Vec::new(),
             heur_scratch: Vec::new(),
-            buckets: BTreeMap::new(),
             total_cost: 0,
             crashes: 0,
             iters: 0,
@@ -408,9 +359,6 @@ impl CampaignState {
             CovMap::from_raw(&snap.cov_normal).ok_or(ConfigError::SnapshotCoverage)?;
         st.global_spec = CovMap::from_raw(&snap.cov_spec).ok_or(ConfigError::SnapshotCoverage)?;
         st.gadget_keys = snap.gadgets.iter().map(|g| g.key).collect();
-        for g in &snap.gadgets {
-            *st.buckets.entry(g.bucket()).or_insert(0) += 1;
-        }
         st.gadgets = snap.gadgets.clone();
         st.witnesses = snap.witnesses.clone();
         st.iters = snap.iters;
@@ -560,6 +508,16 @@ impl CampaignState {
         self.corpus.len()
     }
 
+    /// Cost units spent executing so far.
+    pub fn total_cost(&self) -> u64 {
+        self.total_cost
+    }
+
+    /// Runs so far that crashed (faults in normal execution).
+    pub fn crashes(&self) -> u64 {
+        self.crashes
+    }
+
     /// Last epoch begun via [`CampaignState::begin_epoch`] (0 if none).
     pub fn epoch(&self) -> u32 {
         self.epoch
@@ -637,20 +595,6 @@ impl CampaignState {
     /// Log2-bucketed distribution of per-run execution cost.
     pub fn cost_histogram(&self) -> &Histogram {
         &self.cost_hist
-    }
-
-    /// Summarizes the campaign so far.
-    pub fn result(&self) -> CampaignResult {
-        CampaignResult {
-            iters: self.iters,
-            corpus_len: self.corpus.len(),
-            gadgets: self.gadgets.clone(),
-            buckets: self.buckets.clone(),
-            total_cost: self.total_cost,
-            crashes: self.crashes,
-            cov_normal_features: self.global_normal.count_nonzero(),
-            cov_spec_features: self.global_spec.count_nonzero(),
-        }
     }
 
     /// Exports what changed since the previous [`take_delta`] (or since
@@ -837,7 +781,6 @@ impl CampaignState {
                 // Callers bump `iters` after this returns, so the
                 // discovering run's 1-based ordinal is `iters + 1`.
                 self.gadget_timeline.push((self.iters + 1, g.key));
-                *self.buckets.entry(g.bucket()).or_insert(0) += 1;
                 if self.cfg.capture_witnesses {
                     let mut heur_counts = self.heur_scratch.clone();
                     heur_counts.sort_unstable();
@@ -854,35 +797,6 @@ impl CampaignState {
         slot.ctx.cov_normal().merge_into(&mut self.global_normal)
             + slot.ctx.cov_spec().merge_into(&mut self.global_spec)
     }
-}
-
-/// Runs a fuzzing campaign against `bin`.
-///
-/// `seeds` provides the initial corpus (an empty slice starts from a
-/// small default input).
-///
-/// # Panics
-///
-/// Panics on an invalid configuration (see [`FuzzConfig::validate`]);
-/// use [`try_fuzz`] for a typed error.
-pub fn fuzz(bin: &Binary, seeds: &[Vec<u8>], cfg: &FuzzConfig) -> CampaignResult {
-    try_fuzz(bin, seeds, cfg).expect("invalid FuzzConfig")
-}
-
-/// Runs a fuzzing campaign against `bin`, rejecting budget-less
-/// configurations with a typed error instead of silently running zero
-/// iterations.
-pub fn try_fuzz(
-    bin: &Binary,
-    seeds: &[Vec<u8>],
-    cfg: &FuzzConfig,
-) -> Result<CampaignResult, ConfigError> {
-    let mut st = CampaignState::new(cfg.clone())?;
-    let prog = Program::shared(bin);
-    st.seed_corpus_shared(&prog, seeds);
-    let remaining = cfg.max_iters.saturating_sub(st.iters());
-    st.run_iters_shared(&prog, remaining);
-    Ok(st.result())
 }
 
 /// One mutation: a random stack of AFL-style operators.
@@ -981,11 +895,35 @@ mod tests {
     use super::*;
     use teapot_cc::{compile_to_binary, Options};
     use teapot_core::{rewrite, RewriteOptions};
+    use teapot_obj::Binary;
 
     fn instrumented(src: &str) -> Binary {
         let mut bin = compile_to_binary(src, &Options::gcc_like()).unwrap();
         bin.strip();
         rewrite(&bin, &RewriteOptions::default()).unwrap()
+    }
+
+    /// Seeds a campaign on `bin`, then fuzzes until it has run `iters`
+    /// executions, seeds included.
+    fn campaign(bin: &Binary, seeds: &[Vec<u8>], cfg: FuzzConfig, iters: u64) -> CampaignState {
+        let prog = Program::shared(bin);
+        let mut st = CampaignState::new(cfg).unwrap();
+        st.seed_corpus_shared(&prog, seeds);
+        st.run_iters_shared(&prog, iters.saturating_sub(st.iters()));
+        st
+    }
+
+    /// Gadgets found so far in one `Controllability-Channel` bucket.
+    fn bucket(st: &CampaignState, name: &str) -> usize {
+        st.gadgets().iter().filter(|g| g.bucket() == name).count()
+    }
+
+    /// Distinct normal and speculative coverage features.
+    fn features(st: &CampaignState) -> (usize, usize) {
+        (
+            st.cov_normal().count_nonzero(),
+            st.cov_spec().count_nonzero(),
+        )
     }
 
     /// A gadget behind a magic-byte check: the fuzzer must *find* the
@@ -1010,23 +948,18 @@ mod tests {
     #[test]
     fn campaign_is_deterministic() {
         let bin = instrumented(GATED);
-        let cfg = FuzzConfig {
-            max_iters: 120,
-            ..FuzzConfig::default()
-        };
-        let a = fuzz(&bin, &[], &cfg);
-        let b = fuzz(&bin, &[], &cfg);
-        assert_eq!(a.iters, b.iters);
-        assert_eq!(a.corpus_len, b.corpus_len);
-        assert_eq!(a.unique_gadgets(), b.unique_gadgets());
-        assert_eq!(a.cov_normal_features, b.cov_normal_features);
+        let a = campaign(&bin, &[], FuzzConfig::default(), 120);
+        let b = campaign(&bin, &[], FuzzConfig::default(), 120);
+        assert_eq!(a.iters(), b.iters());
+        assert_eq!(a.corpus_len(), b.corpus_len());
+        assert_eq!(a.gadgets().len(), b.gadgets().len());
+        assert_eq!(features(&a).0, features(&b).0);
     }
 
     #[test]
     fn coverage_guides_through_the_gate() {
         let bin = instrumented(GATED);
         let cfg = FuzzConfig {
-            max_iters: 900,
             max_input_len: 16,
             ..FuzzConfig::default()
         };
@@ -1035,34 +968,31 @@ mod tests {
         // misprediction once the per-branch phases line up).
         let mut seed = vec![0u8; 16];
         seed[1] = 200;
-        let res = fuzz(&bin, &[seed], &cfg);
+        let res = campaign(&bin, &[seed], cfg, 900);
         // The magic byte (77) plus an OOB index must be discovered.
         assert!(
-            res.bucket("User-MDS") >= 1,
+            bucket(&res, "User-MDS") >= 1,
             "gadget behind the gate found: {:?}",
-            res.buckets
+            res.gadgets()
         );
         // Note: the gadget can be reached through *nested* misprediction
         // without ever opening the gate architecturally — speculation
         // simulation explores both sides of every branch (paper §6.1).
-        assert!(res.cov_spec_features > 0, "speculative coverage tracked");
-        assert!(res.cov_normal_features > 0);
+        let (normal, spec) = features(&res);
+        assert!(spec > 0, "speculative coverage tracked");
+        assert!(normal > 0);
     }
 
     #[test]
     fn seeds_speed_up_discovery() {
         let bin = instrumented(GATED);
-        let cfg = FuzzConfig {
-            max_iters: 60,
-            ..FuzzConfig::default()
-        };
         // A seed that already opens the gate.
         let mut seed = vec![0u8; 16];
         seed[0] = 0x7f;
         seed[1] = 200;
-        let res = fuzz(&bin, &[seed], &cfg);
-        assert!(res.bucket("User-MDS") >= 1);
-        assert!(res.bucket("User-Cache") >= 1);
+        let res = campaign(&bin, &[seed], FuzzConfig::default(), 60);
+        assert!(bucket(&res, "User-MDS") >= 1);
+        assert!(bucket(&res, "User-Cache") >= 1);
     }
 
     #[test]
@@ -1079,14 +1009,13 @@ mod tests {
              }",
         );
         let cfg = FuzzConfig {
-            max_iters: 400,
             dictionary: vec![b"GET".to_vec()],
             ..FuzzConfig::default()
         };
-        let res = fuzz(&bin, &[], &cfg);
+        let res = campaign(&bin, &[], cfg, 400);
         // With the token the deep path is reached quickly: coverage shows
         // more than the trivial path.
-        assert!(res.cov_normal_features > 2);
+        assert!(features(&res).0 > 2);
     }
 
     #[test]
@@ -1099,34 +1028,21 @@ mod tests {
                  return 10 / z; // crashes when input[0] == 'A'
              }",
         );
-        let cfg = FuzzConfig {
-            max_iters: 300,
-            ..FuzzConfig::default()
-        };
-        let res = fuzz(&bin, &[vec![66u8; 8]], &cfg);
-        assert_eq!(res.iters, 300);
+        let res = campaign(&bin, &[vec![66u8; 8]], FuzzConfig::default(), 300);
+        assert_eq!(res.iters(), 300);
         // The campaign keeps going whether or not it found the crash.
-        assert!(res.crashes <= 300);
+        assert!(res.crashes() <= 300);
     }
 
     #[test]
     fn invalid_configs_are_rejected_with_typed_errors() {
-        let bin = instrumented(GATED);
-        let zero_iters = FuzzConfig {
-            max_iters: 0,
-            ..FuzzConfig::default()
-        };
-        assert_eq!(
-            try_fuzz(&bin, &[], &zero_iters).unwrap_err(),
-            ConfigError::ZeroIters
-        );
         let zero_fuel = FuzzConfig {
             fuel_per_run: 0,
             ..FuzzConfig::default()
         };
         assert_eq!(
-            try_fuzz(&bin, &[], &zero_fuel).unwrap_err(),
-            ConfigError::ZeroFuel
+            CampaignState::new(zero_fuel).err(),
+            Some(ConfigError::ZeroFuel)
         );
         let zero_len = FuzzConfig {
             max_input_len: 0,
@@ -1148,41 +1064,14 @@ mod tests {
             .to_string()
             .contains("pht, rsb, stl"));
         // The error is a real std error with a message.
-        assert!(ConfigError::ZeroIters.to_string().contains("max_iters"));
-    }
-
-    #[test]
-    fn state_driven_campaign_matches_one_shot_fuzz() {
-        let bin = instrumented(GATED);
-        let prog = Program::shared(&bin);
-        let cfg = FuzzConfig {
-            max_iters: 150,
-            ..FuzzConfig::default()
-        };
-        let one_shot = fuzz(&bin, &[], &cfg);
-
-        let mut st = CampaignState::new(cfg.clone()).unwrap();
-        st.seed_corpus_shared(&prog, &[]);
-        let remaining = cfg.max_iters - st.iters();
-        st.run_iters_shared(&prog, remaining);
-        let stepped = st.result();
-
-        assert_eq!(one_shot.iters, stepped.iters);
-        assert_eq!(one_shot.corpus_len, stepped.corpus_len);
-        assert_eq!(one_shot.gadgets, stepped.gadgets);
-        assert_eq!(one_shot.buckets, stepped.buckets);
-        assert_eq!(one_shot.total_cost, stepped.total_cost);
-        assert_eq!(one_shot.cov_normal_features, stepped.cov_normal_features);
+        assert!(ConfigError::ZeroFuel.to_string().contains("fuel_per_run"));
     }
 
     #[test]
     fn snapshot_roundtrip_resumes_identically() {
         let bin = instrumented(GATED);
         let prog = Program::shared(&bin);
-        let cfg = FuzzConfig {
-            max_iters: 400,
-            ..FuzzConfig::default()
-        };
+        let cfg = FuzzConfig::default();
 
         // Uninterrupted: two epochs of 60 iterations.
         let mut a = CampaignState::new(cfg.clone()).unwrap();
@@ -1205,24 +1094,18 @@ mod tests {
         b.begin_epoch(1);
         b.run_iters_shared(&prog, 60);
 
-        let (ra, rb) = (a.result(), b.result());
-        assert_eq!(ra.iters, rb.iters);
-        assert_eq!(ra.corpus_len, rb.corpus_len);
-        assert_eq!(ra.gadgets, rb.gadgets);
-        assert_eq!(ra.buckets, rb.buckets);
-        assert_eq!(ra.total_cost, rb.total_cost);
-        assert_eq!(ra.cov_normal_features, rb.cov_normal_features);
-        assert_eq!(ra.cov_spec_features, rb.cov_spec_features);
+        assert_eq!(a.iters(), b.iters());
+        assert_eq!(a.corpus_len(), b.corpus_len());
+        assert_eq!(a.gadgets(), b.gadgets());
+        assert_eq!(a.total_cost(), b.total_cost());
+        assert_eq!(features(&a), features(&b));
     }
 
     #[test]
     fn snapshot_with_wrong_coverage_length_is_rejected() {
         let bin = instrumented(GATED);
         let prog = Program::shared(&bin);
-        let cfg = FuzzConfig {
-            max_iters: 50,
-            ..FuzzConfig::default()
-        };
+        let cfg = FuzzConfig::default();
         let mut st = CampaignState::new(cfg.clone()).unwrap();
         st.seed_corpus_shared(&prog, &[]);
         let mut snap = st.export_snapshot();
@@ -1237,15 +1120,11 @@ mod tests {
     fn witnesses_replay_to_the_same_gadget_key() {
         let bin = instrumented(GATED);
         let cfg = FuzzConfig {
-            max_iters: 900,
             max_input_len: 16,
             ..FuzzConfig::default()
         };
         let prog = Program::shared(&bin);
-        let mut st = CampaignState::new(cfg.clone()).unwrap();
-        st.seed_corpus_shared(&prog, &[]);
-        let remaining = cfg.max_iters - st.iters();
-        st.run_iters_shared(&prog, remaining);
+        let st = campaign(&bin, &[], cfg.clone(), 900);
 
         assert!(!st.gadgets().is_empty(), "campaign found gadgets");
         assert_eq!(st.gadgets().len(), st.witnesses().len());
@@ -1277,48 +1156,36 @@ mod tests {
     #[test]
     fn witness_capture_never_changes_campaign_results() {
         let bin = instrumented(GATED);
-        let on = FuzzConfig {
-            max_iters: 300,
-            ..FuzzConfig::default()
-        };
         let off = FuzzConfig {
             capture_witnesses: false,
-            ..on.clone()
+            ..FuzzConfig::default()
         };
-        let a = fuzz(&bin, &[], &on);
-        let b = fuzz(&bin, &[], &off);
-        assert_eq!(a.gadgets, b.gadgets);
-        assert_eq!(a.total_cost, b.total_cost);
-        assert_eq!(a.corpus_len, b.corpus_len);
-        assert_eq!(a.cov_normal_features, b.cov_normal_features);
-        assert_eq!(a.cov_spec_features, b.cov_spec_features);
+        let a = campaign(&bin, &[], FuzzConfig::default(), 300);
+        let b = campaign(&bin, &[], off, 300);
+        assert_eq!(a.gadgets(), b.gadgets());
+        assert_eq!(a.total_cost(), b.total_cost());
+        assert_eq!(a.corpus_len(), b.corpus_len());
+        assert_eq!(features(&a), features(&b));
     }
 
     #[test]
     fn profiling_never_changes_campaign_results() {
         let bin = instrumented(GATED);
-        let cfg = FuzzConfig {
-            max_iters: 300,
-            ..FuzzConfig::default()
-        };
         let prog = Program::shared(&bin);
 
         let run = |profile: bool| {
-            let mut st = CampaignState::new(cfg.clone()).unwrap();
+            let mut st = CampaignState::new(FuzzConfig::default()).unwrap();
             st.set_block_profiling(profile);
             st.seed_corpus_shared(&prog, &[]);
-            let remaining = cfg.max_iters - st.iters();
-            st.run_iters_shared(&prog, remaining);
+            st.run_iters_shared(&prog, 300 - st.iters());
             st
         };
         let a = run(true);
         let b = run(false);
-        let (ra, rb) = (a.result(), b.result());
-        assert_eq!(ra.gadgets, rb.gadgets);
-        assert_eq!(ra.total_cost, rb.total_cost);
-        assert_eq!(ra.corpus_len, rb.corpus_len);
-        assert_eq!(ra.cov_normal_features, rb.cov_normal_features);
-        assert_eq!(ra.cov_spec_features, rb.cov_spec_features);
+        assert_eq!(a.gadgets(), b.gadgets());
+        assert_eq!(a.total_cost(), b.total_cost());
+        assert_eq!(a.corpus_len(), b.corpus_len());
+        assert_eq!(features(&a), features(&b));
         // The VM counters themselves are identical too: attribution
         // observes the run, it never steers it.
         assert_eq!(a.vm_counters(), b.vm_counters());
@@ -1327,22 +1194,17 @@ mod tests {
         let p = a.block_profile().expect("profiling enabled");
         assert!(p.total_cost() > 0, "profiler attributed cost");
         assert!(b.block_profile().is_none());
-        assert_eq!(a.cost_histogram().count(), ra.iters);
+        assert_eq!(a.cost_histogram().count(), a.iters());
     }
 
     #[test]
     fn gadget_timeline_orders_first_discoveries() {
         let bin = instrumented(GATED);
-        let prog = Program::shared(&bin);
         let cfg = FuzzConfig {
-            max_iters: 900,
             max_input_len: 16,
             ..FuzzConfig::default()
         };
-        let mut st = CampaignState::new(cfg.clone()).unwrap();
-        st.seed_corpus_shared(&prog, &[]);
-        let remaining = cfg.max_iters - st.iters();
-        st.run_iters_shared(&prog, remaining);
+        let st = campaign(&bin, &[], cfg, 900);
         assert!(!st.gadgets().is_empty());
         let tl = st.gadget_timeline();
         assert_eq!(tl.len(), st.gadgets().len());
@@ -1357,7 +1219,6 @@ mod tests {
     fn deltas_reconstruct_the_full_snapshot() {
         let bin = instrumented(GATED);
         let cfg = FuzzConfig {
-            max_iters: 400,
             max_input_len: 16,
             ..FuzzConfig::default()
         };
@@ -1403,7 +1264,6 @@ mod tests {
     fn minimization_is_deterministic_and_ships_a_replacement() {
         let bin = instrumented(GATED);
         let cfg = FuzzConfig {
-            max_iters: 900,
             max_input_len: 16,
             ..FuzzConfig::default()
         };
@@ -1446,11 +1306,7 @@ mod tests {
     fn imports_enrich_the_corpus_without_consuming_rng() {
         let bin = instrumented(GATED);
         let prog = Program::shared(&bin);
-        let cfg = FuzzConfig {
-            max_iters: 500,
-            ..FuzzConfig::default()
-        };
-        let mut st = CampaignState::new(cfg).unwrap();
+        let mut st = CampaignState::new(FuzzConfig::default()).unwrap();
         st.seed_corpus_shared(&prog, &[]);
         // An input that opens the gate is interesting to import.
         let mut good = vec![0u8; 16];

@@ -30,11 +30,12 @@
 //! Wall-clock fields are suffixed `_ms` and are the only
 //! non-deterministic values in the stream.
 //!
-//! A `triage` or `explain` stream carries only `meta` (without
+//! A `triage` or `explain` stream, and the stream of a queue campaign
+//! (`teapot campaign <dir>`), carries only `meta` (without
 //! `compiled_records`, `compiled_fused` and `heuristic_sites`), a
 //! `campaign` span when the command ran the campaign itself (a `.tof`
 //! or directory target, not a `.tcs` snapshot), the `triage` span and
-//! the `triage` event.
+//! the `triage` event (not after `campaign <dir> --no-triage`).
 //!
 //! | event | keys |
 //! |---|---|

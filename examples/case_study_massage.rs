@@ -14,8 +14,8 @@
 //! 3. dereferencing it loads a secret (Massage-MDS) and the secret decides
 //!    a branch (Massage-Port).
 
+use teapot_campaign::{run_campaign, CampaignConfig};
 use teapot_core::{rewrite, RewriteOptions};
-use teapot_fuzz::{fuzz, FuzzConfig};
 
 fn main() {
     let w = teapot_workloads::htp_like();
@@ -26,16 +26,15 @@ fn main() {
     let instrumented = rewrite(&cots, &RewriteOptions::default()).expect("rewrite");
 
     // The massage chain fires on well-formed requests (the destroy path
-    // runs unconditionally) — a short campaign suffices.
-    let res = fuzz(
-        &instrumented,
-        &w.seeds,
-        &FuzzConfig {
-            max_iters: 150,
-            dictionary: w.dictionary.clone(),
-            ..FuzzConfig::default()
-        },
-    );
+    // runs unconditionally) — a short one-shard campaign suffices.
+    let cfg = CampaignConfig {
+        shards: 1,
+        epochs: 1,
+        iters_per_epoch: 150,
+        dictionary: w.dictionary.clone(),
+        ..CampaignConfig::default()
+    };
+    let res = run_campaign(&instrumented, &w.seeds, &cfg).expect("valid campaign config");
 
     println!("buckets: {:?}\n", res.buckets);
     let massage: Vec<_> = res

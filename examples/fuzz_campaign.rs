@@ -12,9 +12,8 @@
 //! cargo run --release --example fuzz_campaign
 //! ```
 
-use teapot_campaign::{Campaign, CampaignConfig};
+use teapot_campaign::{run_campaign, Campaign, CampaignConfig};
 use teapot_core::{rewrite, RewriteOptions};
-use teapot_fuzz::{fuzz, FuzzConfig};
 use teapot_vm::{EmuStyle, HeurStyle, Program};
 
 fn main() {
@@ -40,19 +39,18 @@ fn main() {
     let teapot = campaign.run_shared(&Program::shared(&instrumented), &w.seeds);
 
     // SpecTaint: emulation of the original binary, five tries per
-    // branch, single sequential worker (emulation is ~100x more
-    // expensive per run, so the budget is much smaller).
-    let spectaint = fuzz(
-        &cots,
-        &w.seeds,
-        &FuzzConfig {
-            max_iters: 60,
-            dictionary: w.dictionary.clone(),
-            emu: EmuStyle::SpecTaint,
-            heur_style: HeurStyle::SpecTaintFive,
-            ..FuzzConfig::default()
-        },
-    );
+    // branch, one shard of one epoch (emulation is ~100x more expensive
+    // per run, so the budget is much smaller).
+    let spectaint_cfg = CampaignConfig {
+        shards: 1,
+        epochs: 1,
+        iters_per_epoch: 60,
+        dictionary: w.dictionary.clone(),
+        emu: EmuStyle::SpecTaint,
+        heur_style: HeurStyle::SpecTaintFive,
+        ..CampaignConfig::default()
+    };
+    let spectaint = run_campaign(&cots, &w.seeds, &spectaint_cfg).expect("valid campaign config");
 
     println!(
         "Teapot   : {} unique gadgets across {} shards ({} execs) {:?}",

@@ -5,8 +5,8 @@
 //! cargo run --release --example scan_cots_binary
 //! ```
 
+use teapot_campaign::{run_campaign, CampaignConfig};
 use teapot_core::{rewrite, RewriteOptions};
-use teapot_fuzz::{fuzz, FuzzConfig};
 
 fn main() {
     let w = teapot_workloads::htp_like();
@@ -24,19 +24,19 @@ fn main() {
 
     let instrumented = rewrite(&cots, &RewriteOptions::default()).expect("rewrite");
 
-    let res = fuzz(
-        &instrumented,
-        &w.seeds,
-        &FuzzConfig {
-            max_iters: 300,
-            dictionary: w.dictionary.clone(),
-            ..FuzzConfig::default()
-        },
-    );
+    // One shard, one epoch: the plain sequential fuzzer.
+    let cfg = CampaignConfig {
+        shards: 1,
+        epochs: 1,
+        iters_per_epoch: 300,
+        dictionary: w.dictionary.clone(),
+        ..CampaignConfig::default()
+    };
+    let res = run_campaign(&instrumented, &w.seeds, &cfg).expect("valid campaign config");
 
     println!(
         "\n{} runs, corpus {}, {} normal / {} speculative coverage features",
-        res.iters, res.corpus_len, res.cov_normal_features, res.cov_spec_features
+        res.iters, res.corpus_total, res.cov_normal_features, res.cov_spec_features
     );
     println!("\ngadgets by bucket (Table 4 format):");
     for (bucket, n) in &res.buckets {

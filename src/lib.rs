@@ -1,4 +1,5 @@
-//! Facade crate for the Teapot reproduction. See README.md.
+//! Facade crate for the Teapot reproduction: re-exports the pipeline's
+//! crates. `ROADMAP.md` at the repository root describes the pipeline.
 pub use teapot_asm as asm;
 pub use teapot_baselines as baselines;
 pub use teapot_campaign as campaign;

@@ -10,9 +10,10 @@
 //!   reports that single-misprediction or no-massage-policy tools
 //!   structurally cannot see.
 
+use teapot::campaign::{CampaignConfig, CampaignReport};
 use teapot::cc::Options;
 use teapot::core::{rewrite, RewriteOptions};
-use teapot::fuzz::{fuzz, FuzzConfig};
+use teapot_bench::fuzz_one_shard;
 
 /// Distilled Appendix A.1 pattern with a driver that feeds the
 /// attacker-controlled `dic_buf_size` metadata directly.
@@ -48,17 +49,15 @@ const A1_SRC: &str = "
         return 0;
     }";
 
-fn campaign(src: &str, opts: &Options, iters: u64) -> teapot::fuzz::CampaignResult {
+fn campaign(src: &str, opts: &Options, iters: u64) -> CampaignReport {
     let mut cots = teapot::cc::compile_to_binary(src, opts).expect("compile");
     cots.strip();
     let inst = rewrite(&cots, &RewriteOptions::default()).expect("rewrite");
-    fuzz(
+    fuzz_one_shard(
         &inst,
         &[vec![0xf0, 0xff, 3, 0]],
-        &FuzzConfig {
-            max_iters: iters,
-            ..FuzzConfig::default()
-        },
+        iters,
+        CampaignConfig::default(),
     )
 }
 
@@ -111,13 +110,13 @@ fn a2_massage_chain_detected_in_htp_workload() {
     let mut cots = w.build(&Options::gcc_like()).unwrap();
     cots.strip();
     let inst = rewrite(&cots, &RewriteOptions::default()).unwrap();
-    let res = fuzz(
+    let res = fuzz_one_shard(
         &inst,
         &w.seeds,
-        &FuzzConfig {
-            max_iters: 150,
+        150,
+        CampaignConfig {
             dictionary: w.dictionary.clone(),
-            ..FuzzConfig::default()
+            ..CampaignConfig::default()
         },
     );
     let massage: usize = res
@@ -149,15 +148,15 @@ fn a2_chain_is_invisible_to_spectaint() {
     let w = teapot::workloads::htp_like();
     let mut cots = w.build(&Options::gcc_like()).unwrap();
     cots.strip();
-    let res = fuzz(
+    let res = fuzz_one_shard(
         &cots,
         &w.seeds,
-        &FuzzConfig {
-            max_iters: 40,
+        40,
+        CampaignConfig {
             emu: teapot::vm::EmuStyle::SpecTaint,
             heur_style: teapot::vm::HeurStyle::SpecTaintFive,
             dictionary: w.dictionary.clone(),
-            ..FuzzConfig::default()
+            ..CampaignConfig::default()
         },
     );
     assert!(

@@ -1,9 +1,9 @@
 //! Cross-crate integration: every workload through the complete paper
 //! pipeline (compile → strip → disassemble → rewrite → execute → fuzz).
 
+use teapot::campaign::CampaignConfig;
 use teapot::cc::Options;
 use teapot::core::{rewrite, RewriteOptions};
-use teapot::fuzz::{fuzz, FuzzConfig};
 use teapot::vm::{ExitStatus, Machine, RunOptions, SpecHeuristics};
 
 #[test]
@@ -85,31 +85,18 @@ fn specfuzz_baseline_survives_the_full_pipeline() {
 fn short_campaigns_run_on_rewritten_workloads() {
     // jsmn is the paper's zero-gadget program; brotli its most
     // gadget-dense. Short campaigns must reflect that ordering.
-    let build = |w: &teapot::workloads::Workload| {
+    let campaign = |w: &teapot::workloads::Workload| {
         let mut cots = w.build(&Options::gcc_like()).unwrap();
         cots.strip();
-        rewrite(&cots, &RewriteOptions::default()).unwrap()
+        let inst = rewrite(&cots, &RewriteOptions::default()).unwrap();
+        let cfg = CampaignConfig {
+            dictionary: w.dictionary.clone(),
+            ..CampaignConfig::default()
+        };
+        teapot_bench::fuzz_one_shard(&inst, &w.seeds, 120, cfg)
     };
-    let jsmn = teapot::workloads::jsmn_like();
-    let brotli = teapot::workloads::brotli_like();
-    let res_jsmn = fuzz(
-        &build(&jsmn),
-        &jsmn.seeds,
-        &FuzzConfig {
-            max_iters: 120,
-            dictionary: jsmn.dictionary.clone(),
-            ..FuzzConfig::default()
-        },
-    );
-    let res_brotli = fuzz(
-        &build(&brotli),
-        &brotli.seeds,
-        &FuzzConfig {
-            max_iters: 120,
-            dictionary: brotli.dictionary.clone(),
-            ..FuzzConfig::default()
-        },
-    );
+    let res_jsmn = campaign(&teapot::workloads::jsmn_like());
+    let res_brotli = campaign(&teapot::workloads::brotli_like());
     assert_eq!(
         res_jsmn.unique_gadgets(),
         0,
